@@ -141,7 +141,11 @@ class MobilityState:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Ground truth of one apply_channel call, for oracle comparison."""
+    """Ground truth of one apply_channel call, for oracle comparison.
+
+    For a block of frames, ``tap_gain`` has one row and ``applied_cfo_hz``
+    and ``noise_power`` one entry per frame.
+    """
 
     tap_gain: np.ndarray
     applied_cfo_hz: float
@@ -164,16 +168,22 @@ def _sos_parameters(rng: np.random.Generator, n_sinusoids: int):
 
 
 def _diffuse_gain(angles, phases, doppler_hz: float, tau) -> np.ndarray:
-    """Unit-power diffuse component evaluated at fading times tau."""
+    """Unit-power diffuse component evaluated at fading times tau.
+
+    A 2-D tau holds one row of times per frame; angles and phases are
+    then shared by every row or hold one row per frame.
+    """
     tau = np.asarray(tau, dtype=float)
-    n = angles.size
+    n = angles.shape[-1]
     rates = 2.0 * np.pi * doppler_hz * np.cos(angles)
-    if tau.size * n <= 1_000_000:
-        terms = np.exp(1j * (tau[:, None] * rates[None, :] + phases[None, :]))
-        return terms.sum(axis=1) / np.sqrt(n)
+    # the choice goes by row length, so a row of a block is evaluated as
+    # it would be on its own
+    if tau.shape[-1] * n <= 1_000_000:
+        terms = np.exp(1j * (tau[..., :, None] * rates[..., None, :] + phases[..., None, :]))
+        return terms.sum(axis=-1) / np.sqrt(n)
     out = np.zeros(tau.shape, dtype=np.complex128)
-    for rate, phi in zip(rates, phases):
-        out += np.exp(1j * (rate * tau + phi))
+    for rate, phi in zip(np.moveaxis(rates, -1, 0), np.moveaxis(phases, -1, 0)):
+        out += np.exp(1j * (rate[..., None] * tau + phi[..., None]))
     return out / np.sqrt(n)
 
 
@@ -183,25 +193,37 @@ _KNOT_PHASE_STEP = 0.05
 
 
 def _diffuse_gain_sampled(angles, phases, doppler_hz: float, tau) -> np.ndarray:
-    """Diffuse gain over a slowly-varying tau grid via knot interpolation.
+    """Diffuse gain over rows of slowly-varying times via knot interpolation.
 
-    The process is band-limited to doppler_hz, so within a frame it moves
-    through a tiny phase angle; evaluating the sinusoid sum on a few
-    knots and interpolating is exact to well below the noise floor while
-    avoiding a per-sample triple product.
+    ``tau`` holds one row of times per frame; ``angles`` and ``phases``
+    are shared by all rows or hold one row per frame. The process is
+    band-limited to doppler_hz, so within a frame it moves through a tiny
+    phase angle; evaluating the sinusoid sum on a few knots and
+    interpolating is exact to well below the noise floor while avoiding a
+    per-sample triple product. Every row gets exactly the knots it would
+    get on its own.
     """
-    tau = np.asarray(tau, dtype=float)
-    span = float(np.ptp(tau))
-    if span == 0.0 or doppler_hz == 0.0:
-        value = _diffuse_gain(angles, phases, doppler_hz, tau[:1])
-        return np.full(tau.shape, value[0])
-    n_knots = int(np.ceil(2.0 * np.pi * doppler_hz * span / _KNOT_PHASE_STEP)) + 2
-    if n_knots >= tau.size:
-        return _diffuse_gain(angles, phases, doppler_hz, tau)
-    idx = np.unique(np.linspace(0, tau.size - 1, n_knots).round().astype(int))
-    knots = _diffuse_gain(angles, phases, doppler_hz, tau[idx])
-    sample = np.arange(tau.size)
-    return np.interp(sample, idx, knots.real) + 1j * np.interp(sample, idx, knots.imag)
+    rows, n = tau.shape
+    angles = np.broadcast_to(angles, (rows, angles.shape[-1]))
+    phases = np.broadcast_to(phases, angles.shape)
+    span = np.ptp(tau, axis=1)
+    n_knots = np.ceil(2.0 * np.pi * doppler_hz * span / _KNOT_PHASE_STEP).astype(int) + 2
+    out = np.empty(tau.shape, dtype=np.complex128)
+
+    flat = (span == 0.0) | (doppler_hz == 0.0)
+    if flat.any():
+        out[flat] = _diffuse_gain(angles[flat], phases[flat], doppler_hz, tau[flat, :1])
+    for r in np.flatnonzero(~flat & (n_knots >= n)):
+        out[r] = _diffuse_gain(angles[r], phases[r], doppler_hz, tau[r])
+    sample = np.arange(n)
+    for count in np.unique(n_knots[~flat & (n_knots < n)]):
+        sel = np.flatnonzero(~flat & (n_knots == count))
+        idx = np.unique(np.linspace(0, n - 1, count).round().astype(int))
+        at_knots = np.ascontiguousarray(tau[sel][:, idx])
+        knots = _diffuse_gain(angles[sel], phases[sel], doppler_hz, at_knots)
+        for r, row in zip(sel, knots):
+            out[r] = np.interp(sample, idx, row.real) + 1j * np.interp(sample, idx, row.imag)
+    return out
 
 
 def _rician_weights(k: float) -> tuple[float, float]:
@@ -252,7 +274,7 @@ def apply_channel(
     params: ChannelParams,
     mobility: MobilityState,
     seed,
-    t0: float = 0.0,
+    t0=0.0,
 ) -> tuple[ComplexWaveform, ChannelRealization]:
     """Propagate a waveform through the mobile fading channel.
 
@@ -264,17 +286,31 @@ def apply_channel(
     function of ``seed`` alone, so consecutive calls with increasing
     ``t0`` continue the same channel; noise and wander draws are keyed by
     (seed, start sample) and therefore differ per call deterministically.
+
+    A waveform holding a block of frames (one row each) is propagated row
+    by row in one call, exactly as one call per row would: ``t0`` then
+    gives each row's start time, and ``seed`` is either one seed shared
+    by the rows or a 2-D array with one seed row per frame. The
+    realization's fields then hold one row or value per frame.
     """
     if len(tx) == 0:
         raise ValueError("tx waveform must be non-empty")
     fs = tx.sample_rate
     delay = params.delay_samples
+    block = tx.samples.reshape(-1, len(tx))
+    frames = block.shape[0]
     n = len(tx) + delay
-    x = np.concatenate([np.zeros(delay, dtype=np.complex128), tx.samples])
-    t = t0 + np.arange(n) / fs
+    x = np.concatenate([np.zeros((frames, delay), dtype=np.complex128), block], axis=1)
+    t0 = np.broadcast_to(np.asarray(t0, dtype=float), (frames,))
+    t = t0[:, None] + np.arange(n) / fs
+    per_frame = np.ndim(seed) == 2
+    seeds = list(seed) if per_frame else [seed] * frames
 
-    fading_rng = np.random.default_rng(_fading_seed(seed))
-    angles, phases = _sos_parameters(fading_rng, params.n_sinusoids)
+    drawn = [
+        _sos_parameters(np.random.default_rng(_fading_seed(s)), params.n_sinusoids)
+        for s in (seeds if per_frame else [seed])
+    ]
+    angles, phases = (np.stack(v) for v in zip(*drawn))
     los, diff = _rician_weights(params.rician_k)
     h = los + diff * _diffuse_gain_sampled(
         angles, phases, params.doppler_hz, mobility.motion_time(t)
@@ -283,36 +319,50 @@ def apply_channel(
     d = mobility.distance(t)
     amp = (params.reference_distance / d) ** (params.path_loss_exponent / 2.0)
 
-    start_sample = int(round(t0 * fs))
-    draw_rng = np.random.default_rng(_noise_seed(seed, start_sample))
+    draw_rngs = [
+        np.random.default_rng(_noise_seed(s, int(round(start * fs))))
+        for s, start in zip(seeds, t0)
+    ]
     moving = mobility.is_moving(t)
-    f_inst = np.full(n, params.cfo_hz, dtype=float)
+    f_inst = np.full((frames, n), params.cfo_hz, dtype=float)
     f_inst += params.doppler_hz * moving
     if params.cfo_jitter_hz > 0:
-        block = max(1, int(round(params.cfo_jitter_tau_s * fs)))
-        f_inst += _block_wander(draw_rng, n, params.cfo_jitter_hz, block) * moving
+        step = max(1, int(round(params.cfo_jitter_tau_s * fs)))
+        wander = np.stack(
+            [_block_wander(rng, n, params.cfo_jitter_hz, step) for rng in draw_rngs]
+        )
+        f_inst += wander * moving
 
-    phase = np.empty(n, dtype=float)
-    phase[0] = 0.0
-    np.cumsum(2.0 * np.pi * f_inst[:-1] / fs, out=phase[1:])
-    noiseless = amp * h * x * np.exp(1j * phase)
+    phase = np.zeros((frames, n), dtype=float)
+    np.cumsum(2.0 * np.pi * f_inst[:, :-1] / fs, axis=1, out=phase[:, 1:])
+    # Named products: numpy may reuse a large unnamed temporary as the
+    # output of the next product, and its in-place complex multiply
+    # rounds differently, so a block would drift from single frames.
+    gain = amp * h
+    carried = gain * x
+    rotation = np.exp(1j * phase)
+    noiseless = carried * rotation
 
     if params.target_snr_db is not None:
-        signal_power = float(np.mean(np.abs(noiseless) ** 2))
+        signal_power = np.mean(np.abs(noiseless) ** 2, axis=1)
         noise_power = signal_power / 10.0 ** (params.target_snr_db / 10.0)
     elif params.noise_power_dbm is not None:
-        noise_power = 10.0 ** ((params.noise_power_dbm - 30.0) / 10.0)
+        noise_power = np.full(frames, 10.0 ** ((params.noise_power_dbm - 30.0) / 10.0))
     else:
-        noise_power = 0.0
+        noise_power = np.zeros(frames)
 
     rx = noiseless
-    if noise_power > 0:
-        w = draw_rng.normal(0.0, np.sqrt(noise_power / 2.0), (n, 2))
-        rx = noiseless + w[:, 0] + 1j * w[:, 1]
+    for f in np.flatnonzero(noise_power > 0):
+        w = draw_rngs[f].normal(0.0, np.sqrt(noise_power[f] / 2.0), (n, 2))
+        rx[f] = noiseless[f] + w[:, 0] + 1j * w[:, 1]
 
+    applied_cfo = np.mean(f_inst, axis=1)
+    if tx.samples.ndim == 1:
+        rx, h = rx[0], h[0]
+        applied_cfo, noise_power = float(applied_cfo[0]), float(noise_power[0])
     truth = ChannelRealization(
         tap_gain=h,
-        applied_cfo_hz=float(np.mean(f_inst)),
+        applied_cfo_hz=applied_cfo,
         applied_delay=delay,
         noise_power=noise_power,
     )

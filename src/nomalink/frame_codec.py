@@ -112,7 +112,11 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class ComplexWaveform:
-    """Complex baseband sample sequence with its sample rate."""
+    """Complex baseband sample sequence with its sample rate.
+
+    ``samples`` is one frame's samples, or a block of frames with one row
+    per frame; ``len`` is the number of samples in a frame.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -124,12 +128,15 @@ class ComplexWaveform:
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
-        return self.samples.size
+        return self.samples.shape[-1]
 
 
 @dataclass(frozen=True)
 class SubcarrierGrid:
     """Frequency-domain content of one frame: symbols x occupied subcarriers.
+
+    A block of frames carries a leading frame axis: frames x symbols x
+    occupied subcarriers.
 
     ``pilot_mask`` marks pilot positions (identical for every row) and
     ``pilot_values`` records the transmitted pilot sequence so receivers
@@ -144,7 +151,7 @@ class SubcarrierGrid:
         values = np.asarray(self.values, dtype=np.complex128)
         mask = np.asarray(self.pilot_mask, dtype=bool)
         pilots = np.asarray(self.pilot_values, dtype=np.complex128)
-        if values.ndim != 2 or mask.ndim != 1 or values.shape[1] != mask.size:
+        if values.ndim < 2 or mask.ndim != 1 or values.shape[-1] != mask.size:
             raise ValueError("grid shape does not match pilot mask")
         if int(mask.sum()) != pilots.size:
             raise ValueError("pilot_values length must equal pilot count")
@@ -300,28 +307,33 @@ def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> tuple[ComplexWavefo
     """Build one frame: modulate, interleave pilots, IFFT, prepend prefixes.
 
     Returns the time-domain waveform (symbols_per_frame * (fft + cp)
-    samples) together with the transmitted grid for oracle use.
+    samples) together with the transmitted grid for oracle use. A payload
+    block of shape (frames, payload_bits) builds one frame per row, and
+    the waveform and grid carry the same leading frame axis.
     """
     payload = np.asarray(payload, dtype=np.int64)
-    if payload.size != cfg.payload_bits:
+    if payload.ndim not in (1, 2) or payload.shape[-1] != cfg.payload_bits:
         raise ValueError(
-            f"payload must be {cfg.payload_bits} bits, got {payload.size}"
+            f"payload must be {cfg.payload_bits} bits per frame, got shape {payload.shape}"
         )
+    frames = payload.shape[:-1]
     mask = pilot_mask(cfg)
     pilots = pilot_values(cfg, pilot_seed)
-    data_syms = qam_modulate(payload, cfg.modulation_order)
-    data_per_symbol = data_syms.reshape(cfg.symbols_per_frame, cfg.data_subcarriers)
+    data_syms = qam_modulate(payload.reshape(-1), cfg.modulation_order)
+    data_per_symbol = data_syms.reshape(*frames, cfg.symbols_per_frame, cfg.data_subcarriers)
 
-    grid = np.empty((cfg.symbols_per_frame, cfg.total_subcarriers), dtype=np.complex128)
-    grid[:, mask] = pilots
-    grid[:, ~mask] = data_per_symbol
+    grid = np.empty(
+        (*frames, cfg.symbols_per_frame, cfg.total_subcarriers), dtype=np.complex128
+    )
+    grid[..., mask] = pilots
+    grid[..., ~mask] = data_per_symbol
 
-    spectra = np.zeros((cfg.symbols_per_frame, cfg.fft_size), dtype=np.complex128)
-    spectra[:, occupied_bins(cfg)] = grid
-    bodies = np.fft.ifft(spectra, axis=1) * _spectrum_scale(cfg)
-    with_cp = np.concatenate([bodies[:, cfg.fft_size - cfg.cp_length :], bodies], axis=1)
+    spectra = np.zeros((*frames, cfg.symbols_per_frame, cfg.fft_size), dtype=np.complex128)
+    spectra[..., occupied_bins(cfg)] = grid
+    bodies = np.fft.ifft(spectra, axis=-1) * _spectrum_scale(cfg)
+    with_cp = np.concatenate([bodies[..., cfg.fft_size - cfg.cp_length :], bodies], axis=-1)
 
-    waveform = ComplexWaveform(with_cp.reshape(-1), cfg.sample_rate)
+    waveform = ComplexWaveform(with_cp.reshape(*frames, -1), cfg.sample_rate)
     return waveform, SubcarrierGrid(grid, mask, pilots)
 
 
@@ -329,15 +341,19 @@ def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.n
     """Recover one grid row from fft_size samples starting after the prefix.
 
     Exactly inverts the per-symbol transform of assemble_frame when the
-    segment is aligned and the channel is transparent.
+    segment is aligned and the channel is transparent. Samples with a
+    leading symbol axis, one symbol period per row, give one grid row per
+    symbol through a single FFT.
     """
     if isinstance(samples, ComplexWaveform):
         samples = samples.samples
     samples = np.asarray(samples, dtype=np.complex128)
-    if symbol_start < 0 or samples.size - symbol_start < cfg.fft_size:
+    if symbol_start < 0 or samples.shape[-1] - symbol_start < cfg.fft_size:
         raise FrameLostError(
             f"segment too short: need {cfg.fft_size} samples at offset {symbol_start}"
         )
-    body = samples[symbol_start : symbol_start + cfg.fft_size]
-    spectrum = np.fft.fft(body) / _spectrum_scale(cfg)
-    return spectrum[occupied_bins(cfg)]
+    body = samples[..., symbol_start : symbol_start + cfg.fft_size]
+    spectrum = np.fft.fft(body, axis=-1) / _spectrum_scale(cfg)
+    # a gather on the last axis may lay the gathered axis out first in
+    # memory; later row sums must run over contiguous rows
+    return np.ascontiguousarray(spectrum[..., occupied_bins(cfg)])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,18 +92,21 @@ def allocate_power_by_distance(distances) -> PowerAllocation:
 
 
 def superpose(waveforms: Sequence[ComplexWaveform], alloc: PowerAllocation) -> ComplexWaveform:
-    """Amplitude-weighted sum of per-user waveforms: sum_k sqrt(alpha_k) x_k."""
+    """Amplitude-weighted sum of per-user waveforms: sum_k sqrt(alpha_k) x_k.
+
+    Waveforms holding a block of frames are summed frame by frame.
+    """
     if len(waveforms) != alloc.n_users:
         raise ValueError(
             f"got {len(waveforms)} waveforms for {alloc.n_users} coefficients"
         )
-    lengths = {len(w) for w in waveforms}
-    if len(lengths) != 1:
+    shapes = {w.samples.shape for w in waveforms}
+    if len(shapes) != 1:
         raise ValueError("user waveforms must have equal length")
     rates = {w.sample_rate for w in waveforms}
     if len(rates) != 1:
         raise ValueError("user waveforms must share a sample rate")
-    out = np.zeros(lengths.pop(), dtype=np.complex128)
+    out = np.zeros(shapes.pop(), dtype=np.complex128)
     for amp, wave in zip(alloc.amplitudes, waveforms):
         out += amp * wave.samples
     return ComplexWaveform(out, rates.pop())
@@ -114,8 +117,6 @@ def sic_decode(
     alloc: PowerAllocation,
     user: int,
     order: int = 4,
-    demodulate: Callable = qam_demodulate,
-    remodulate: Callable = qam_modulate,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Successive interference cancellation on equalized composite symbols.
 
@@ -133,9 +134,9 @@ def sic_decode(
     amps = alloc.amplitudes
     stage_bits: list[np.ndarray] = []
     for j in range(user - 1):
-        bits_j = demodulate(residual / amps[j], order)
+        bits_j = qam_demodulate(residual / amps[j], order)
         stage_bits.append(bits_j)
-        residual -= amps[j] * remodulate(bits_j, order)
+        residual -= amps[j] * qam_modulate(bits_j, order)
     return residual / amps[user - 1], stage_bits
 
 
@@ -166,7 +167,11 @@ def build_downlink_frame(
     alloc: PowerAllocation,
     pilot_seed: int,
 ) -> tuple[ComplexWaveform, list[SubcarrierGrid]]:
-    """Assemble one frame per user and superpose them for transmission."""
+    """Assemble one frame per user and superpose them for transmission.
+
+    Each payload may be a block of shape (frames, payload_bits); the
+    waveform and grids then carry that leading frame axis.
+    """
     if len(payloads) != alloc.n_users:
         raise ValueError(f"need {alloc.n_users} payloads, got {len(payloads)}")
     waves = []

@@ -12,6 +12,8 @@ are reported undetected; the scenario layer assigns them BER 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,18 +141,22 @@ def correct_cfo(rx: ComplexWaveform, cfo_hz: float) -> ComplexWaveform:
     return ComplexWaveform(rx.samples * rotation, rx.sample_rate)
 
 
-def ls_estimate_channel(row, mask, pilot_reference) -> np.ndarray:
-    """Least-squares channel estimate for one OFDM symbol.
+class _PilotLine(NamedTuple):
+    """Terms of the pilot regression that depend only on the pilot layout."""
 
-    Pilot observations follow Y_p = H(k) X_p with H modelled as a
-    straight line a + b*k over the occupied-subcarrier index; a and b are
-    solved in the least-squares sense (equivalently, a pilot-power
-    weighted regression of the per-pilot ratios Y_p/X_p) and the line is
-    evaluated on every occupied subcarrier.
-    """
-    row = np.asarray(row, dtype=np.complex128)
-    mask = np.asarray(mask, dtype=bool)
-    x = np.asarray(pilot_reference, dtype=np.complex128)
+    k_pilot: np.ndarray
+    conj_x: np.ndarray
+    conj_x_k: np.ndarray
+    g00: float
+    g01: float
+    g11: float
+    det: float
+
+
+@lru_cache(maxsize=64)
+def _pilot_line_cached(mask_bytes: bytes, reference_bytes: bytes) -> _PilotLine:
+    mask = np.frombuffer(mask_bytes, dtype=bool)
+    x = np.frombuffer(reference_bytes, dtype=np.complex128)
     k_pilot = np.flatnonzero(mask)
     if k_pilot.size < 2:
         raise ValueError("need at least 2 pilots for the regression")
@@ -158,20 +164,41 @@ def ls_estimate_channel(row, mask, pilot_reference) -> np.ndarray:
         raise ValueError("pilot reference length does not match pilot mask")
     if np.any(np.abs(x) == 0):
         raise ValueError("pilot reference contains zero-power entries")
-    # 2-parameter normal equations of min ||y - (a + b k) x||^2
-    y = row[k_pilot]
     px = np.abs(x) ** 2
     g00 = np.sum(px)
     g01 = np.sum(px * k_pilot)
     g11 = np.sum(px * k_pilot * k_pilot)
-    r0 = np.sum(np.conj(x) * y)
-    r1 = np.sum(np.conj(x) * k_pilot * y)
     det = g00 * g11 - g01 * g01
     if det <= 0 or not np.isfinite(det):
         raise ValueError("degenerate pilot layout for the regression")
-    a = (g11 * r0 - g01 * r1) / det
-    b = (g00 * r1 - g01 * r0) / det
-    return a + b * np.arange(mask.size)
+    conj_x = np.conj(x)
+    conj_x_k = conj_x * k_pilot
+    for arr in (k_pilot, conj_x, conj_x_k):
+        arr.flags.writeable = False
+    return _PilotLine(k_pilot, conj_x, conj_x_k, g00, g01, g11, det)
+
+
+def ls_estimate_channel(row, mask, pilot_reference) -> np.ndarray:
+    """Least-squares channel estimate for one OFDM symbol.
+
+    Pilot observations follow Y_p = H(k) X_p with H modelled as a
+    straight line a + b*k over the occupied-subcarrier index; a and b are
+    solved in the least-squares sense (equivalently, a pilot-power
+    weighted regression of the per-pilot ratios Y_p/X_p) and the line is
+    evaluated on every occupied subcarrier. Rows with a leading symbol
+    axis give one line per symbol.
+    """
+    row = np.asarray(row, dtype=np.complex128)
+    mask = np.asarray(mask, dtype=bool)
+    x = np.asarray(pilot_reference, dtype=np.complex128)
+    line = _pilot_line_cached(mask.tobytes(), x.tobytes())
+    # 2-parameter normal equations of min ||y - (a + b k) x||^2
+    y = np.ascontiguousarray(row[..., line.k_pilot])
+    r0 = np.sum(line.conj_x * y, axis=-1)
+    r1 = np.sum(line.conj_x_k * y, axis=-1)
+    a = (line.g11 * r0 - line.g01 * r1) / line.det
+    b = (line.g00 * r1 - line.g01 * r0) / line.det
+    return np.asarray(a)[..., None] + np.asarray(b)[..., None] * np.arange(mask.size)
 
 
 def zf_equalize(row, estimate, singularity_threshold: float = ZF_SINGULARITY_THRESHOLD):
@@ -179,14 +206,15 @@ def zf_equalize(row, estimate, singularity_threshold: float = ZF_SINGULARITY_THR
 
     Subcarriers whose estimate magnitude falls below the singularity
     threshold are zeroed and flagged instead of divided. An all-erased
-    symbol raises FrameLostError.
+    symbol raises FrameLostError. Rows with a leading symbol axis are
+    equalized symbol by symbol.
     """
     row = np.asarray(row, dtype=np.complex128)
     estimate = np.asarray(estimate, dtype=np.complex128)
     if not np.all(np.isfinite(estimate.view(np.float64))):
         raise ValueError("channel estimate must be finite")
     erased = np.abs(estimate) < singularity_threshold
-    if np.all(erased):
+    if np.any(np.all(erased, axis=-1)):
         raise FrameLostError("all subcarriers erased by zero-forcing")
     out = np.zeros_like(row)
     ok = ~erased
@@ -194,23 +222,25 @@ def zf_equalize(row, estimate, singularity_threshold: float = ZF_SINGULARITY_THR
     return out, erased
 
 
-def evm_snr(equalized_pilots, pilot_reference, cap_db: float = SNR_CAP_DB) -> float:
+def evm_snr(equalized_pilots, pilot_reference, cap_db: float = SNR_CAP_DB):
     """SNR estimate from the pilot error vector magnitude.
 
     EVM_rms = sqrt(mean|y - x|^2 / mean|x|^2) and the estimate is
-    -20 log10(EVM_rms), capped at ``cap_db`` for vanishing error.
+    -20 log10(EVM_rms), capped at ``cap_db`` for vanishing error. Pilots
+    with a leading symbol axis give an array with one estimate per symbol.
     """
-    y = np.asarray(equalized_pilots, dtype=np.complex128)
+    y = np.ascontiguousarray(equalized_pilots, dtype=np.complex128)
     x = np.asarray(pilot_reference, dtype=np.complex128)
-    if y.size == 0 or y.size != x.size:
+    if y.size == 0 or y.shape[-1] != x.size:
         raise ValueError("need equal, non-empty pilot and reference vectors")
     ref_power = float(np.mean(np.abs(x) ** 2))
     if ref_power == 0.0:
         raise ValueError("pilot reference has zero power")
-    evm = np.sqrt(float(np.mean(np.abs(y - x) ** 2)) / ref_power)
-    if evm <= 10.0 ** (-cap_db / 20.0):
-        return cap_db
-    return min(-20.0 * np.log10(evm), cap_db)
+    evm = np.sqrt(np.mean(np.abs(y - x) ** 2, axis=-1) / ref_power)
+    with np.errstate(divide="ignore"):
+        snr = np.minimum(-20.0 * np.log10(evm), cap_db)
+    snr = np.where(evm <= 10.0 ** (-cap_db / 20.0), cap_db, snr)
+    return float(snr) if snr.ndim == 0 else snr
 
 
 def receive_user(
@@ -225,9 +255,9 @@ def receive_user(
 ) -> UserRxReport:
     """Full decode of one frame at one vehicle.
 
-    Pipeline: cp_ml_sync -> correct_cfo -> per-symbol FFT ->
+    Pipeline: cp_ml_sync -> correct_cfo -> FFT of every symbol body ->
     ls_estimate_channel -> zf_equalize -> evm_snr -> sic_decode ->
-    qam_demodulate. Synchronization failure yields detected=False with
+    qam_demodulate, each stage taking all the frame's symbols at once. Synchronization failure yields detected=False with
     empty bits. ``cfo_error_hz`` adds a known error to the applied
     correction (estimation-error injection for stress tests); the
     reported CFO stays the estimator output. When ``stage_truth`` holds
@@ -242,25 +272,24 @@ def receive_user(
         return UserRxReport.lost()
 
     corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz)
+    frame = corrected.samples[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
+    if frame.size < cfg.frame_samples:  # the last symbol runs past the buffer
+        return UserRxReport.lost(sync.metric_peak)
     mask = pilot_mask(cfg)
     reference = composite_pilot_values(cfg, alloc, pilot_seed)
 
-    snr_db = np.empty(cfg.symbols_per_frame, dtype=float)
-    data_symbols = np.empty(
-        cfg.symbols_per_frame * cfg.data_subcarriers, dtype=np.complex128
+    rows = disassemble_symbol(
+        frame.reshape(cfg.symbols_per_frame, cfg.symbol_samples), cfg, cfg.cp_length
     )
+    estimate = ls_estimate_channel(rows, mask, reference)
     try:
-        for s in range(cfg.symbols_per_frame):
-            start = sync.timing_offset + s * cfg.symbol_samples + cfg.cp_length
-            row = disassemble_symbol(corrected.samples, cfg, start)
-            estimate = ls_estimate_channel(row, mask, reference)
-            equalized, erased = zf_equalize(row, estimate)
-            snr_db[s] = evm_snr(equalized[mask], reference)
-            data = equalized[~mask]
-            data[erased[~mask]] = 0.0  # erasures decide to a fixed bit pattern
-            data_symbols[s * cfg.data_subcarriers : (s + 1) * cfg.data_subcarriers] = data
+        equalized, erased = zf_equalize(rows, estimate)
     except FrameLostError:
         return UserRxReport.lost(sync.metric_peak)
+    snr_db = evm_snr(equalized[:, mask], reference)
+    data = equalized[:, ~mask]
+    data[erased[:, ~mask]] = 0.0  # erasures decide to a fixed bit pattern
+    data_symbols = data.reshape(-1)
 
     own_symbols, stage_bits = sic_decode(
         data_symbols, alloc, user, cfg.modulation_order

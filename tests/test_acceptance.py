@@ -39,13 +39,6 @@ def report(criterion: int, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def default_run():
-    start = time.perf_counter()
-    series = run_v2x_scenario(ScenarioConfig())
-    return series, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
 def floor_curve():
     # >= 1e6 bits per user at each of the three highest SNR points
     return sweep_ber_vs_snr(
@@ -53,10 +46,10 @@ def floor_curve():
     )
 
 
-def test_criterion_1_stationary_ber_bound(default_run):
+def test_criterion_1_stationary_ber_bound(default_replay):
     """Default scenario, stationary stage: every user's mean BER <= 2e-3
     (1e-3 target with calibration slack) over >= 1e5 bits, inside 60 s."""
-    series, elapsed = default_run
+    series, elapsed = default_replay
     bers = []
     for k in (1, 2, 3):
         sel = series.user_mask(k) & series.detected & series.stage_mask(False)
@@ -84,14 +77,14 @@ def test_criterion_2_error_floor(floor_curve):
     )
 
 
-def test_criterion_3_mobile_degradation(default_run):
+def test_criterion_3_mobile_degradation(default_replay):
     """Across >= 10 seeds: some user keeps stationary BER <= 1e-3 while
     >= 1% of its mobile symbols carry per-symbol BER >= 1e-2; the
     property must hold for at least 9 of the 10 seeds."""
     held = []
     for seed in SEEDS:
         if seed == SEEDS[0]:
-            series = default_run[0]
+            series = default_replay[0]
         else:
             series = run_v2x_scenario(ScenarioConfig(seed=seed))
         ok = False
@@ -185,11 +178,11 @@ def test_criterion_7_perfect_sic_identity():
     report(7, f"identity suite clean; superposed power {power:.4f}")
 
 
-def test_criterion_8_histogram_qualitative_match(default_run):
+def test_criterion_8_histogram_qualitative_match(default_replay):
     """Stationary estimated-SNR variance strictly below the mobile variance
     for every user; the second user's 23 dB-bin per-second rate strictly
     higher while stationary."""
-    series, _ = default_run
+    series, _ = default_replay
     variances = []
     for k in (1, 2, 3):
         sel = series.user_mask(k) & series.detected

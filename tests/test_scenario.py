@@ -169,9 +169,9 @@ class TestRunScenario:
         assert not np.array_equal(a.est_snr_db, b.est_snr_db)
 
 
-@pytest.fixture(scope="module")
-def default_run():
-    return run_v2x_scenario(ScenarioConfig())
+@pytest.fixture
+def default_run(default_replay):
+    return default_replay[0]
 
 
 class TestDefaultScenarioProperties:
