@@ -255,10 +255,11 @@ def receive_user(
 ) -> UserRxReport:
     """Full decode of one frame at one vehicle.
 
-    Pipeline: cp_ml_sync -> correct_cfo -> FFT of every symbol body ->
-    ls_estimate_channel -> zf_equalize -> evm_snr -> sic_decode ->
-    qam_demodulate, each stage taking all the frame's symbols at once. Synchronization failure yields detected=False with
-    empty bits. ``cfo_error_hz`` adds a known error to the applied
+    Pipeline: cp_ml_sync -> correct_cfo -> one FFT of all symbol bodies
+    -> ls_estimate_channel -> zf_equalize -> evm_snr -> sic_decode ->
+    qam_demodulate; the stages from the FFT to the EVM take all of the
+    frame's symbols at once. Synchronization failure yields
+    detected=False with empty bits. ``cfo_error_hz`` adds a known error to the applied
     correction (estimation-error injection for stress tests); the
     reported CFO stays the estimator output. When ``stage_truth`` holds
     the transmitted bits of the users cancelled ahead of this one, the
