@@ -27,9 +27,9 @@ PILOT_SEED = 295
 FRAMES = 8
 
 
-def _payloads(frames, seed=0, cfg=CFG):
+def _payloads(frames, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, (frames, ALLOC.n_users, cfg.payload_bits), dtype=np.int64)
+    return rng.integers(0, 2, (frames, ALLOC.n_users, CFG.payload_bits), dtype=np.int64)
 
 
 def _tx_block(frames=FRAMES, seed=0):
