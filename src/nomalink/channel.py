@@ -352,9 +352,10 @@ def apply_channel(
         noise_power = np.zeros(frames)
 
     rx = noiseless
+    # each draw's (n, 2) rows are one sample's in-phase and quadrature noise
+    interleaved = rx.view(np.float64).reshape(frames, n, 2)
     for f in np.flatnonzero(noise_power > 0):
-        w = draw_rngs[f].normal(0.0, np.sqrt(noise_power[f] / 2.0), (n, 2))
-        rx[f] = noiseless[f] + w[:, 0] + 1j * w[:, 1]
+        interleaved[f] += draw_rngs[f].normal(0.0, np.sqrt(noise_power[f] / 2.0), (n, 2))
 
     applied_cfo = np.mean(f_inst, axis=1)
     if tx.samples.ndim == 1:

@@ -117,6 +117,13 @@ def _build_config(raw: dict) -> ScenarioConfig:
     for key in raw:
         if key not in known:
             raise ValueError(f"unknown config field {key!r}")
+    for block, keys in (
+        ("power", {"policy", "coefficients"}),
+        ("timing", {"stationary_duration", "travel_duration", "total_duration"}),
+    ):
+        for key in raw.get(block, {}):
+            if key not in keys:
+                raise ValueError(f"unknown config field '{block}.{key}'")
 
     defaults = ScenarioConfig()
     try:
@@ -185,39 +192,28 @@ def load_config(path) -> ScenarioConfig:
     return _build_config(raw)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+# columns written as integers and as 0/1 flags; every other column is a float
+_INT_COLUMNS = ("user", "bits", "lost_frames")
+_FLAG_COLUMNS = ("outage", "detected")
 
 
-def _timeseries_rows(series: MetricsTimeSeries):
-    for i in range(series.time_s.size):
-        yield (
-            series.time_s[i],
-            int(series.user[i]),
-            series.est_snr_db[i],
-            series.est_cfo_hz[i],
-            series.ber[i],
-            bool(series.outage[i]),
-            bool(series.detected[i]),
-        )
-
-
-def _sweep_rows(curve: BerCurve):
-    for i in range(curve.snr_db.size):
-        for k in range(curve.n_users):
-            yield (
-                curve.snr_db[i],
-                k + 1,
-                curve.ber[i, k],
-                curve.ci_low[i, k],
-                curve.ci_high[i, k],
-                int(curve.bits[i, k]),
-                int(curve.lost_frames[i, k]),
-            )
+def _columns(result) -> tuple[tuple, list]:
+    """Column names and, per column, its values as a list of Python numbers."""
+    if isinstance(result, MetricsTimeSeries):
+        names = TIMESERIES_COLUMNS
+        arrays = [getattr(result, name) for name in names]
+    elif isinstance(result, BerCurve):
+        names = SWEEP_COLUMNS
+        users, points = result.n_users, result.snr_db.size
+        arrays = [np.repeat(result.snr_db, users), np.tile(np.arange(1, users + 1), points)]
+        arrays += [np.ravel(getattr(result, name)) for name in names[2:]]
+    else:
+        raise TypeError(f"cannot serialize {type(result).__name__}")
+    dtypes = [
+        bool if name in _FLAG_COLUMNS else np.int64 if name in _INT_COLUMNS else float
+        for name in names
+    ]
+    return names, [np.asarray(a, dtype=t).tolist() for a, t in zip(arrays, dtypes)]
 
 
 def write_outputs(result, fmt: str, path) -> Path:
@@ -227,30 +223,22 @@ def write_outputs(result, fmt: str, path) -> Path:
     JSON object per line with the same keys. Identical inputs produce
     byte-identical files.
     """
-    if isinstance(result, MetricsTimeSeries):
-        columns, rows = TIMESERIES_COLUMNS, _timeseries_rows(result)
-    elif isinstance(result, BerCurve):
-        columns, rows = SWEEP_COLUMNS, _sweep_rows(result)
-    else:
-        raise TypeError(f"cannot serialize {type(result).__name__}")
-
+    names, columns = _columns(result)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "text":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
+        cells = [
+            ["1" if v else "0" for v in col] if name in _FLAG_COLUMNS else list(map(repr, col))
+            for name, col in zip(names, columns)
+        ]
+        lines = [",".join(names)] + [",".join(row) for row in zip(*cells)]
     elif fmt == "records":
-        lines = []
-        for row in rows:
-            record = {
-                c: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
-                for c, v in zip(columns, row)
-            }
-            lines.append(json.dumps(record, sort_keys=True, default=float))
-        path.write_text("\n".join(lines) + "\n")
+        lines = [
+            json.dumps(dict(zip(names, row)), sort_keys=True) for row in zip(*columns)
+        ]
     else:
         raise ValueError(f"unknown output format {fmt!r}")
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 

@@ -242,6 +242,33 @@ def _axis_norm(order: int) -> float:
     return np.sqrt(2.0 * (order - 1) / 3.0)
 
 
+def _check_order(order: int) -> None:
+    if not _is_power_of_two(order) or int(log2(order)) % 2 != 0:
+        raise ValueError("order must be a power of 4 (square QAM)")
+
+
+def _levels_to_symbols(idx: np.ndarray, order: int) -> np.ndarray:
+    """Constellation points of (n, 2) in-phase and quadrature level indices."""
+    levels = int(np.sqrt(order))
+    amp = (levels - 1) - 2.0 * idx
+    return (amp[:, 0] + 1j * amp[:, 1]) / _axis_norm(order)
+
+
+def _decide_levels(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Nearest level index on both axes of contiguous complex symbols, (n, 2)."""
+    levels = int(np.sqrt(order))
+    vals = symbols.view(np.float64).reshape(-1, 2)
+    return np.clip(np.round(((levels - 1) - vals * _axis_norm(order)) / 2.0), 0, levels - 1)
+
+
+def _levels_to_bits(idx: np.ndarray, order: int) -> np.ndarray:
+    """Gray bits of (n, 2) level indices: the in-phase bits, then the quadrature
+    bits of each symbol, most significant first."""
+    p = _axis_bits(order)
+    v = _gray_encode(idx.astype(np.int64))
+    return ((v[..., None] >> np.arange(p - 1, -1, -1)) & 1).astype(np.uint8).reshape(-1)
+
+
 def qam_modulate(bits, order: int = 4) -> np.ndarray:
     """Gray-map a bit sequence onto the unit-energy square QAM constellation.
 
@@ -249,8 +276,7 @@ def qam_modulate(bits, order: int = 4) -> np.ndarray:
     selects the in-phase level, the second half the quadrature level. For
     4QAM the pair (b1, b0) maps to ((1 - 2*b1) + 1j*(1 - 2*b0)) / sqrt(2).
     """
-    if not _is_power_of_two(order) or int(log2(order)) % 2 != 0:
-        raise ValueError("order must be a power of 4 (square QAM)")
+    _check_order(order)
     bits = np.asarray(bits, dtype=np.int64)
     if bits.ndim != 1:
         raise ValueError("bits must be one-dimensional")
@@ -261,41 +287,17 @@ def qam_modulate(bits, order: int = 4) -> np.ndarray:
         raise ValueError(f"bit count {bits.size} not divisible by {k} bits/symbol")
 
     p = _axis_bits(order)
-    levels = int(np.sqrt(order))
     weights = 1 << np.arange(p - 1, -1, -1)
-    groups = bits.reshape(-1, k)
-    v_i = groups[:, :p] @ weights
-    v_q = groups[:, p:] @ weights
-    idx_i = _gray_decode(v_i, p)
-    idx_q = _gray_decode(v_q, p)
-    amp_i = (levels - 1) - 2.0 * idx_i
-    amp_q = (levels - 1) - 2.0 * idx_q
-    return (amp_i + 1j * amp_q) / _axis_norm(order)
+    return _levels_to_symbols(_gray_decode(bits.reshape(-1, 2, p) @ weights, p), order)
 
 
 def qam_demodulate(symbols, order: int = 4) -> np.ndarray:
     """Hard minimum-distance decision back to bits; inverse of qam_modulate."""
-    if not _is_power_of_two(order) or int(log2(order)) % 2 != 0:
-        raise ValueError("order must be a power of 4 (square QAM)")
-    symbols = np.asarray(symbols, dtype=np.complex128)
+    _check_order(order)
+    symbols = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(symbols.view(np.float64))):
         raise ValueError("symbols must be finite")
-
-    p = _axis_bits(order)
-    levels = int(np.sqrt(order))
-    norm = _axis_norm(order)
-
-    def axis_decision(vals: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.round(((levels - 1) - vals * norm) / 2.0), 0, levels - 1)
-        v = _gray_encode(idx.astype(np.int64))
-        out = np.empty((vals.size, p), dtype=np.uint8)
-        for j in range(p):
-            out[:, j] = (v >> (p - 1 - j)) & 1
-        return out
-
-    bits_i = axis_decision(symbols.real)
-    bits_q = axis_decision(symbols.imag)
-    return np.concatenate([bits_i, bits_q], axis=1).reshape(-1)
+    return _levels_to_bits(_decide_levels(symbols, order), order)
 
 
 def _spectrum_scale(cfg: FrameConfig) -> float:

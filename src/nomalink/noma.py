@@ -18,10 +18,12 @@ from .frame_codec import (
     ComplexWaveform,
     FrameConfig,
     SubcarrierGrid,
+    _check_order,
+    _decide_levels,
+    _levels_to_bits,
+    _levels_to_symbols,
     assemble_frame,
     pilot_values,
-    qam_demodulate,
-    qam_modulate,
 )
 
 __all__ = [
@@ -120,23 +122,27 @@ def sic_decode(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Successive interference cancellation on equalized composite symbols.
 
-    For stage j = 1..user-1: hard-demodulate user j (remaining users act
-    as noise), remodulate, scale by sqrt(alpha_j) and subtract. The
-    returned own-symbol sequence is the final residual scaled by
-    1/sqrt(alpha_user); stage decisions are returned for error accounting.
+    For stage j = 1..user-1: decide user j's constellation levels
+    (remaining users act as noise), remodulate them, scale by sqrt(alpha_j)
+    and subtract. The returned own-symbol sequence is the final residual
+    scaled by 1/sqrt(alpha_user); stage decisions are returned as bits for
+    error accounting.
     User 1 performs zero stages. Decision errors propagate as symbol
     errors by design: imperfect cancellation is a measured phenomenon,
     not a failure mode.
     """
     if not 1 <= user <= alloc.n_users:
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
-    residual = np.asarray(symbols, dtype=np.complex128).copy()
+    _check_order(order)
+    residual = np.array(symbols, dtype=np.complex128, order="C")
+    if not np.all(np.isfinite(residual)):
+        raise ValueError("symbols must be finite")
     amps = alloc.amplitudes
     stage_bits: list[np.ndarray] = []
     for j in range(user - 1):
-        bits_j = qam_demodulate(residual / amps[j], order)
-        stage_bits.append(bits_j)
-        residual -= amps[j] * qam_modulate(bits_j, order)
+        idx = _decide_levels(residual / amps[j], order)
+        stage_bits.append(_levels_to_bits(idx, order))
+        residual -= amps[j] * _levels_to_symbols(idx, order)
     return residual / amps[user - 1], stage_bits
 
 

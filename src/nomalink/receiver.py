@@ -110,17 +110,23 @@ def cp_ml_sync(
     theta_max = len(r) - span
 
     prod = r[:-n_fft] * np.conj(r[n_fft:])
-    power = 0.5 * (np.abs(r[:-n_fft]) ** 2 + np.abs(r[n_fft:]) ** 2)
-    cum_prod = np.concatenate([[0.0 + 0.0j], np.cumsum(prod)])
-    cum_power = np.concatenate([[0.0], np.cumsum(power)])
+    sq = np.abs(r) ** 2
+    power = 0.5 * (sq[:-n_fft] + sq[n_fft:])
+    cum_prod = np.zeros(prod.size + 1, dtype=np.complex128)
+    np.cumsum(prod, out=cum_prod[1:])
+    cum_power = np.zeros(power.size + 1)
+    np.cumsum(power, out=cum_power[1:])
 
-    theta = np.arange(theta_max + 1)
-    gamma = np.zeros(theta.size, dtype=np.complex128)
-    phi = np.zeros(theta.size, dtype=float)
+    # one window per symbol period (rows) and timing candidate (columns),
+    # summed row by row from zero as a per-symbol loop would
+    lo = np.arange(0, n_sym * block, block)[:, None] + np.arange(theta_max + 1)
+    windows_prod = cum_prod[lo + cp] - cum_prod[lo]
+    windows_power = cum_power[lo + cp] - cum_power[lo]
+    gamma = np.zeros(theta_max + 1, dtype=np.complex128)
+    phi = np.zeros(theta_max + 1, dtype=float)
     for s in range(n_sym):
-        lo = theta + s * block
-        gamma += cum_prod[lo + cp] - cum_prod[lo]
-        phi += cum_power[lo + cp] - cum_power[lo]
+        gamma += windows_prod[s]
+        phi += windows_power[s]
 
     with np.errstate(invalid="ignore", divide="ignore"):
         metric = np.where(phi > 0, np.abs(gamma) / phi, 0.0)
@@ -216,9 +222,7 @@ def zf_equalize(row, estimate, singularity_threshold: float = ZF_SINGULARITY_THR
     erased = np.abs(estimate) < singularity_threshold
     if np.any(np.all(erased, axis=-1)):
         raise FrameLostError("all subcarriers erased by zero-forcing")
-    out = np.zeros_like(row)
-    ok = ~erased
-    out[ok] = row[ok] / estimate[ok]
+    out = np.divide(row, estimate, out=np.zeros_like(row), where=~erased)
     return out, erased
 
 
@@ -241,6 +245,14 @@ def evm_snr(equalized_pilots, pilot_reference, cap_db: float = SNR_CAP_DB):
         snr = np.minimum(-20.0 * np.log10(evm), cap_db)
     snr = np.where(evm <= 10.0 ** (-cap_db / 20.0), cap_db, snr)
     return float(snr) if snr.ndim == 0 else snr
+
+
+@lru_cache(maxsize=64)
+def _data_columns(cfg: FrameConfig) -> np.ndarray:
+    """Indices of the data subcarriers among the occupied ones."""
+    columns = np.flatnonzero(~pilot_mask(cfg))
+    columns.flags.writeable = False
+    return columns
 
 
 def receive_user(
@@ -284,13 +296,12 @@ def receive_user(
     )
     estimate = ls_estimate_channel(rows, mask, reference)
     try:
-        equalized, erased = zf_equalize(rows, estimate)
+        equalized, _ = zf_equalize(rows, estimate)
     except FrameLostError:
         return UserRxReport.lost(sync.metric_peak)
     snr_db = evm_snr(equalized[:, mask], reference)
-    data = equalized[:, ~mask]
-    data[erased[:, ~mask]] = 0.0  # erasures decide to a fixed bit pattern
-    data_symbols = data.reshape(-1)
+    # erased subcarriers equalize to 0 and decide to a fixed bit pattern
+    data_symbols = equalized[:, _data_columns(cfg)].reshape(-1)
 
     own_symbols, stage_bits = sic_decode(
         data_symbols, alloc, user, cfg.modulation_order

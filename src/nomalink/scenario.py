@@ -11,7 +11,7 @@ the averaged statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -59,6 +59,23 @@ class UserPath:
             raise ValueError("vehicles approach the base station: start > end")
 
 
+# +inf has a meaning here: a noiseless receiver, a pure line-of-sight channel
+_INF_ALLOWED = ("anchor_snr_db", "channel.rician_k")
+
+
+def _require_finite(name: str, value) -> None:
+    """Reject a NaN or infinite number anywhere in a config value, by field name."""
+    if is_dataclass(value):
+        for f in fields(value):
+            _require_finite(f"{name}.{f.name}", getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            _require_finite(f"{name}[{i}]", item)
+    elif isinstance(value, float) and not np.isfinite(value):
+        if not (value == np.inf and name in _INF_ALLOWED):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one experiment run."""
@@ -83,6 +100,13 @@ class ScenarioConfig:
     seed: int = 10
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
+        # the receiver's cyclic-prefix sync correlates over two symbol periods
+        if self.frame.symbols_per_frame < 2:
+            raise ValueError("frame.symbols_per_frame must be >= 2 for cyclic-prefix sync")
+        if self.frame.cp_length < 1:
+            raise ValueError("frame.cp_length must be >= 1 for cyclic-prefix sync")
         users = tuple(
             u if isinstance(u, UserPath) else UserPath(*u) for u in self.users
         )
@@ -372,15 +396,17 @@ def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
         )
         reports = _run_block(cfg, alloc, payloads, channels, frame_starts[first : block.stop])
         for k, user_reports in enumerate(reports):
-            for f, report in zip(block, user_reports):
-                if not report.detected:
-                    continue
-                sent = payloads[f - first, k].reshape(n_sym, -1)
-                errors = np.count_nonzero(report.bits.reshape(n_sym, -1) != sent, axis=1)
-                bers[f, k] = errors / bits_per_ofdm_symbol
-                snrs[f, k] = report.estimated_snr_db
-                cfos[f, k] = report.estimated_cfo_hz
-                detected[f, k] = True
+            hits = [i for i, report in enumerate(user_reports) if report.detected]
+            if not hits:
+                continue
+            got = [user_reports[i] for i in hits]
+            wrong = np.stack([r.bits for r in got]) != payloads[hits, k]
+            errors = np.count_nonzero(wrong.reshape(len(hits), n_sym, -1), axis=2)
+            rows = first + np.array(hits)
+            bers[rows, k] = errors / bits_per_ofdm_symbol
+            snrs[rows, k] = np.stack([r.estimated_snr_db for r in got])
+            cfos[rows, k] = np.array([[r.estimated_cfo_hz] for r in got])
+            detected[rows, k] = True
 
     symbol_times = frame_starts[:, None] + np.arange(n_sym) * (
         frame_cfg.symbol_samples / frame_cfg.sample_rate

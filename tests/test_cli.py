@@ -66,6 +66,31 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="bandwith"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"anchor_snr_db": float("nan")}, "anchor_snr_db"),
+            ({"speed": float("nan")}, "speed"),
+            ({"timing": {"total_duration": float("inf")}}, "total_duration"),
+            ({"channel": {"cfo_hz": float("nan")}}, "channel.cfo_hz"),
+            ({"users": [[4.27, 1.25], [4.02, float("nan")], [3.9, 0.57]]}, "users"),
+            ({"frame": {"symbols_per_frame": 1}}, "frame.symbols_per_frame"),
+            ({"frame": {"cp_length": 0}}, "frame.cp_length"),
+            ({"power": {"polcy": "fixed"}}, "power.polcy"),
+            ({"timing": {"total_duraton": 1.0}}, "timing.total_duraton"),
+        ],
+    )
+    def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=field):
+            load_config(path)
+
+    def test_infinite_anchor_snr_loads_as_noiseless(self, tmp_path):
+        path = tmp_path / "quiet.json"
+        path.write_text(json.dumps({"anchor_snr_db": float("inf")}))
+        assert load_config(path).anchor_snr_db == float("inf")
+
     def test_partial_override(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"seed": 77, "channel": {"cfo_hz": 250.0}}))
