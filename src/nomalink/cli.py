@@ -198,7 +198,7 @@ _FLAG_COLUMNS = ("outage", "detected")
 
 
 def _columns(result) -> tuple[tuple, list]:
-    """Column names and, per column, its values as a list of Python numbers."""
+    """Column names and, per column, its values as a 1-D float, int64 or bool array."""
     if isinstance(result, MetricsTimeSeries):
         names = TIMESERIES_COLUMNS
         arrays = [getattr(result, name) for name in names]
@@ -213,7 +213,7 @@ def _columns(result) -> tuple[tuple, list]:
         bool if name in _FLAG_COLUMNS else np.int64 if name in _INT_COLUMNS else float
         for name in names
     ]
-    return names, [np.asarray(a, dtype=t).tolist() for a, t in zip(arrays, dtypes)]
+    return names, [np.asarray(a, dtype=t) for a, t in zip(arrays, dtypes)]
 
 
 def write_outputs(result, fmt: str, path) -> Path:
@@ -223,19 +223,17 @@ def write_outputs(result, fmt: str, path) -> Path:
     JSON object per line with the same keys. Identical inputs produce
     byte-identical files.
     """
-    names, columns = _columns(result)
+    names, arrays = _columns(result)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "text":
-        cells = [
-            ["1" if v else "0" for v in col] if name in _FLAG_COLUMNS else list(map(repr, col))
-            for name, col in zip(names, columns)
-        ]
-        lines = [",".join(names)] + [",".join(row) for row in zip(*cells)]
+        # flags are written as 1/0: the repr of their integer values
+        columns = [(a.view(np.uint8) if a.dtype == bool else a).tolist() for a in arrays]
+        lines = [",".join(names)]
+        lines += [",".join(map(repr, row)) for row in zip(*columns)]
     elif fmt == "records":
-        lines = [
-            json.dumps(dict(zip(names, row)), sort_keys=True) for row in zip(*columns)
-        ]
+        columns = [a.tolist() for a in arrays]
+        lines = [json.dumps(dict(zip(names, row)), sort_keys=True) for row in zip(*columns)]
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     path.write_text("\n".join(lines) + "\n")
