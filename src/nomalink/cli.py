@@ -121,6 +121,8 @@ def _build_config(raw: dict) -> ScenarioConfig:
         ("power", {"policy", "coefficients"}),
         ("timing", {"stationary_duration", "travel_duration", "total_duration"}),
     ):
+        if not isinstance(raw.get(block, {}), dict):
+            raise ValueError(f"config field {block!r} must be an object")
         for key in raw.get(block, {}):
             if key not in keys:
                 raise ValueError(f"unknown config field '{block}.{key}'")

@@ -78,6 +78,7 @@ class TestLoadConfig:
             ({"frame": {"cp_length": 0}}, "frame.cp_length"),
             ({"power": {"polcy": "fixed"}}, "power.polcy"),
             ({"timing": {"total_duraton": 1.0}}, "timing.total_duraton"),
+            ({"power": 3}, "power"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
