@@ -121,9 +121,10 @@ def _build_config(raw: dict) -> ScenarioConfig:
         ("power", {"policy", "coefficients"}),
         ("timing", {"stationary_duration", "travel_duration", "total_duration"}),
     ):
-        if not isinstance(raw.get(block, {}), dict):
+        entries = raw.get(block, {})
+        if not isinstance(entries, dict):
             raise ValueError(f"config field {block!r} must be an object")
-        for key in raw.get(block, {}):
+        for key in entries:
             if key not in keys:
                 raise ValueError(f"unknown config field '{block}.{key}'")
 

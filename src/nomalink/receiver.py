@@ -118,7 +118,7 @@ def cp_ml_sync(
     np.cumsum(power, out=cum_power[1:])
 
     # one window per symbol period (rows) and timing candidate (columns),
-    # summed row by row from zero as a per-symbol loop would
+    # summed row by row from zero: a reduction over rows may round differently
     lo = np.arange(0, n_sym * block, block)[:, None] + np.arange(theta_max + 1)
     windows_prod = cum_prod[lo + cp] - cum_prod[lo]
     windows_power = cum_power[lo + cp] - cum_power[lo]
