@@ -19,9 +19,10 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .scenario import (
     BerCurve,
     MetricsTimeSeries,
     ScenarioConfig,
-    UserPath,
     run_v2x_scenario,
     sweep_ber_vs_snr,
 )
@@ -67,31 +67,43 @@ class RunManifest:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
+# The JSON layout that the flat fields of ScenarioConfig do not show: these
+# blocks group top-level fields, key -> field.
+_BLOCKS = {
+    "power": {"policy": "power_policy", "coefficients": "power_coefficients"},
+    "timing": {k: k for k in ("stationary_duration", "travel_duration", "total_duration")},
+}
+_IN_BLOCKS = {name for keys in _BLOCKS.values() for name in keys.values()}
+# Channel fields that every run sets itself, from speed and anchor_snr_db or
+# from the SNR grid; a config neither sets nor records them.
+_RUN_SET = {ChannelParams: ("doppler_hz", "target_snr_db", "noise_power_dbm")}
+# JSON value types each field annotation takes; a bool is not a number
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _settable(cls) -> list[str]:
+    return [f.name for f in fields(cls) if f.name not in _RUN_SET.get(cls, ())]
+
+
+def _to_json(value):
+    """A config value in its JSON layout: a dataclass as an object of its
+    settable fields, a sequence as a list, a dataclass in a list as a row."""
+    if is_dataclass(value):
+        return {name: _to_json(getattr(value, name)) for name in _settable(type(value))}
+    if isinstance(value, (tuple, list)):
+        return [list(_to_json(v).values()) if is_dataclass(v) else v for v in value]
+    return value
+
+
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "frame": asdict(cfg.frame),
-        "channel": {
-            k: v
-            for k, v in asdict(cfg.channel).items()
-            if k not in ("target_snr_db", "noise_power_dbm")
-        },
-        "users": [[u.start_distance, u.end_distance] for u in cfg.users],
-        "power": {
-            "policy": cfg.power_policy,
-            "coefficients": list(cfg.power_coefficients),
-        },
-        "timing": {
-            "stationary_duration": cfg.stationary_duration,
-            "travel_duration": cfg.travel_duration,
-            "total_duration": cfg.total_duration,
-        },
-        "speed": cfg.speed,
-        "anchor_snr_db": cfg.anchor_snr_db,
-        "outage_threshold_db": cfg.outage_threshold_db,
-        "sync_threshold": cfg.sync_threshold,
-        "pilot_seed": cfg.pilot_seed,
-        "seed": cfg.seed,
-    }
+    flat = _to_json(cfg)
+    for block, keys in _BLOCKS.items():
+        flat[block] = {key: flat.pop(name) for key, name in keys.items()}
+    return flat
 
 
 def config_digest(cfg: ScenarioConfig) -> str:
@@ -99,89 +111,75 @@ def config_digest(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _expect(name: str, value, kinds: tuple, what: str):
+    if type(value) not in kinds:
+        raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
+    return value
+
+
+def _check(name: str, hint, value):
+    """A JSON value as the field annotated ``hint`` takes it; a ValueError
+    naming the field if its type does not fit."""
+    if get_origin(hint) is tuple:
+        items = _expect(name, value, (list,), "a list")
+        return tuple(_check(f"{name}[{i}]", get_args(hint)[0], v) for i, v in enumerate(items))
+    if is_dataclass(hint):  # a dataclass inside a list: a row of its field values
+        row, hints = _expect(name, value, (list,), "a list"), get_type_hints(hint)
+        if len(row) != len(hints):
+            raise ValueError(f"config field {name!r} must hold {len(hints)} values, got {len(row)}")
+        args = [_check(f"{name}[{i}]", h, v) for i, (h, v) in enumerate(zip(hints.values(), row))]
+        try:
+            return hint(*args)
+        except ValueError as exc:
+            raise ValueError(f"config field {name!r}: {exc}") from exc
+    _expect(name, value, *_JSON_TYPES[hint])
+    if hint is float and type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(f"config field {name!r} is too large for a float")
+    return value
+
+
+def _load(default, entries, block: str = ""):
+    """``default`` with each (JSON name, field, value) entry checked against
+    the field's annotation and set; absent fields keep their default."""
+    hints, settable = get_type_hints(type(default)), _settable(type(default))
+    changes = {}
+    for name, key, value in entries:
+        if key not in settable:
+            raise ValueError(f"unknown config field {name!r}")
+        if is_dataclass(hints[key]):
+            sub = _expect(name, value, (dict,), "an object")
+            changes[key] = _load(
+                getattr(default, key), [(f"{name}.{k}", k, v) for k, v in sub.items()], name
+            )
+        else:
+            changes[key] = _check(name, hints[key], value)
+    try:
+        return replace(default, **changes)
+    except ValueError as exc:
+        if not block:  # ScenarioConfig's own messages name their field
+            raise
+        raise ValueError(f"config field {block!r}: {exc}") from exc
+
+
 def _build_config(raw: dict) -> ScenarioConfig:
     """Construct a validated ScenarioConfig from a parsed mapping."""
-    known = {
-        "frame",
-        "channel",
-        "users",
-        "power",
-        "timing",
-        "speed",
-        "anchor_snr_db",
-        "outage_threshold_db",
-        "sync_threshold",
-        "pilot_seed",
-        "seed",
-    }
-    for key in raw:
-        if key not in known:
-            raise ValueError(f"unknown config field {key!r}")
-    for block, keys in (
-        ("power", {"policy", "coefficients"}),
-        ("timing", {"stationary_duration", "travel_duration", "total_duration"}),
-    ):
-        entries = raw.get(block, {})
-        if not isinstance(entries, dict):
-            raise ValueError(f"config field {block!r} must be an object")
-        for key in entries:
-            if key not in keys:
-                raise ValueError(f"unknown config field '{block}.{key}'")
-
-    defaults = ScenarioConfig()
-    try:
-        frame = FrameConfig(**raw.get("frame", {}))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config field 'frame': {exc}") from exc
-    try:
-        base = {
-            k: v
-            for k, v in asdict(defaults.channel).items()
-            if k not in ("target_snr_db", "noise_power_dbm")
-        }
-        base.update(raw.get("channel", {}))
-        chan = ChannelParams(**base)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config field 'channel': {exc}") from exc
-
-    power = raw.get("power", {})
-    policy = power.get("policy", defaults.power_policy)
-    coefficients = tuple(power.get("coefficients", defaults.power_coefficients))
-    timing = raw.get("timing", {})
-    users_raw = raw.get("users")
-    users = (
-        defaults.users
-        if users_raw is None
-        else tuple(UserPath(*u) for u in users_raw)
-    )
-    try:
-        return ScenarioConfig(
-            frame=frame,
-            channel=chan,
-            users=users,
-            power_policy=policy,
-            power_coefficients=coefficients,
-            stationary_duration=timing.get(
-                "stationary_duration", defaults.stationary_duration
-            ),
-            travel_duration=timing.get("travel_duration", defaults.travel_duration),
-            total_duration=timing.get("total_duration", defaults.total_duration),
-            speed=raw.get("speed", defaults.speed),
-            anchor_snr_db=raw.get("anchor_snr_db", defaults.anchor_snr_db),
-            outage_threshold_db=raw.get("outage_threshold_db", defaults.outage_threshold_db),
-            sync_threshold=raw.get("sync_threshold", defaults.sync_threshold),
-            pilot_seed=raw.get("pilot_seed", defaults.pilot_seed),
-            seed=raw.get("seed", defaults.seed),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(str(exc)) from exc
+    entries = []  # (JSON name, field or None where unknown, value)
+    for key, value in raw.items():
+        if key in _BLOCKS:
+            sub = _expect(key, value, (dict,), "an object")
+            entries += [(f"{key}.{k}", _BLOCKS[key].get(k), v) for k, v in sub.items()]
+        else:  # a field that sits in a block is unknown at the top level
+            entries.append((key, None if key in _IN_BLOCKS else key, value))
+    return _load(ScenarioConfig(), entries)
 
 
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a JSON scenario config; absent fields default.
 
-    An empty file yields the full default (testbed) configuration.
-    Invariant violations raise ValueError naming the offending field.
+    An empty file yields the full default (testbed) configuration. An
+    unknown key, a value of the wrong type (``int`` fields take integers
+    only, ``float`` fields any number but a bool) or an invariant
+    violation raises ValueError naming the field.
     """
     text = Path(path).read_text()
     if not text.strip():

@@ -86,9 +86,9 @@ class ScenarioConfig:
             rician_k=10.92, cfo_hz=100.0, cfo_jitter_hz=55.0
         )
     )
-    users: tuple = tuple(UserPath(*p) for p in DEFAULT_USER_PATHS)
+    users: tuple[UserPath, ...] = tuple(UserPath(*p) for p in DEFAULT_USER_PATHS)
     power_policy: str = "fixed"
-    power_coefficients: tuple = DEFAULT_POWER_COEFFICIENTS
+    power_coefficients: tuple[float, ...] = DEFAULT_POWER_COEFFICIENTS
     stationary_duration: float = 2.165
     travel_duration: float = 3.58
     total_duration: float = 5.74

@@ -1,9 +1,12 @@
 """Config ingestion, command execution, and output-file contracts."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from nomalink.channel import ChannelParams, generate_fading
@@ -15,6 +18,7 @@ from nomalink.cli import (
     load_config,
     main,
 )
+from nomalink.frame_codec import FrameConfig
 from nomalink.scenario import ScenarioConfig
 
 
@@ -44,9 +48,25 @@ class TestLoadConfig:
         assert [u.end_distance for u in cfg.users] == [1.25, 1.12, 0.57]
 
     def test_roundtrip_of_defaults(self, tmp_path):
-        path = tmp_path / "defaults.json"
-        path.write_text(json.dumps(config_to_dict(ScenarioConfig())))
-        assert load_config(path) == ScenarioConfig()
+        defaults = ScenarioConfig()
+        for cfg in (
+            defaults,
+            replace(defaults, channel=replace(defaults.channel, cfo_hz=250.0, delay_samples=3)),
+            replace(defaults, power_policy="distance-squared"),
+            replace(defaults, users=((4.0, 1.0), (2.0, 0.5)), power_coefficients=(0.8, 0.2)),
+            replace(defaults, frame=FrameConfig(modulation_order=16), speed=1),
+        ):
+            path = tmp_path / "resolved_config.json"
+            path.write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
+            assert load_config(path) == cfg
+
+    def test_integer_in_float_field_is_written_back_unchanged(self, tmp_path):
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps({"speed": 1, "users": [[4, 1], [2, 0.5], [1.5, 0.25]]}))
+        written = json.dumps(config_to_dict(load_config(path)), sort_keys=True)
+        assert '"speed": 1,' in written
+        assert '"users": [[4, 1], [2, 0.5], [1.5, 0.25]]' in written
+        assert "doppler_hz" not in written
 
     def test_bad_coefficient_sum_is_diagnosed(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -79,6 +99,26 @@ class TestLoadConfig:
             ({"power": {"polcy": "fixed"}}, "power.polcy"),
             ({"timing": {"total_duraton": 1.0}}, "timing.total_duraton"),
             ({"power": 3}, "power"),
+            ({"channel": {"delay_samples": 2.5}}, "channel.delay_samples"),
+            ({"channel": {"n_sinusoids": 8.5}}, "channel.n_sinusoids"),
+            ({"seed": 1.5}, "seed"),
+            ({"pilot_seed": False}, "pilot_seed"),
+            ({"sync_threshold": "x"}, "sync_threshold"),
+            ({"anchor_snr_db": None}, "anchor_snr_db"),
+            ({"channel": {"cfo_hz": "1"}}, "channel.cfo_hz"),
+            ({"outage_threshold_db": True}, "outage_threshold_db"),
+            ({"frame": {"fft_size": 256.0}}, "frame.fft_size"),
+            ({"power": {"coefficients": [10**400, 0.191, 0.048]}}, "power.coefficients"),
+            ({"users": [[4.0, 1.0, 2.0]]}, "users"),
+            ({"users": 5}, "users"),
+            ({"users": [[4.27, True], [4.02, 1.12], [3.9, 0.57]]}, "users"),
+            ({"channel": {"doppler_hz": 50}}, "channel.doppler_hz"),
+            ({"channel": {"target_snr_db": 20.0}}, "channel.target_snr_db"),
+            ({"channel": {"noise_power_dbm": -60.0}}, "channel.noise_power_dbm"),
+            ({"frame": {"fft_size": 100}}, "config field 'frame'"),
+            ({"frame": {"fft_sise": 256}}, "frame.fft_sise"),
+            ({"channel": {"rician_k": -1.0}}, "config field 'channel'"),
+            ({"users": [[4.0, 1.0], [-3.0, 0.5], [2.0, 0.4]]}, r"users\[1\]"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
@@ -99,6 +139,66 @@ class TestLoadConfig:
         assert cfg.seed == 77
         assert cfg.channel.cfo_hz == 250.0
         assert cfg.channel.rician_k == 10.92
+
+
+# Every key a config may set, with its default, and keys that load must
+# reject: the channel keys each run sets itself and unknown ones.
+_DEFAULTS = config_to_dict(ScenarioConfig())
+_KEYS = list(_DEFAULTS.items()) + [
+    (f"{block}.{key}", value)
+    for block, entries in _DEFAULTS.items()
+    if isinstance(entries, dict)
+    for key, value in entries.items()
+]
+_KEYS += [
+    (key, None)
+    for key in ("channel.doppler_hz", "channel.target_snr_db", "channel.noise_power_dbm",
+                "frame.bogus", "power.bogus", "bogus", "power_policy")
+]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([2.0, 0.0, -1, 1, 10**400])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _raw_configs(draw):
+    raw = {}
+    keys = draw(st.lists(st.sampled_from(_KEYS), max_size=6, unique_by=lambda kv: kv[0]))
+    for path, default in keys:
+        value = draw(st.just(default) | _JSON)
+        block, _, key = path.partition(".")
+        if not key:
+            raw[block] = value
+        elif isinstance(raw.setdefault(block, {}), dict):
+            raw[block][key] = value
+    return raw
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=_raw_configs())
+def test_load_returns_a_config_or_raises_value_error(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    try:
+        cfg = load_config(path)
+    except ValueError:
+        return
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    assert load_config(path) == cfg
 
 
 class TestRunScenarioCommand:
@@ -231,7 +331,8 @@ class TestMainEntry:
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(["run-scenario", "--config", str(bad), "--out", str(tmp_path)])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        for text in ("{not json", '{"users": [[4.0, 1.0, 2.0]]}', '{"users": 5}'):
+            bad.write_text(text)
+            code = main(["run-scenario", "--config", str(bad), "--out", str(tmp_path)])
+            assert code == 1
+            assert "error:" in capsys.readouterr().err
