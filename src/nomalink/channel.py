@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .frame_codec import ComplexWaveform
 
@@ -73,6 +72,13 @@ class ChannelParams:
             raise ValueError("invalid cfo jitter parameters")
         if self.target_snr_db is not None and self.noise_power_dbm is not None:
             raise ValueError("set target_snr_db or noise_power_dbm, not both")
+        # a NaN level would draw no noise at all, and an infinite noise
+        # power cannot be drawn; +inf dB SNR and -inf dBm mean noiseless
+        snr, floor = self.target_snr_db, self.noise_power_dbm
+        if snr is not None and not snr > -np.inf:
+            raise ValueError(f"target_snr_db must be a number above -inf, got {snr}")
+        if floor is not None and not floor < np.inf:
+            raise ValueError(f"noise_power_dbm must be a number below inf, got {floor}")
         if self.reference_distance <= 0:
             raise ValueError("reference_distance must be positive")
         if self.delay_samples < 0:
@@ -384,6 +390,10 @@ def estimate_k_factor(envelope_samples) -> tuple[float, float, float]:
     nu/sigma^2)], sigma^2 <- (E[x^2] - nu^2)/2, run on a fine histogram
     of the samples so that a million-sample fit stays fast.
     """
+    # scipy is loaded here, on the only call that needs it, so that importing
+    # nomalink and every other command start without it
+    from scipy import special
+
     x = np.asarray(envelope_samples, dtype=float).ravel()
     if x.size < 1000:
         raise ValueError(f"need at least 1000 samples, got {x.size}")

@@ -130,6 +130,18 @@ class ScenarioConfig:
             raise ValueError("total_duration must exceed the stationary stage")
         if self.speed < 0:
             raise ValueError("speed must be >= 0")
+        # the CP sync resolves offsets within half a subcarrier spacing;
+        # beyond it the offset aliases and every frame decodes as noise
+        half_spacing = self.frame.subcarrier_spacing / 2.0
+        offset = abs(self.channel.cfo_hz) + doppler_shift(self.speed, self.frame.carrier_frequency)
+        if not offset < half_spacing:
+            raise ValueError(
+                f"channel.cfo_hz plus the Doppler shift at speed ({offset:.1f} Hz) must be"
+                f" below half the subcarrier spacing ({half_spacing:.1f} Hz)"
+            )
+        for name in ("seed", "pilot_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "users", users)
 
     @property
@@ -466,7 +478,12 @@ def sweep_ber_vs_snr(
     grid = np.sort(np.asarray(snr_grid_db, dtype=float))
     if grid.size == 0:
         raise ValueError("empty SNR grid")
+    # +inf dB is a noiseless point; NaN would also draw no noise, unnoticed
+    if not np.all(grid > -np.inf):
+        raise ValueError(f"snr_grid values must be numbers above -inf, got {grid.tolist()}")
     seed = cfg.seed if seed is None else seed
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     frame_cfg = cfg.frame
     alloc = resolve_allocation(cfg)

@@ -127,6 +127,29 @@ def _unit_frame(n=1600, fs=5e5, seed=0):
     return ComplexWaveform(samples, fs)
 
 
+class TestChannelParams:
+    @pytest.mark.parametrize(
+        "level",
+        [
+            {"target_snr_db": float("nan")},
+            {"target_snr_db": float("-inf")},
+            {"noise_power_dbm": float("nan")},
+            {"noise_power_dbm": float("inf")},
+        ],
+    )
+    def test_rejects_nan_or_infinite_noise_power(self, level):
+        with pytest.raises(ValueError, match=next(iter(level))):
+            ChannelParams(**level)
+
+    def test_infinite_snr_and_zero_noise_power_are_noiseless(self):
+        tx = _unit_frame()
+        for level in ({"target_snr_db": np.inf}, {"noise_power_dbm": -np.inf}):
+            params = ChannelParams(rician_k=np.inf, **level)
+            rx, truth = apply_channel(tx, params, MobilityState.static(1.0), seed=5)
+            assert truth.noise_power == 0.0
+            assert np.array_equal(rx.samples, tx.samples)
+
+
 class TestApplyChannel:
     def test_transparent_channel(self):
         tx = _unit_frame()

@@ -119,6 +119,10 @@ class TestLoadConfig:
             ({"frame": {"fft_sise": 256}}, "frame.fft_sise"),
             ({"channel": {"rician_k": -1.0}}, "config field 'channel'"),
             ({"users": [[4.0, 1.0], [-3.0, 0.5], [2.0, 0.4]]}, r"users\[1\]"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"pilot_seed": -5}, "pilot_seed must be >= 0"),
+            ({"channel": {"cfo_hz": 5000}}, "channel.cfo_hz"),
+            ({"channel": {"cfo_hz": -970.0}}, "channel.cfo_hz"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
@@ -328,6 +332,17 @@ class TestMainEntry:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["seed"] == 3
         assert manifest["command"] == "run-scenario"
+
+    def test_negative_seed_exits_nonzero_naming_the_field(self, tmp_path, capsys):
+        code = main(["run-scenario", "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_nan_snr_grid_exits_nonzero(self, tmp_path, capsys):
+        code = main(["sweep-ber", "--snr-grid", "nan", "--out", str(tmp_path)])
+        assert code == 1
+        assert "snr_grid" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

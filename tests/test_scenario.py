@@ -117,6 +117,19 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(power_coefficients=(0.8, 0.2))
 
+    def test_rejects_negative_seeds(self):
+        for name in ("seed", "pilot_seed"):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+                replace(ScenarioConfig(), **{name: -1})
+
+    def test_rejects_cfo_beyond_half_the_subcarrier_spacing(self):
+        # 976.6 Hz with the defaults; the Doppler shift at speed (6.8 Hz) counts too
+        channel = ScenarioConfig().channel
+        ScenarioConfig(channel=replace(channel, cfo_hz=-965.0))
+        with pytest.raises(ValueError, match="channel.cfo_hz"):
+            ScenarioConfig(channel=replace(channel, cfo_hz=-972.0))
+        ScenarioConfig(channel=replace(channel, cfo_hz=-972.0), speed=0.0)
+
     def test_noise_floor_tracks_anchor(self):
         quiet = calibrate_noise_floor(ScenarioConfig(anchor_snr_db=30.0))
         loud = calibrate_noise_floor(ScenarioConfig(anchor_snr_db=20.0))
@@ -224,6 +237,20 @@ class TestSweep:
     def test_rejects_small_bit_budget(self):
         with pytest.raises(ValueError):
             sweep_ber_vs_snr(ScenarioConfig(), [10.0], min_bits_per_point=1000)
+
+    @pytest.mark.parametrize("grid", [[float("nan")], [20.0, float("-inf")]])
+    def test_rejects_grid_point_without_noise_level(self, grid):
+        with pytest.raises(ValueError, match="snr_grid"):
+            sweep_ber_vs_snr(ScenarioConfig(), grid)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sweep_ber_vs_snr(ScenarioConfig(), [20.0], seed=-1)
+
+    def test_infinite_snr_is_a_noiseless_point(self):
+        curve = sweep_ber_vs_snr(ScenarioConfig(), [np.inf], seed=2)
+        assert np.all(curve.bits >= 100_000)
+        assert np.all(curve.lost_frames == 0)
 
     def test_monotone_waterfall_and_grid_order(self):
         cfg = ScenarioConfig()
