@@ -16,7 +16,6 @@ from .frame_codec import (
     ComplexWaveform,
     FrameConfig,
     FrameLostError,
-    SubcarrierGrid,
     assemble_frame,
     disassemble_symbol,
     qam_demodulate,
@@ -63,7 +62,6 @@ __all__ = [
     "ComplexWaveform",
     "FrameConfig",
     "FrameLostError",
-    "SubcarrierGrid",
     "assemble_frame",
     "disassemble_symbol",
     "qam_demodulate",

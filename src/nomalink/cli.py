@@ -9,8 +9,10 @@ selftest       quick invariant checks, exit status reports the result
 
 Every command writes a ``manifest.json`` recording the command, a digest
 of the fully-resolved configuration, the seed, timestamps, and the output
-paths, which is sufficient to reproduce the data files exactly. Data
-files are byte-identical across runs for identical config and seed.
+paths, which is sufficient to reproduce the data files exactly. A sweep
+also lists the SNR points that stopped at the frame cap with some user
+short of the bit budget. Data files are byte-identical across runs for
+identical config and seed.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class RunManifest:
     finished_at: str
     outputs: tuple
     config_file: str = ""
+    # sweep points where some user got fewer than min_bits bits before the frame cap
+    under_budget_snr_db: tuple = ()
     version: str = __version__
     schema_version: int = SCHEMA_VERSION
 
@@ -263,7 +267,7 @@ def _selftest() -> list[tuple[str, bool]]:
     checks.append(
         ("qam roundtrip", bool(np.array_equal(qam_demodulate(qam_modulate(bits)), bits)))
     )
-    wave, _ = assemble_frame(bits, cfg, 11)
+    wave = assemble_frame(bits, cfg, 11)
     checks.append(("frame length", len(wave) == cfg.frame_samples))
     body = wave.samples[: cfg.symbol_samples]
     checks.append(
@@ -282,7 +286,7 @@ def _selftest() -> list[tuple[str, bool]]:
     checks.append(("doppler formula", abs(doppler_shift(0.876, 2.34e9) - 6.8375) < 0.01))
 
     payloads = [rng.integers(0, 2, cfg.payload_bits) for _ in range(3)]
-    tx, _ = build_downlink_frame(payloads, cfg, alloc, 11)
+    tx = build_downlink_frame(payloads, cfg, alloc, 11)
     clean = ChannelParams(rician_k=1e12)
     rx, _ = apply_channel(tx, clean, MobilityState.static(1.0), seed=1)
     ok = True
@@ -307,6 +311,7 @@ def execute(
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     outputs: list[str] = []
+    under_budget: list[float] = []
     suffix = "csv" if fmt == "text" else "jsonl"
 
     if command == "run-scenario":
@@ -316,6 +321,7 @@ def execute(
         if snr_grid is None or len(snr_grid) == 0:
             raise ValueError("sweep-ber requires --snr-grid")
         curve = sweep_ber_vs_snr(cfg, snr_grid, min_bits_per_point=min_bits)
+        under_budget = curve.snr_db[(curve.bits < min_bits).any(axis=1)].tolist()
         outputs.append(str(write_outputs(curve, fmt, out / f"sweep.{suffix}")))
     elif command == "estimate-k":
         if input_path is None:
@@ -350,6 +356,7 @@ def execute(
         finished_at=datetime.now(timezone.utc).isoformat(),
         outputs=tuple(outputs),
         config_file=str(config_path),
+        under_budget_snr_db=tuple(under_budget),
     )
     manifest.write(out / "manifest.json")
     return manifest
@@ -393,7 +400,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ScenarioConfig()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        execute(
+        manifest = execute(
             args.command,
             cfg,
             args.out,
@@ -405,6 +412,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for snr in manifest.under_budget_snr_db:
+        print(
+            f"warning: sweep point {snr} dB stopped at the frame cap with some user"
+            f" below {args.min_bits} bits; its BER is NaN or rests on fewer bits",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "FrameConfig",
     "ComplexWaveform",
-    "SubcarrierGrid",
     "FrameLostError",
     "qam_modulate",
     "qam_demodulate",
@@ -129,39 +128,6 @@ class ComplexWaveform:
 
     def __len__(self) -> int:
         return self.samples.shape[-1]
-
-
-@dataclass(frozen=True)
-class SubcarrierGrid:
-    """Frequency-domain content of one frame: symbols x occupied subcarriers.
-
-    A block of frames carries a leading frame axis: frames x symbols x
-    occupied subcarriers.
-
-    ``pilot_mask`` marks pilot positions (identical for every row) and
-    ``pilot_values`` records the transmitted pilot sequence so receivers
-    and test oracles can rebuild the reference exactly.
-    """
-
-    values: np.ndarray
-    pilot_mask: np.ndarray
-    pilot_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
-        mask = np.asarray(self.pilot_mask, dtype=bool)
-        pilots = np.asarray(self.pilot_values, dtype=np.complex128)
-        if values.ndim < 2 or mask.ndim != 1 or values.shape[-1] != mask.size:
-            raise ValueError("grid shape does not match pilot mask")
-        if int(mask.sum()) != pilots.size:
-            raise ValueError("pilot_values length must equal pilot count")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "pilot_mask", mask)
-        object.__setattr__(self, "pilot_values", pilots)
-
-    @property
-    def data_mask(self) -> np.ndarray:
-        return ~self.pilot_mask
 
 
 @lru_cache(maxsize=64)
@@ -305,13 +271,12 @@ def _spectrum_scale(cfg: FrameConfig) -> float:
     return cfg.fft_size / np.sqrt(cfg.total_subcarriers)
 
 
-def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> tuple[ComplexWaveform, SubcarrierGrid]:
+def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> ComplexWaveform:
     """Build one frame: modulate, interleave pilots, IFFT, prepend prefixes.
 
     Returns the time-domain waveform (symbols_per_frame * (fft + cp)
-    samples) together with the transmitted grid for oracle use. A payload
-    block of shape (frames, payload_bits) builds one frame per row, and
-    the waveform and grid carry the same leading frame axis.
+    samples). A payload block of shape (frames, payload_bits) builds one
+    frame per row, and the waveform carries the same leading frame axis.
     """
     payload = np.asarray(payload, dtype=np.int64)
     if payload.ndim not in (1, 2) or payload.shape[-1] != cfg.payload_bits:
@@ -319,33 +284,28 @@ def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> tuple[ComplexWavefo
             f"payload must be {cfg.payload_bits} bits per frame, got shape {payload.shape}"
         )
     frames = payload.shape[:-1]
+    bins = occupied_bins(cfg)
     mask = pilot_mask(cfg)
-    pilots = pilot_values(cfg, pilot_seed)
     data_syms = qam_modulate(payload.reshape(-1), cfg.modulation_order)
-    data_per_symbol = data_syms.reshape(*frames, cfg.symbols_per_frame, cfg.data_subcarriers)
-
-    grid = np.empty(
-        (*frames, cfg.symbols_per_frame, cfg.total_subcarriers), dtype=np.complex128
-    )
-    grid[..., mask] = pilots
-    grid[..., ~mask] = data_per_symbol
 
     spectra = np.zeros((*frames, cfg.symbols_per_frame, cfg.fft_size), dtype=np.complex128)
-    spectra[..., occupied_bins(cfg)] = grid
+    spectra[..., bins[mask]] = pilot_values(cfg, pilot_seed)
+    spectra[..., bins[~mask]] = data_syms.reshape(
+        *frames, cfg.symbols_per_frame, cfg.data_subcarriers
+    )
     bodies = np.fft.ifft(spectra, axis=-1) * _spectrum_scale(cfg)
     with_cp = np.concatenate([bodies[..., cfg.fft_size - cfg.cp_length :], bodies], axis=-1)
-
-    waveform = ComplexWaveform(with_cp.reshape(*frames, -1), cfg.sample_rate)
-    return waveform, SubcarrierGrid(grid, mask, pilots)
+    return ComplexWaveform(with_cp.reshape(*frames, -1), cfg.sample_rate)
 
 
 def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.ndarray:
-    """Recover one grid row from fft_size samples starting after the prefix.
+    """Recover one symbol's occupied subcarriers from fft_size samples
+    starting after the prefix.
 
     Exactly inverts the per-symbol transform of assemble_frame when the
     segment is aligned and the channel is transparent. Samples with a
-    leading symbol axis, one symbol period per row, give one grid row per
-    symbol through a single FFT.
+    leading symbol axis, one symbol period per row, give one row of
+    subcarriers per symbol through a single FFT.
     """
     if isinstance(samples, ComplexWaveform):
         samples = samples.samples

@@ -17,7 +17,6 @@ import numpy as np
 from .frame_codec import (
     ComplexWaveform,
     FrameConfig,
-    SubcarrierGrid,
     _check_order,
     _decide_levels,
     _levels_to_bits,
@@ -172,18 +171,16 @@ def build_downlink_frame(
     cfg: FrameConfig,
     alloc: PowerAllocation,
     pilot_seed: int,
-) -> tuple[ComplexWaveform, list[SubcarrierGrid]]:
+) -> ComplexWaveform:
     """Assemble one frame per user and superpose them for transmission.
 
     Each payload may be a block of shape (frames, payload_bits); the
-    waveform and grids then carry that leading frame axis.
+    waveform then carries that leading frame axis.
     """
     if len(payloads) != alloc.n_users:
         raise ValueError(f"need {alloc.n_users} payloads, got {len(payloads)}")
-    waves = []
-    grids = []
-    for k, payload in enumerate(payloads, start=1):
-        wave, grid = assemble_frame(payload, cfg, user_pilot_seed(pilot_seed, k))
-        waves.append(wave)
-        grids.append(grid)
-    return superpose(waves, alloc), grids
+    waves = [
+        assemble_frame(payload, cfg, user_pilot_seed(pilot_seed, k))
+        for k, payload in enumerate(payloads, start=1)
+    ]
+    return superpose(waves, alloc)

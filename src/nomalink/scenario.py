@@ -131,13 +131,19 @@ class ScenarioConfig:
         if self.speed < 0:
             raise ValueError("speed must be >= 0")
         # the CP sync resolves offsets within half a subcarrier spacing;
-        # beyond it the offset aliases and every frame decodes as noise
+        # beyond it the offset aliases and every frame decodes as noise.
+        # Carrier wander runs while vehicles move: four of its standard
+        # deviations count against the bound too
         half_spacing = self.frame.subcarrier_spacing / 2.0
         offset = abs(self.channel.cfo_hz) + doppler_shift(self.speed, self.frame.carrier_frequency)
+        wander = ""
+        if self.speed > 0:
+            offset += 4.0 * self.channel.cfo_jitter_hz
+            wander = " plus 4 x channel.cfo_jitter_hz"
         if not offset < half_spacing:
             raise ValueError(
-                f"channel.cfo_hz plus the Doppler shift at speed ({offset:.1f} Hz) must be"
-                f" below half the subcarrier spacing ({half_spacing:.1f} Hz)"
+                f"channel.cfo_hz plus the Doppler shift at speed{wander} ({offset:.1f} Hz)"
+                f" must be below half the subcarrier spacing ({half_spacing:.1f} Hz)"
             )
         for name in ("seed", "pilot_seed"):
             if getattr(self, name) < 0:
@@ -222,13 +228,13 @@ class StageHistogram:
     bin_centers: np.ndarray
     counts: np.ndarray
     duration_s: float
+    bin_width_db: float
 
     def rate_at(self, value_db: float) -> float:
         """Per-second occurrence rate of the bin containing value_db."""
         if self.bin_centers.size == 0 or self.duration_s <= 0:
             return 0.0
-        width = self.bin_centers[1] - self.bin_centers[0] if self.bin_centers.size > 1 else 1.0
-        idx = int(np.round((value_db - self.bin_centers[0]) / width))
+        idx = int(np.round((value_db - self.bin_centers[0]) / self.bin_width_db))
         if not 0 <= idx < self.counts.size:
             return 0.0
         return float(self.counts[idx]) / self.duration_s
@@ -237,12 +243,12 @@ class StageHistogram:
 def _stage_histogram(values: np.ndarray, bin_width: float, duration: float) -> StageHistogram:
     values = values[np.isfinite(values)]
     if values.size == 0:
-        return StageHistogram(np.empty(0), np.empty(0, dtype=int), duration)
+        return StageHistogram(np.empty(0), np.empty(0, dtype=int), duration, bin_width)
     idx = np.round(values / bin_width).astype(int)
     lo, hi = idx.min(), idx.max()
     counts = np.bincount(idx - lo, minlength=hi - lo + 1)
     centers = np.arange(lo, hi + 1) * bin_width
-    return StageHistogram(centers, counts, duration)
+    return StageHistogram(centers, counts, duration, bin_width)
 
 
 def snr_histogram(
@@ -342,9 +348,7 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
     one per frame.
     """
     frame_cfg = cfg.frame
-    tx, _ = build_downlink_frame(
-        list(payloads.swapaxes(0, 1)), frame_cfg, alloc, cfg.pilot_seed
-    )
+    tx = build_downlink_frame(list(payloads.swapaxes(0, 1)), frame_cfg, alloc, cfg.pilot_seed)
     reports = []
     for k, (params, mobility, seed) in enumerate(channels, start=1):
         rx, _ = apply_channel(tx, params, mobility, seed=seed, t0=t0)

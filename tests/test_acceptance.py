@@ -22,6 +22,7 @@ from nomalink.frame_codec import (
     ComplexWaveform,
     FrameConfig,
     assemble_frame,
+    disassemble_symbol,
     qam_demodulate,
     qam_modulate,
 )
@@ -126,7 +127,7 @@ def test_criterion_6_synchronization_accuracy():
     rng = np.random.default_rng(0)
     alloc = PowerAllocation.testbed_default()
     payloads = [rng.integers(0, 2, CFG.payload_bits) for _ in range(3)]
-    tx, _ = build_downlink_frame(payloads, CFG, alloc, 21)
+    tx = build_downlink_frame(payloads, CFG, alloc, 21)
 
     worst = 0.0
     for frac in (0.1, 0.2, 0.3):
@@ -153,7 +154,7 @@ def test_criterion_7_perfect_sic_identity():
     for coeffs in ((1.0,), (0.8, 0.2), (0.761, 0.191, 0.048)):
         alloc = PowerAllocation(coeffs)
         payloads = [rng.integers(0, 2, CFG.payload_bits) for _ in coeffs]
-        tx, _ = build_downlink_frame(payloads, CFG, alloc, 21)
+        tx = build_downlink_frame(payloads, CFG, alloc, 21)
         rx, _ = apply_channel(
             tx, ChannelParams(rician_k=np.inf), MobilityState.static(1.0), seed=32
         )
@@ -164,8 +165,10 @@ def test_criterion_7_perfect_sic_identity():
 
     bits = rng.integers(0, 2, CFG.payload_bits)
     assert np.array_equal(qam_demodulate(qam_modulate(bits, 4), 4), bits)
-    wave, grid = assemble_frame(bits, CFG, 21)
-    assert np.mean(np.abs(grid.values) ** 2) == pytest.approx(1.0, abs=1e-9)
+    wave = assemble_frame(bits, CFG, 21)
+    symbols = wave.samples.reshape(CFG.symbols_per_frame, CFG.symbol_samples)
+    subcarriers = disassemble_symbol(symbols, CFG, CFG.cp_length)
+    assert np.mean(np.abs(subcarriers) ** 2) == pytest.approx(1.0, abs=1e-9)
 
     n = 10_000
     alloc = PowerAllocation.testbed_default()

@@ -123,6 +123,8 @@ class TestLoadConfig:
             ({"pilot_seed": -5}, "pilot_seed must be >= 0"),
             ({"channel": {"cfo_hz": 5000}}, "channel.cfo_hz"),
             ({"channel": {"cfo_hz": -970.0}}, "channel.cfo_hz"),
+            ({"channel": {"cfo_hz": 960}}, "channel.cfo_jitter_hz"),
+            ({"channel": {"cfo_hz": 100, "cfo_jitter_hz": 250}}, "channel.cfo_jitter_hz"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
@@ -259,6 +261,17 @@ class TestSweepCommand:
         assert keys == sorted(keys)
         assert len(rows) == 2 * 3
 
+    def test_flags_points_that_stop_under_budget(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep-ber", "--snr-grid=-20,20", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["under_budget_snr_db"] == [-20.0]
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert len(warnings) == 1 and warnings[0].startswith("warning: sweep point -20.0 dB")
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [int(r[5]) for r in rows if float(r[0]) == -20.0] == [0, 0, 0]
+
     def test_requires_grid(self, tmp_path):
         with pytest.raises(ValueError, match="snr-grid"):
             execute("sweep-ber", ScenarioConfig(), tmp_path / "out")
@@ -332,6 +345,7 @@ class TestMainEntry:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["seed"] == 3
         assert manifest["command"] == "run-scenario"
+        assert manifest["under_budget_snr_db"] == []
 
     def test_negative_seed_exits_nonzero_naming_the_field(self, tmp_path, capsys):
         code = main(["run-scenario", "--seed", "-1", "--out", str(tmp_path)])

@@ -1,9 +1,10 @@
 """Trimmed per-frame stages against the code they replaced, bit for bit.
 
-QAM decisions, SIC remodulation, the CP correlation, zero-forcing and
-the channel's noise addition were rewritten to do less array work per
-frame. Each test keeps the replaced code here as the reference and
-compares raw bytes, so even a changed sign of zero fails.
+QAM decisions, SIC remodulation, the CP correlation, zero-forcing, the
+channel's noise addition and the transmit chain's subcarrier mapping
+were rewritten to do less array work per frame. Each test keeps the
+replaced code here as the reference and compares raw bytes, so even a
+changed sign of zero fails.
 """
 
 from dataclasses import replace
@@ -18,7 +19,16 @@ from nomalink.channel import (
     _noise_seed,
     apply_channel,
 )
-from nomalink.frame_codec import ComplexWaveform, FrameConfig, qam_demodulate, qam_modulate
+from nomalink.frame_codec import (
+    ComplexWaveform,
+    FrameConfig,
+    assemble_frame,
+    occupied_bins,
+    pilot_mask,
+    pilot_values,
+    qam_demodulate,
+    qam_modulate,
+)
 from nomalink.noma import PowerAllocation, build_downlink_frame, sic_decode
 from nomalink.receiver import SyncFailure, cp_ml_sync, zf_equalize
 
@@ -122,6 +132,32 @@ def test_qam_decisions_and_sic_match_the_bit_round_trip(order):
             assert all(_same_bytes(s, r) for s, r in zip(stages, ref_stages))
 
 
+def _reference_assemble_frame(payload, cfg, pilot_seed):
+    """Pilots and data laid out on a symbols x occupied subcarriers grid
+    first, then the grid mapped onto the FFT bins, as before the change."""
+    payload = np.asarray(payload, dtype=np.int64)
+    frames = payload.shape[:-1]
+    mask = pilot_mask(cfg)
+    data = qam_modulate(payload.reshape(-1), cfg.modulation_order)
+    grid = np.empty((*frames, cfg.symbols_per_frame, cfg.total_subcarriers), dtype=np.complex128)
+    grid[..., mask] = pilot_values(cfg, pilot_seed)
+    grid[..., ~mask] = data.reshape(*frames, cfg.symbols_per_frame, cfg.data_subcarriers)
+    spectra = np.zeros((*frames, cfg.symbols_per_frame, cfg.fft_size), dtype=np.complex128)
+    spectra[..., occupied_bins(cfg)] = grid
+    bodies = np.fft.ifft(spectra, axis=-1) * (cfg.fft_size / np.sqrt(cfg.total_subcarriers))
+    with_cp = np.concatenate([bodies[..., cfg.fft_size - cfg.cp_length :], bodies], axis=-1)
+    return with_cp.reshape(*frames, -1)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("frames", [(), (3,)])
+def test_direct_bin_mapping_matches_the_grid_route(order, frames):
+    cfg = FrameConfig(modulation_order=order)
+    payload = np.random.default_rng(order).integers(0, 2, (*frames, cfg.payload_bits))
+    wave = assemble_frame(payload, cfg, (295, 2))
+    assert _same_bytes(wave.samples, _reference_assemble_frame(payload, cfg, (295, 2)))
+
+
 def _reference_cp_ml_sync(r, cfg, detection_threshold=0.5):
     """The per-offset loop: four gathers per symbol period."""
     n_fft, cp, block = cfg.fft_size, cfg.cp_length, cfg.symbol_samples
@@ -151,7 +187,7 @@ def _reference_cp_ml_sync(r, cfg, detection_threshold=0.5):
 def _sync_buffers():
     rng = np.random.default_rng(5)
     payloads = [rng.integers(0, 2, CFG.payload_bits) for _ in range(ALLOC.n_users)]
-    tx, _ = build_downlink_frame(payloads, CFG, ALLOC, 295)
+    tx = build_downlink_frame(payloads, CFG, ALLOC, 295)
     for delay, snr_db in ((17, 30.0), (200, 10.0), (1000, 3.0)):
         params = ChannelParams(
             rician_k=10.92, cfo_hz=310.0, delay_samples=delay, target_snr_db=snr_db

@@ -19,6 +19,23 @@ from nomalink.frame_codec import (
 RT2 = np.sqrt(2.0)
 
 
+def _subcarriers(wave, cfg):
+    """The occupied subcarriers of every symbol of a frame, read back from its waveform."""
+    symbols = wave.samples.reshape(cfg.symbols_per_frame, cfg.symbol_samples)
+    return disassemble_symbol(symbols, cfg, cfg.cp_length)
+
+
+def _sent_grid(bits, cfg, pilot_seed):
+    """The symbols x occupied subcarriers a frame carries, from the public pieces."""
+    mask = pilot_mask(cfg)
+    grid = np.empty((cfg.symbols_per_frame, cfg.total_subcarriers), dtype=complex)
+    grid[:, mask] = pilot_values(cfg, pilot_seed)
+    grid[:, ~mask] = qam_modulate(bits, cfg.modulation_order).reshape(
+        cfg.symbols_per_frame, cfg.data_subcarriers
+    )
+    return grid
+
+
 @pytest.fixture
 def cfg():
     return FrameConfig()
@@ -118,7 +135,7 @@ class TestPilots:
 class TestAssembleFrame:
     def test_waveform_length(self, cfg):
         bits = np.random.default_rng(5).integers(0, 2, cfg.payload_bits)
-        wave, _ = assemble_frame(bits, cfg, 7)
+        wave = assemble_frame(bits, cfg, 7)
         assert len(wave) == 1600
 
     def test_rejects_wrong_payload_length(self, cfg):
@@ -126,13 +143,13 @@ class TestAssembleFrame:
             assemble_frame(np.zeros(100, dtype=int), cfg, 7)
 
     def test_all_zero_payload_constant_data(self, cfg):
-        _, grid = assemble_frame(np.zeros(cfg.payload_bits, dtype=int), cfg, 7)
-        data = grid.values[:, grid.data_mask]
+        wave = assemble_frame(np.zeros(cfg.payload_bits, dtype=int), cfg, 7)
+        data = _subcarriers(wave, cfg)[:, ~pilot_mask(cfg)]
         assert np.allclose(data, (1 + 1j) / RT2)
 
     def test_cyclic_prefix_property(self, cfg):
         bits = np.random.default_rng(6).integers(0, 2, cfg.payload_bits)
-        wave, _ = assemble_frame(bits, cfg, 7)
+        wave = assemble_frame(bits, cfg, 7)
         for s in range(cfg.symbols_per_frame):
             sym = wave.samples[s * cfg.symbol_samples : (s + 1) * cfg.symbol_samples]
             head, tail = sym[: cfg.cp_length], sym[cfg.fft_size :]
@@ -143,18 +160,15 @@ class TestAssembleFrame:
 
     def test_occupied_subcarrier_energy(self, cfg):
         bits = np.random.default_rng(7).integers(0, 2, cfg.payload_bits)
-        _, grid = assemble_frame(bits, cfg, 7)
-        assert np.mean(np.abs(grid.values) ** 2) == pytest.approx(1.0, abs=1e-9)
+        wave = assemble_frame(bits, cfg, 7)
+        assert np.mean(np.abs(_subcarriers(wave, cfg)) ** 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_pilot_positions_stable_across_frames(self, cfg):
         rng = np.random.default_rng(8)
-        grids = [
-            assemble_frame(rng.integers(0, 2, cfg.payload_bits), cfg, 7)[1]
-            for _ in range(3)
-        ]
-        for g in grids[1:]:
-            assert np.array_equal(g.pilot_mask, grids[0].pilot_mask)
-            assert np.array_equal(g.pilot_values, grids[0].pilot_values)
+        mask = pilot_mask(cfg)
+        for _ in range(3):
+            wave = assemble_frame(rng.integers(0, 2, cfg.payload_bits), cfg, 7)
+            assert np.allclose(_subcarriers(wave, cfg)[:, mask], pilot_values(cfg, 7), atol=1e-9)
 
     def test_dc_bin_unoccupied(self, cfg):
         assert 0 not in occupied_bins(cfg)
@@ -163,7 +177,7 @@ class TestAssembleFrame:
         # per-symbol FFT body carries unit mean power (the prefix repeats a
         # tail segment, so whole-waveform power wiggles with the payload)
         bits = np.random.default_rng(9).integers(0, 2, cfg.payload_bits)
-        wave, _ = assemble_frame(bits, cfg, 7)
+        wave = assemble_frame(bits, cfg, 7)
         bodies = wave.samples.reshape(cfg.symbols_per_frame, -1)[:, cfg.cp_length :]
         assert np.mean(np.abs(bodies) ** 2) == pytest.approx(1.0, rel=1e-9)
 
@@ -171,12 +185,13 @@ class TestAssembleFrame:
 class TestDisassembleSymbol:
     def test_exact_inverse(self, cfg):
         bits = np.random.default_rng(10).integers(0, 2, cfg.payload_bits)
-        wave, grid = assemble_frame(bits, cfg, 7)
+        wave = assemble_frame(bits, cfg, 7)
+        grid = _sent_grid(bits, cfg, 7)
         for s in range(cfg.symbols_per_frame):
             row = disassemble_symbol(
                 wave.samples, cfg, s * cfg.symbol_samples + cfg.cp_length
             )
-            assert np.allclose(row, grid.values[s], atol=1e-9)
+            assert np.allclose(row, grid[s], atol=1e-9)
 
     def test_offset_within_cp_recoverable_with_phase_ramp(self, cfg):
         # starting 3 samples inside the CP circularly rotates the body; a
@@ -184,12 +199,12 @@ class TestDisassembleSymbol:
         # oracle over the occupied bin indices)
         m = 3
         bits = np.random.default_rng(11).integers(0, 2, cfg.payload_bits)
-        wave, grid = assemble_frame(bits, cfg, 7)
+        wave = assemble_frame(bits, cfg, 7)
         row = disassemble_symbol(wave.samples, cfg, cfg.cp_length - m)
         bins = occupied_bins(cfg)
         ramp = np.exp(2j * np.pi * bins * m / cfg.fft_size)
-        assert np.allclose(row * ramp, grid.values[0], atol=1e-9)
-        recovered = qam_demodulate((row * ramp)[grid.data_mask], 4)
+        assert np.allclose(row * ramp, _sent_grid(bits, cfg, 7)[0], atol=1e-9)
+        recovered = qam_demodulate((row * ramp)[~pilot_mask(cfg)], 4)
         assert np.array_equal(recovered, bits[: 125 * 2])
 
     def test_offset_beyond_cp_breaks_decisions(self, cfg):
@@ -198,13 +213,13 @@ class TestDisassembleSymbol:
         # intersymbol interference produces decision errors (simulation
         # oracle; an offset within the prefix decodes cleanly above)
         bits = np.random.default_rng(12).integers(0, 2, cfg.payload_bits)
-        wave, grid = assemble_frame(bits, cfg, 7)
+        wave = assemble_frame(bits, cfg, 7)
         early = 130
         start = 2 * cfg.symbol_samples + cfg.cp_length - early
         row = disassemble_symbol(wave.samples, cfg, start)
         bins = occupied_bins(cfg)
         ramp = np.exp(2j * np.pi * bins * early / cfg.fft_size)
-        recovered = qam_demodulate((row * ramp)[grid.data_mask], 4)
+        recovered = qam_demodulate((row * ramp)[~pilot_mask(cfg)], 4)
         sent = bits[2 * 250 : 3 * 250]
         assert np.count_nonzero(recovered != sent) > 0
 
@@ -216,11 +231,11 @@ class TestDisassembleSymbol:
         rng = np.random.default_rng(13)
         for seed in (1, 2):
             bits = rng.integers(0, 2, cfg.payload_bits)
-            wave, grid = assemble_frame(bits, cfg, seed)
+            wave = assemble_frame(bits, cfg, seed)
             out = []
             for s in range(cfg.symbols_per_frame):
                 row = disassemble_symbol(
                     wave.samples, cfg, s * cfg.symbol_samples + cfg.cp_length
                 )
-                out.append(qam_demodulate(row[grid.data_mask], 4))
+                out.append(qam_demodulate(row[~pilot_mask(cfg)], 4))
             assert np.array_equal(np.concatenate(out), bits)

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from nomalink.frame_codec import ComplexWaveform, FrameConfig, qam_demodulate, qam_modulate
+from nomalink.frame_codec import (
+    ComplexWaveform,
+    FrameConfig,
+    disassemble_symbol,
+    pilot_mask,
+    qam_demodulate,
+    qam_modulate,
+)
 from nomalink.noma import (
     PowerAllocation,
     allocate_power_by_distance,
@@ -185,10 +192,11 @@ class TestDownlinkFrame:
         alloc = PowerAllocation.testbed_default()
         rng = np.random.default_rng(4)
         payloads = [rng.integers(0, 2, cfg.payload_bits) for _ in range(3)]
-        tx, grids = build_downlink_frame(payloads, cfg, alloc, pilot_seed=21)
-        composite_grid = sum(a * g.values for a, g in zip(alloc.amplitudes, grids))
+        tx = build_downlink_frame(payloads, cfg, alloc, pilot_seed=21)
+        symbols = tx.samples.reshape(cfg.symbols_per_frame, cfg.symbol_samples)
+        composite_grid = disassemble_symbol(symbols, cfg, cfg.cp_length)
         reference = composite_pilot_values(cfg, alloc, 21)
-        assert np.allclose(composite_grid[:, grids[0].pilot_mask], reference)
+        assert np.allclose(composite_grid[:, pilot_mask(cfg)], reference)
         assert len(tx) == cfg.frame_samples
 
     def test_per_user_pilot_sequences_differ(self):

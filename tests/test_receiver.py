@@ -31,7 +31,7 @@ def make_frame(seed, n_users=3):
     rng = np.random.default_rng(seed)
     payloads = [rng.integers(0, 2, CFG.payload_bits) for _ in range(n_users)]
     alloc = ALLOC if n_users == 3 else PowerAllocation((1.0,))
-    tx, _ = build_downlink_frame(payloads, CFG, alloc, PILOT_SEED)
+    tx = build_downlink_frame(payloads, CFG, alloc, PILOT_SEED)
     return payloads, tx
 
 

@@ -78,6 +78,15 @@ class TestSnrHistogram:
         assert stationary.rate_at(27.0) == pytest.approx(60.0)
         assert stationary.rate_at(50.0) == 0.0
 
+    def test_single_bin_rate_uses_the_bin_width(self):
+        times = np.array([0.0, 0.3, 0.6])
+        stationary, _ = snr_histogram(
+            times, [20.0, 20.1, 20.2], 0.5, 1.0, total_duration_s=1.0
+        )
+        assert stationary.counts.tolist() == [3]
+        assert stationary.rate_at(20.2) == pytest.approx(3.0)
+        assert stationary.rate_at(20.5) == 0.0
+
     def test_stage_split(self):
         times = np.array([0.0, 1.0, 3.0, 4.0])
         values = np.array([20.0, 20.0, 30.0, 30.0])
@@ -123,12 +132,23 @@ class TestScenarioConfig:
                 replace(ScenarioConfig(), **{name: -1})
 
     def test_rejects_cfo_beyond_half_the_subcarrier_spacing(self):
-        # 976.6 Hz with the defaults; the Doppler shift at speed (6.8 Hz) counts too
-        channel = ScenarioConfig().channel
+        # 976.6 Hz with the defaults; the Doppler shift at speed (6.8 Hz) counts
+        # too. No carrier wander here: its share is checked below
+        channel = replace(ScenarioConfig().channel, cfo_jitter_hz=0.0)
         ScenarioConfig(channel=replace(channel, cfo_hz=-965.0))
         with pytest.raises(ValueError, match="channel.cfo_hz"):
             ScenarioConfig(channel=replace(channel, cfo_hz=-972.0))
         ScenarioConfig(channel=replace(channel, cfo_hz=-972.0), speed=0.0)
+
+    def test_rejects_carrier_wander_that_can_alias_while_moving(self):
+        # 100 + 6.8 + 4 x 55 = 327 Hz with the defaults
+        channel = ScenarioConfig().channel
+        ScenarioConfig(channel=replace(channel, cfo_hz=-745.0))
+        for cfo_hz, jitter in ((-752.0, 55.0), (0.0, 243.0), (900.0, 55.0)):
+            with pytest.raises(ValueError, match=r"channel\.cfo_hz .*channel\.cfo_jitter_hz"):
+                ScenarioConfig(channel=replace(channel, cfo_hz=cfo_hz, cfo_jitter_hz=jitter))
+        # the wander is gated on motion; a still run checks the offset alone
+        ScenarioConfig(channel=replace(channel, cfo_hz=900.0), speed=0.0)
 
     def test_noise_floor_tracks_anchor(self):
         quiet = calibrate_noise_floor(ScenarioConfig(anchor_snr_db=30.0))
