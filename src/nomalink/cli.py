@@ -225,7 +225,8 @@ def write_outputs(result, fmt: str, path) -> Path:
     """Serialize a timeseries or sweep result to delimited text or records.
 
     Text output is CSV with a fixed column schema; records output is one
-    JSON object per line with the same keys. Identical inputs produce
+    JSON object per line with the same keys, where a NaN or infinite
+    float, which JSON cannot hold, is null. Identical inputs produce
     byte-identical files.
     """
     names, arrays = _columns(result)
@@ -237,8 +238,9 @@ def write_outputs(result, fmt: str, path) -> Path:
         lines = [",".join(names)]
         lines += [",".join(map(repr, row)) for row in zip(*columns)]
     elif fmt == "records":
-        columns = [a.tolist() for a in arrays]
-        lines = [json.dumps(dict(zip(names, row)), sort_keys=True) for row in zip(*columns)]
+        nulled = [np.where(np.isfinite(a), a, None) if a.dtype == float else a for a in arrays]
+        rows = zip(*(a.tolist() for a in nulled))
+        lines = [json.dumps(dict(zip(names, r)), sort_keys=True, allow_nan=False) for r in rows]
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     path.write_text("\n".join(lines) + "\n")
@@ -395,6 +397,11 @@ def main(argv=None) -> int:
         if name == "estimate-k":
             p.add_argument("--input", type=Path, help="envelope file (.npy or text)")
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -20,20 as an option: bind it to its flag
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--snr-grid":
+            argv[i : i + 2] = [f"--snr-grid={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ScenarioConfig()

@@ -207,30 +207,30 @@ def ls_estimate_channel(row, mask, pilot_reference) -> np.ndarray:
     return np.asarray(a)[..., None] + np.asarray(b)[..., None] * np.arange(mask.size)
 
 
-def zf_equalize(row, estimate, singularity_threshold: float = ZF_SINGULARITY_THRESHOLD):
+def zf_equalize(row, estimate):
     """Zero-forcing equalization Y/H with erasure flagging.
 
-    Subcarriers whose estimate magnitude falls below the singularity
-    threshold are zeroed and flagged instead of divided. An all-erased
-    symbol raises FrameLostError. Rows with a leading symbol axis are
-    equalized symbol by symbol.
+    Subcarriers whose estimate magnitude falls below
+    ``ZF_SINGULARITY_THRESHOLD`` are zeroed and flagged instead of
+    divided. An all-erased symbol raises FrameLostError. Rows with a
+    leading symbol axis are equalized symbol by symbol.
     """
     row = np.asarray(row, dtype=np.complex128)
     estimate = np.asarray(estimate, dtype=np.complex128)
     if not np.all(np.isfinite(estimate.view(np.float64))):
         raise ValueError("channel estimate must be finite")
-    erased = np.abs(estimate) < singularity_threshold
+    erased = np.abs(estimate) < ZF_SINGULARITY_THRESHOLD
     if np.any(np.all(erased, axis=-1)):
         raise FrameLostError("all subcarriers erased by zero-forcing")
     out = np.divide(row, estimate, out=np.zeros_like(row), where=~erased)
     return out, erased
 
 
-def evm_snr(equalized_pilots, pilot_reference, cap_db: float = SNR_CAP_DB):
+def evm_snr(equalized_pilots, pilot_reference):
     """SNR estimate from the pilot error vector magnitude.
 
     EVM_rms = sqrt(mean|y - x|^2 / mean|x|^2) and the estimate is
-    -20 log10(EVM_rms), capped at ``cap_db`` for vanishing error. Pilots
+    -20 log10(EVM_rms), capped at ``SNR_CAP_DB`` for vanishing error. Pilots
     with a leading symbol axis give an array with one estimate per symbol.
     """
     y = np.ascontiguousarray(equalized_pilots, dtype=np.complex128)
@@ -242,8 +242,8 @@ def evm_snr(equalized_pilots, pilot_reference, cap_db: float = SNR_CAP_DB):
         raise ValueError("pilot reference has zero power")
     evm = np.sqrt(np.mean(np.abs(y - x) ** 2, axis=-1) / ref_power)
     with np.errstate(divide="ignore"):
-        snr = np.minimum(-20.0 * np.log10(evm), cap_db)
-    snr = np.where(evm <= 10.0 ** (-cap_db / 20.0), cap_db, snr)
+        snr = np.minimum(-20.0 * np.log10(evm), SNR_CAP_DB)
+    snr = np.where(evm <= 10.0 ** (-SNR_CAP_DB / 20.0), SNR_CAP_DB, snr)
     return float(snr) if snr.ndim == 0 else snr
 
 

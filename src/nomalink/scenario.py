@@ -252,11 +252,7 @@ def _stage_histogram(values: np.ndarray, bin_width: float, duration: float) -> S
 
 
 def snr_histogram(
-    times_s,
-    snr_db,
-    bin_width_db: float,
-    stage_split_s: float,
-    total_duration_s: float | None = None,
+    times_s, snr_db, bin_width_db: float, stage_split_s: float, total_duration_s: float
 ) -> tuple[StageHistogram, StageHistogram]:
     """Stationary and mobile occurrence histograms of an SNR series.
 
@@ -269,9 +265,6 @@ def snr_histogram(
     v = np.asarray(snr_db, dtype=float)
     if t.size != v.size or t.size == 0:
         raise ValueError("times and values must be equal-length, non-empty")
-    if total_duration_s is None:
-        dt = float(np.median(np.diff(np.unique(t)))) if t.size > 1 else 0.0
-        total_duration_s = float(t.max()) + dt
     stationary = _stage_histogram(v[t < stage_split_s], bin_width_db, stage_split_s)
     mobile = _stage_histogram(
         v[t >= stage_split_s], bin_width_db, total_duration_s - stage_split_s
@@ -339,33 +332,48 @@ _BLOCK_FRAMES = 8
 
 
 def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, t0):
-    """Send one block of frames and decode every frame at every vehicle.
+    """Send one block of frames, decode every frame at every vehicle and
+    count its bit errors against the payloads.
 
     ``payloads`` is (frames, users, payload_bits) and ``t0`` gives each
     frame's start time. ``channels`` holds one (params, mobility, seed)
     triple per user; the seed is shared by the block's frames or holds
-    one seed row per frame. Returns the reports of user k + 1 at index k,
-    one per frame.
+    one seed row per frame. Returns the block's decode record:
+    ``detected`` and ``cfo`` per (frame, user), then bit ``errors`` and
+    ``snr`` per (frame, OFDM symbol, user). Undetected frames hold 0
+    errors and NaN estimates.
     """
     frame_cfg = cfg.frame
+    n_frames, k_users, _ = payloads.shape
+    n_sym = frame_cfg.symbols_per_frame
     tx = build_downlink_frame(list(payloads.swapaxes(0, 1)), frame_cfg, alloc, cfg.pilot_seed)
-    reports = []
-    for k, (params, mobility, seed) in enumerate(channels, start=1):
+    detected = np.zeros((n_frames, k_users), dtype=bool)
+    cfo = np.full((n_frames, k_users), np.nan)
+    errors = np.zeros((n_frames, n_sym, k_users), dtype=np.int64)
+    snr = np.full((n_frames, n_sym, k_users), np.nan)
+    for k, (params, mobility, seed) in enumerate(channels):
         rx, _ = apply_channel(tx, params, mobility, seed=seed, t0=t0)
-        reports.append(
-            [
-                receive_user(
-                    ComplexWaveform(samples, rx.sample_rate),
-                    frame_cfg,
-                    alloc,
-                    k,
-                    cfg.pilot_seed,
-                    sync_threshold=cfg.sync_threshold,
-                )
-                for samples in rx.samples
-            ]
-        )
-    return reports
+        reports = [
+            receive_user(
+                ComplexWaveform(samples, rx.sample_rate),
+                frame_cfg,
+                alloc,
+                k + 1,
+                cfg.pilot_seed,
+                sync_threshold=cfg.sync_threshold,
+            )
+            for samples in rx.samples
+        ]
+        got = [r for r in reports if r.detected]
+        if not got:
+            continue
+        hit = np.array([r.detected for r in reports])
+        detected[:, k] = hit
+        cfo[hit, k] = [r.estimated_cfo_hz for r in got]
+        snr[hit, :, k] = np.stack([r.estimated_snr_db for r in got])
+        wrong = np.stack([r.bits for r in got]) != payloads[hit, k]
+        errors[hit, :, k] = np.count_nonzero(wrong.reshape(len(got), n_sym, -1), axis=2)
+    return detected, cfo, errors, snr
 
 
 def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
@@ -398,47 +406,35 @@ def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
     bits_per_ofdm_symbol = frame_cfg.data_subcarriers * frame_cfg.bits_per_symbol
     payload_rng = np.random.default_rng([cfg.seed, 0])
 
-    shape = (n_frames, k_users, n_sym)
-    snrs = np.full(shape, np.nan)
-    cfos = np.full(shape, np.nan)
-    bers = np.ones(shape)
-    detected = np.zeros(shape, dtype=bool)
+    # (frames, symbols, users) is the (time, user) row order of the output
+    shape = (n_frames, n_sym, k_users)
+    detected = np.empty((n_frames, k_users), dtype=bool)
+    cfos = np.empty((n_frames, k_users))
+    errors = np.empty(shape, dtype=np.int64)
+    snrs = np.empty(shape)
     frame_starts = np.arange(n_frames) * frame_cfg.frame_duration
 
     for first in range(0, n_frames, _BLOCK_FRAMES):
-        block = range(first, min(first + _BLOCK_FRAMES, n_frames))
+        block = slice(first, min(first + _BLOCK_FRAMES, n_frames))
         payloads = payload_rng.integers(
-            0, 2, (len(block), k_users, frame_cfg.payload_bits), dtype=np.int64
+            0, 2, (block.stop - first, k_users, frame_cfg.payload_bits), dtype=np.int64
         )
-        reports = _run_block(cfg, alloc, payloads, channels, frame_starts[first : block.stop])
-        for k, user_reports in enumerate(reports):
-            hits = [i for i, report in enumerate(user_reports) if report.detected]
-            if not hits:
-                continue
-            got = [user_reports[i] for i in hits]
-            wrong = np.stack([r.bits for r in got]) != payloads[hits, k]
-            errors = np.count_nonzero(wrong.reshape(len(hits), n_sym, -1), axis=2)
-            rows = first + np.array(hits)
-            bers[rows, k] = errors / bits_per_ofdm_symbol
-            snrs[rows, k] = np.stack([r.estimated_snr_db for r in got])
-            cfos[rows, k] = np.array([[r.estimated_cfo_hz] for r in got])
-            detected[rows, k] = True
+        decode = _run_block(cfg, alloc, payloads, channels, frame_starts[block])
+        detected[block], cfos[block], errors[block], snrs[block] = decode
 
     symbol_times = frame_starts[:, None] + np.arange(n_sym) * (
         frame_cfg.symbol_samples / frame_cfg.sample_rate
     )
-    times = np.broadcast_to(symbol_times[:, None, :], shape).ravel()
-    users = np.broadcast_to(np.arange(1, k_users + 1)[:, None], shape).ravel()
-    order = np.lexsort((users, times))
+    per_symbol = np.broadcast_to(detected[:, None], shape)
     return MetricsTimeSeries(
-        time_s=times[order],
-        user=users[order],
-        est_snr_db=snrs.ravel()[order],
-        est_cfo_hz=cfos.ravel()[order],
-        ber=bers.ravel()[order],
-        outage=(detected & (snrs < cfg.outage_threshold_db)).ravel()[order],
-        detected=detected.ravel()[order],
-        lost_frames=tuple(int(n) for n in np.count_nonzero(~detected[:, :, 0], axis=0)),
+        time_s=np.repeat(symbol_times.ravel(), k_users),
+        user=np.tile(np.arange(1, k_users + 1), n_frames * n_sym),
+        est_snr_db=snrs.ravel(),
+        est_cfo_hz=np.broadcast_to(cfos[:, None], shape).ravel(),
+        ber=np.where(per_symbol, errors / bits_per_ofdm_symbol, 1.0).ravel(),
+        outage=(per_symbol & (snrs < cfg.outage_threshold_db)).ravel(),
+        detected=per_symbol.ravel(),
+        lost_frames=tuple(int(n) for n in np.count_nonzero(~detected, axis=0)),
         stationary_end_s=cfg.stationary_duration,
         total_duration_s=cfg.total_duration,
     )
@@ -462,10 +458,7 @@ class BerCurve:
 
 
 def sweep_ber_vs_snr(
-    cfg: ScenarioConfig,
-    snr_grid_db,
-    min_bits_per_point: int = 100_000,
-    seed: int | None = None,
+    cfg: ScenarioConfig, snr_grid_db, min_bits_per_point: int = 100_000
 ) -> BerCurve:
     """Monte Carlo BER curve under mobile-stage impairments.
 
@@ -485,13 +478,10 @@ def sweep_ber_vs_snr(
     # +inf dB is a noiseless point; NaN would also draw no noise, unnoticed
     if not np.all(grid > -np.inf):
         raise ValueError(f"snr_grid values must be numbers above -inf, got {grid.tolist()}")
-    seed = cfg.seed if seed is None else seed
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
     frame_cfg = cfg.frame
     alloc = resolve_allocation(cfg)
-    k_users = cfg.n_users
+    k_users, seed = cfg.n_users, cfg.seed
     f_d = doppler_shift(cfg.speed, frame_cfg.carrier_frequency)
     mobility = MobilityState.always_moving(
         cfg.channel.reference_distance, speed=cfg.speed
@@ -534,14 +524,11 @@ def sweep_ber_vs_snr(
                 (params, mobility, [[seed, 20, i, t, k] for t in trials])
                 for k in range(1, k_users + 1)
             ]
-            reports = _run_block(cfg, alloc, payloads, channels, 0.0)
-            for k, user_reports in enumerate(reports):
-                for payload, report in zip(payloads[:, k], user_reports):
-                    if report.detected:
-                        errors[i, k] += int(np.count_nonzero(report.bits != payload))
-                        bits[i, k] += frame_cfg.payload_bits
-                    else:
-                        lost[i, k] += 1
+            detected, _, block_errors, _ = _run_block(cfg, alloc, payloads, channels, 0.0)
+            hits = np.count_nonzero(detected, axis=0)
+            errors[i] += block_errors.sum(axis=(0, 1))
+            bits[i] += hits * frame_cfg.payload_bits
+            lost[i] += count - hits
             trial += count
         frames[i] = trial
 

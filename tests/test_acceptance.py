@@ -43,7 +43,7 @@ def report(criterion: int, text: str) -> None:
 def floor_curve():
     # >= 1e6 bits per user at each of the three highest SNR points
     return sweep_ber_vs_snr(
-        ScenarioConfig(), [30.0, 35.0, 40.0], min_bits_per_point=1_000_000, seed=7
+        ScenarioConfig(seed=7), [30.0, 35.0, 40.0], min_bits_per_point=1_000_000
     )
 
 

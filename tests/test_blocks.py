@@ -19,7 +19,13 @@ from nomalink.frame_codec import (
 )
 from nomalink.noma import PowerAllocation, build_downlink_frame, composite_pilot_values
 from nomalink.receiver import evm_snr, ls_estimate_channel, receive_user, zf_equalize
-from nomalink.scenario import ScenarioConfig, resolve_allocation, sweep_ber_vs_snr
+from nomalink.scenario import (
+    ScenarioConfig,
+    calibrate_noise_floor,
+    resolve_allocation,
+    run_v2x_scenario,
+    sweep_ber_vs_snr,
+)
 
 CFG = FrameConfig()
 ALLOC = PowerAllocation.testbed_default()
@@ -207,7 +213,7 @@ def _sweep_trial_by_trial(cfg, snr_db, min_bits, seed):
 def test_sweep_blocks_run_the_same_trials(cfg, snr_db, min_bits, expect_cap):
     seed = 5
     frames, errors, bits, lost = _sweep_trial_by_trial(cfg, snr_db, min_bits, seed)
-    curve = sweep_ber_vs_snr(cfg, [snr_db], min_bits_per_point=min_bits, seed=seed)
+    curve = sweep_ber_vs_snr(replace(cfg, seed=seed), [snr_db], min_bits_per_point=min_bits)
     assert frames % FRAMES != 0
     assert curve.frames[0] == frames
     assert np.array_equal(curve.bits[0], bits)
@@ -216,3 +222,79 @@ def test_sweep_blocks_run_the_same_trials(cfg, snr_db, min_bits, expect_cap):
         assert np.array_equal(curve.ber[0], errors / bits, equal_nan=True)
     cap = 20 * -(-min_bits // cfg.frame.payload_bits)
     assert (frames == cap) == expect_cap
+
+
+def _replay_frame_by_frame(cfg):
+    """The replay as one frame per loop turn, columns in (time, user) row order."""
+    frame_cfg = cfg.frame
+    alloc = resolve_allocation(cfg)
+    params = replace(
+        cfg.channel,
+        doppler_hz=doppler_shift(cfg.speed, frame_cfg.carrier_frequency),
+        target_snr_db=None,
+        noise_power_dbm=calibrate_noise_floor(cfg),
+    )
+    k_users, n_sym = cfg.n_users, frame_cfg.symbols_per_frame
+    n_frames = int(np.floor(cfg.total_duration / frame_cfg.frame_duration))
+    symbol_period = frame_cfg.symbol_samples / frame_cfg.sample_rate
+    rng = np.random.default_rng([cfg.seed, 0])
+    # the payload stream is drawn in blocks of 8 frames
+    payloads = np.concatenate(
+        [
+            rng.integers(0, 2, (min(FRAMES, n_frames - first), k_users, frame_cfg.payload_bits))
+            for first in range(0, n_frames, FRAMES)
+        ]
+    )
+    names = ("time_s", "user", "est_snr_db", "est_cfo_hz", "ber", "detected")
+    columns = {name: [] for name in names}
+    lost = [0] * k_users
+    for f in range(n_frames):
+        tx = build_downlink_frame(list(payloads[f]), frame_cfg, alloc, cfg.pilot_seed)
+        t0 = f * frame_cfg.frame_duration
+        reports = []
+        for k in range(1, k_users + 1):
+            rx, _ = apply_channel(tx, params, cfg.mobility(k), seed=[cfg.seed, 1, k], t0=t0)
+            reports.append(
+                receive_user(
+                    rx, frame_cfg, alloc, k, cfg.pilot_seed, sync_threshold=cfg.sync_threshold
+                )
+            )
+            lost[k - 1] += not reports[-1].detected
+        for s in range(n_sym):
+            for k, report in enumerate(reports, start=1):
+                columns["time_s"].append(t0 + s * symbol_period)
+                columns["user"].append(k)
+                columns["detected"].append(report.detected)
+                if not report.detected:
+                    columns["est_snr_db"].append(np.nan)
+                    columns["est_cfo_hz"].append(np.nan)
+                    columns["ber"].append(1.0)
+                    continue
+                sent = payloads[f, k - 1].reshape(n_sym, -1)[s]
+                got = report.bits.reshape(n_sym, -1)[s]
+                columns["est_snr_db"].append(report.estimated_snr_db[s])
+                columns["est_cfo_hz"].append(report.estimated_cfo_hz)
+                columns["ber"].append(np.count_nonzero(got != sent) / sent.size)
+    columns = {name: np.array(values) for name, values in columns.items()}
+    columns["outage"] = columns["detected"] & (columns["est_snr_db"] < cfg.outage_threshold_db)
+    return columns, tuple(lost)
+
+
+@pytest.mark.parametrize("anchor_snr_db", [-3.0, -6.0])
+def test_replay_blocks_keep_the_lost_frame_rows(anchor_snr_db):
+    # criterion 9's short timing: 34 frames, four blocks and two frames
+    cfg = ScenarioConfig(
+        stationary_duration=0.05,
+        travel_duration=0.06,
+        total_duration=0.11,
+        anchor_snr_db=anchor_snr_db,
+    )
+    columns, lost = _replay_frame_by_frame(cfg)
+    series = run_v2x_scenario(cfg)
+    if anchor_snr_db == -3.0:
+        assert all(0 < n < 34 for n in lost)
+    else:
+        assert lost[0] == 34
+    for name, expected in columns.items():
+        assert np.array_equal(getattr(series, name), expected, equal_nan=True), name
+    assert series.lost_frames == lost

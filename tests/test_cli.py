@@ -237,6 +237,20 @@ class TestRunScenarioCommand:
         assert set(record) == set(TIMESERIES_COLUMNS)
         assert isinstance(record["detected"], bool)
 
+    def test_records_write_null_for_the_estimates_of_lost_frames(self, tmp_path):
+        cfg = replace(load_config(self._cfg_file(tmp_path)), anchor_snr_db=-3.0)
+        execute("run-scenario", cfg, tmp_path / "out", fmt="records")
+        lines = (tmp_path / "out" / "timeseries.jsonl").read_text().splitlines()
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert not all(r["detected"] for r in records)
+        for r in records:
+            nulls = {key for key, value in r.items() if value is None}
+            assert nulls == (set() if r["detected"] else {"est_snr_db", "est_cfo_hz"})
+
     @staticmethod
     def _cfg_file(tmp_path):
         path = tmp_path / "short.json"
@@ -357,6 +371,11 @@ class TestMainEntry:
         assert code == 1
         assert "snr_grid" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_grid_with_a_leading_negative_value_is_read_as_the_grid(self, tmp_path, capsys):
+        code = main(["sweep-ber", "--snr-grid", "-5,nan", "--out", str(tmp_path)])
+        assert code == 1
+        assert "snr_grid" in capsys.readouterr().err
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
