@@ -129,6 +129,15 @@ class ComplexWaveform:
     def __len__(self) -> int:
         return self.samples.shape[-1]
 
+    @classmethod
+    def _of_finite(cls, samples: np.ndarray, sample_rate: float) -> "ComplexWaveform":
+        """Wrap complex128 samples already known to be finite (a row of a
+        checked block, or its CFO-corrected copy) without scanning them again."""
+        wave = object.__new__(cls)
+        object.__setattr__(wave, "samples", samples)
+        object.__setattr__(wave, "sample_rate", sample_rate)
+        return wave
+
 
 @lru_cache(maxsize=64)
 def _occupied_bins_cached(cfg: FrameConfig) -> np.ndarray:
@@ -220,18 +229,28 @@ def _levels_to_symbols(idx: np.ndarray, order: int) -> np.ndarray:
     return (amp[:, 0] + 1j * amp[:, 1]) / _axis_norm(order)
 
 
+@lru_cache(maxsize=8)
+def _axis_levels(order: int) -> np.ndarray:
+    """Axis value of each level index, rounded as ``_levels_to_symbols``
+    rounds it: numpy divides a complex number by a real one as a product
+    with the reciprocal."""
+    levels = int(np.sqrt(order))
+    return _frozen(((levels - 1) - 2.0 * np.arange(levels)) * (1.0 / _axis_norm(order)))
+
+
 def _decide_levels(symbols: np.ndarray, order: int) -> np.ndarray:
     """Nearest level index on both axes of contiguous complex symbols, (n, 2)."""
     levels = int(np.sqrt(order))
     vals = symbols.view(np.float64).reshape(-1, 2)
-    return np.clip(np.round(((levels - 1) - vals * _axis_norm(order)) / 2.0), 0, levels - 1)
+    idx = np.clip(np.round(((levels - 1) - vals * _axis_norm(order)) / 2.0), 0, levels - 1)
+    return idx.astype(np.intp)
 
 
 def _levels_to_bits(idx: np.ndarray, order: int) -> np.ndarray:
     """Gray bits of (n, 2) level indices: the in-phase bits, then the quadrature
     bits of each symbol, most significant first."""
     p = _axis_bits(order)
-    v = _gray_encode(idx.astype(np.int64))
+    v = _gray_encode(idx)
     return ((v[..., None] >> np.arange(p - 1, -1, -1)) & 1).astype(np.uint8).reshape(-1)
 
 

@@ -17,10 +17,9 @@ import numpy as np
 from .frame_codec import (
     ComplexWaveform,
     FrameConfig,
+    _axis_levels,
     _check_order,
     _decide_levels,
-    _levels_to_bits,
-    _levels_to_symbols,
     assemble_frame,
     pilot_values,
 )
@@ -124,8 +123,9 @@ def sic_decode(
     For stage j = 1..user-1: decide user j's constellation levels
     (remaining users act as noise), remodulate them, scale by sqrt(alpha_j)
     and subtract. The returned own-symbol sequence is the final residual
-    scaled by 1/sqrt(alpha_user); stage decisions are returned as bits for
-    error accounting.
+    scaled by 1/sqrt(alpha_user); each stage's decisions are returned as
+    its (symbols, 2) in-phase and quadrature level indices, which
+    ``frame_codec._levels_to_bits`` maps to that user's bits.
     User 1 performs zero stages. Decision errors propagate as symbol
     errors by design: imperfect cancellation is a measured phenomenon,
     not a failure mode.
@@ -137,12 +137,15 @@ def sic_decode(
     if not np.all(np.isfinite(residual)):
         raise ValueError("symbols must be finite")
     amps = alloc.amplitudes
-    stage_bits: list[np.ndarray] = []
+    stage_levels: list[np.ndarray] = []
     for j in range(user - 1):
         idx = _decide_levels(residual / amps[j], order)
-        stage_bits.append(_levels_to_bits(idx, order))
-        residual -= amps[j] * _levels_to_symbols(idx, order)
-    return residual / amps[user - 1], stage_bits
+        stage_levels.append(idx)
+        # per-axis values looked up by level: the same bits as subtracting
+        # the remodulated complex symbols
+        axis_values = residual.view(np.float64).reshape(-1, 2)
+        axis_values -= (amps[j] * _axis_levels(order))[idx]
+    return residual / amps[user - 1], stage_levels
 
 
 def user_pilot_seed(pilot_seed: int, user: int) -> tuple[int, int]:

@@ -11,6 +11,7 @@ are reported undetected; the scenario layer assigns them BER 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -21,6 +22,7 @@ from .frame_codec import (
     ComplexWaveform,
     FrameConfig,
     FrameLostError,
+    _levels_to_bits,
     disassemble_symbol,
     pilot_mask,
     qam_demodulate,
@@ -45,10 +47,18 @@ __all__ = [
 SNR_CAP_DB = 60.0
 ZF_SINGULARITY_THRESHOLD = 1e-8
 SYNC_DETECTION_THRESHOLD = 0.5
+_EVM_AT_CAP = 10.0 ** (-SNR_CAP_DB / 20.0)
 
 
 class SyncFailure(FrameLostError):
-    """Correlation peak too weak: the frame start cannot be trusted."""
+    """Correlation peak too weak: the frame start cannot be trusted.
+
+    ``metric_peak`` is the peak that fell short of the threshold.
+    """
+
+    def __init__(self, metric_peak: float, detection_threshold: float):
+        super().__init__(f"correlation peak {metric_peak:.3f} below {detection_threshold}")
+        self.metric_peak = metric_peak
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,7 @@ class UserRxReport:
     sync_metric: float = field(default=float("nan"))
 
     @classmethod
-    def lost(cls, metric: float = float("nan")) -> "UserRxReport":
+    def lost(cls, metric: float) -> "UserRxReport":
         return cls(
             bits=np.empty(0, dtype=np.uint8),
             estimated_snr_db=np.empty(0, dtype=float),
@@ -118,39 +128,38 @@ def cp_ml_sync(
     np.cumsum(power, out=cum_power[1:])
 
     # one window per symbol period (rows) and timing candidate (columns),
-    # summed row by row from zero: a reduction over rows may round differently
+    # summed row by row in order: a reduction over rows may round differently.
+    # A cumulative sum adds in that order; adding +0 gives the sum from zero
+    # its sign where every window holds -0.
     lo = np.arange(0, n_sym * block, block)[:, None] + np.arange(theta_max + 1)
-    windows_prod = cum_prod[lo + cp] - cum_prod[lo]
-    windows_power = cum_power[lo + cp] - cum_power[lo]
-    gamma = np.zeros(theta_max + 1, dtype=np.complex128)
-    phi = np.zeros(theta_max + 1, dtype=float)
-    for s in range(n_sym):
-        gamma += windows_prod[s]
-        phi += windows_power[s]
+    gamma = np.cumsum(cum_prod[lo + cp] - cum_prod[lo], axis=0)[-1] + 0.0
+    phi = np.cumsum(cum_power[lo + cp] - cum_power[lo], axis=0)[-1]
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        metric = np.where(phi > 0, np.abs(gamma) / phi, 0.0)
+    metric = np.divide(np.abs(gamma), phi, out=np.zeros_like(phi), where=phi > 0)
     best = int(np.argmax(metric))
     peak = float(min(metric[best], 1.0))
     if peak < detection_threshold:
-        raise SyncFailure(f"correlation peak {peak:.3f} below {detection_threshold}")
+        raise SyncFailure(peak, detection_threshold)
     cfo = -np.angle(gamma[best]) * rx.sample_rate / (2.0 * np.pi * n_fft)
     return SyncEstimate(timing_offset=best, fractional_cfo_hz=float(cfo), metric_peak=peak)
 
 
 def correct_cfo(rx: ComplexWaveform, cfo_hz: float) -> ComplexWaveform:
     """Remove a frequency offset: rx[n] * exp(-j 2 pi f n / fs)."""
+    if not math.isfinite(cfo_hz):
+        raise ValueError(f"cfo_hz must be finite, got {cfo_hz}")
     if cfo_hz == 0.0:
         return rx
     n = np.arange(len(rx))
     rotation = np.exp(-2j * np.pi * cfo_hz * n / rx.sample_rate)
-    return ComplexWaveform(rx.samples * rotation, rx.sample_rate)
+    return ComplexWaveform._of_finite(rx.samples * rotation, rx.sample_rate)
 
 
 class _PilotLine(NamedTuple):
     """Terms of the pilot regression that depend only on the pilot layout."""
 
     k_pilot: np.ndarray
+    k_all: np.ndarray
     conj_x: np.ndarray
     conj_x_k: np.ndarray
     g00: float
@@ -177,11 +186,12 @@ def _pilot_line_cached(mask_bytes: bytes, reference_bytes: bytes) -> _PilotLine:
     det = g00 * g11 - g01 * g01
     if det <= 0 or not np.isfinite(det):
         raise ValueError("degenerate pilot layout for the regression")
+    k_all = np.arange(mask.size)
     conj_x = np.conj(x)
     conj_x_k = conj_x * k_pilot
-    for arr in (k_pilot, conj_x, conj_x_k):
+    for arr in (k_pilot, k_all, conj_x, conj_x_k):
         arr.flags.writeable = False
-    return _PilotLine(k_pilot, conj_x, conj_x_k, g00, g01, g11, det)
+    return _PilotLine(k_pilot, k_all, conj_x, conj_x_k, g00, g01, g11, det)
 
 
 def ls_estimate_channel(row, mask, pilot_reference) -> np.ndarray:
@@ -204,7 +214,7 @@ def ls_estimate_channel(row, mask, pilot_reference) -> np.ndarray:
     r1 = np.sum(line.conj_x_k * y, axis=-1)
     a = (line.g11 * r0 - line.g01 * r1) / line.det
     b = (line.g00 * r1 - line.g01 * r0) / line.det
-    return np.asarray(a)[..., None] + np.asarray(b)[..., None] * np.arange(mask.size)
+    return np.asarray(a)[..., None] + np.asarray(b)[..., None] * line.k_all
 
 
 def zf_equalize(row, estimate):
@@ -226,6 +236,16 @@ def zf_equalize(row, estimate):
     return out, erased
 
 
+@lru_cache(maxsize=64)
+def _reference_power(reference_bytes: bytes) -> float:
+    """Mean pilot power, a constant of the pilot layout."""
+    x = np.frombuffer(reference_bytes, dtype=np.complex128)
+    power = float(np.mean(np.abs(x) ** 2))
+    if power == 0.0:
+        raise ValueError("pilot reference has zero power")
+    return power
+
+
 def evm_snr(equalized_pilots, pilot_reference):
     """SNR estimate from the pilot error vector magnitude.
 
@@ -237,13 +257,13 @@ def evm_snr(equalized_pilots, pilot_reference):
     x = np.asarray(pilot_reference, dtype=np.complex128)
     if y.size == 0 or y.shape[-1] != x.size:
         raise ValueError("need equal, non-empty pilot and reference vectors")
-    ref_power = float(np.mean(np.abs(x) ** 2))
-    if ref_power == 0.0:
-        raise ValueError("pilot reference has zero power")
-    evm = np.sqrt(np.mean(np.abs(y - x) ** 2, axis=-1) / ref_power)
-    with np.errstate(divide="ignore"):
-        snr = np.minimum(-20.0 * np.log10(evm), SNR_CAP_DB)
-    snr = np.where(evm <= 10.0 ** (-SNR_CAP_DB / 20.0), SNR_CAP_DB, snr)
+    evm = np.sqrt(np.mean(np.abs(y - x) ** 2, axis=-1) / _reference_power(x.tobytes()))
+    # the logarithm runs only above the capped EVM, so it never sees a zero;
+    # the capped entries keep -SNR_CAP_DB / 20, and a NaN EVM stays NaN
+    log_evm = np.log10(
+        evm, out=np.full_like(evm, -SNR_CAP_DB / 20.0), where=~(evm <= _EVM_AT_CAP)
+    )
+    snr = np.minimum(-20.0 * log_evm, SNR_CAP_DB)
     return float(snr) if snr.ndim == 0 else snr
 
 
@@ -281,8 +301,8 @@ def receive_user(
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
     try:
         sync = cp_ml_sync(rx, cfg, detection_threshold=sync_threshold)
-    except SyncFailure:
-        return UserRxReport.lost()
+    except SyncFailure as failure:
+        return UserRxReport.lost(failure.metric_peak)
 
     corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz)
     frame = corrected.samples[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
@@ -303,7 +323,7 @@ def receive_user(
     # erased subcarriers equalize to 0 and decide to a fixed bit pattern
     data_symbols = equalized[:, _data_columns(cfg)].reshape(-1)
 
-    own_symbols, stage_bits = sic_decode(
+    own_symbols, stage_levels = sic_decode(
         data_symbols, alloc, user, cfg.modulation_order
     )
     bits = qam_demodulate(own_symbols, cfg.modulation_order)
@@ -311,12 +331,13 @@ def receive_user(
     stage_errors = None
     if stage_truth is not None:
         truth = [np.asarray(t).ravel() for t in stage_truth]
-        if len(truth) != len(stage_bits):
+        if len(truth) != len(stage_levels):
             raise ValueError(
-                f"stage_truth must hold {len(stage_bits)} bit blocks, got {len(truth)}"
+                f"stage_truth must hold {len(stage_levels)} bit blocks, got {len(truth)}"
             )
         stage_errors = tuple(
-            int(np.sum(decided != sent)) for decided, sent in zip(stage_bits, truth)
+            int(np.sum(_levels_to_bits(levels, cfg.modulation_order) != sent))
+            for levels, sent in zip(stage_levels, truth)
         )
 
     return UserRxReport(

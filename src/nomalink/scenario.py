@@ -355,7 +355,7 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
         rx, _ = apply_channel(tx, params, mobility, seed=seed, t0=t0)
         reports = [
             receive_user(
-                ComplexWaveform(samples, rx.sample_rate),
+                ComplexWaveform._of_finite(samples, rx.sample_rate),
                 frame_cfg,
                 alloc,
                 k + 1,

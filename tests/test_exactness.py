@@ -1,10 +1,11 @@
 """Trimmed per-frame stages against the code they replaced, bit for bit.
 
-QAM decisions, SIC remodulation, the CP correlation, zero-forcing, the
-channel's noise addition and the transmit chain's subcarrier mapping
-were rewritten to do less array work per frame. Each test keeps the
-replaced code here as the reference and compares raw bytes, so even a
-changed sign of zero fails.
+QAM decisions, SIC remodulation (now a per-level lookup), the CP
+correlation and its accumulation over symbols, zero-forcing, the pilot
+EVM, the channel's noise addition and the transmit chain's subcarrier
+mapping were rewritten to do less array work per frame. Each test keeps
+the replaced code here as the reference and compares raw bytes, so even
+a changed sign of zero fails.
 """
 
 from dataclasses import replace
@@ -22,6 +23,7 @@ from nomalink.channel import (
 from nomalink.frame_codec import (
     ComplexWaveform,
     FrameConfig,
+    _levels_to_bits,
     assemble_frame,
     occupied_bins,
     pilot_mask,
@@ -29,8 +31,13 @@ from nomalink.frame_codec import (
     qam_demodulate,
     qam_modulate,
 )
-from nomalink.noma import PowerAllocation, build_downlink_frame, sic_decode
-from nomalink.receiver import SyncFailure, cp_ml_sync, zf_equalize
+from nomalink.noma import (
+    PowerAllocation,
+    build_downlink_frame,
+    composite_pilot_values,
+    sic_decode,
+)
+from nomalink.receiver import SyncFailure, cp_ml_sync, evm_snr, zf_equalize
 
 CFG = FrameConfig()
 ALLOC = PowerAllocation.testbed_default()
@@ -129,7 +136,9 @@ def test_qam_decisions_and_sic_match_the_bit_round_trip(order):
             ref_own, ref_stages = _reference_sic_decode(received, ALLOC, user, order)
             assert _same_bytes(own, ref_own)
             assert len(stages) == len(ref_stages) == user - 1
-            assert all(_same_bytes(s, r) for s, r in zip(stages, ref_stages))
+            assert all(
+                _same_bytes(_levels_to_bits(s, order), r) for s, r in zip(stages, ref_stages)
+            )
 
 
 def _reference_assemble_frame(payload, cfg, pilot_seed):
@@ -214,6 +223,76 @@ def test_cp_sync_matches_the_per_offset_loop(buffer):
         return
     got = cp_ml_sync(wave, CFG)
     assert (got.timing_offset, got.fractional_cfo_hz.hex(), got.metric_peak.hex()) == expected
+
+
+def _sync_edge_buffers():
+    """Buffers of exactly one frame, as the replay hands them over (one
+    timing candidate); a buffer led by silence, whose first candidates see
+    no power; and a one-symbol frame whose only window sums to -0 on the
+    quadrature axis."""
+    rng = np.random.default_rng(9)
+    payloads = [rng.integers(0, 2, CFG.payload_bits) for _ in range(ALLOC.n_users)]
+    tx = build_downlink_frame(payloads, CFG, ALLOC, 295)
+    frames = {}
+    for snr_db in (30.0, 10.0, 0.0):
+        params = ChannelParams(rician_k=10.92, cfo_hz=310.0, target_snr_db=snr_db)
+        rx, _ = apply_channel(tx, params, MobilityState.static(2.0), seed=int(snr_db) + 1)
+        frames[snr_db] = rx.samples
+        yield pytest.param(CFG, rx.samples, id=f"one-frame-{snr_db:g}dB")
+    yield pytest.param(CFG, np.zeros(CFG.frame_samples, dtype=complex), id="one-frame-silent")
+    silence = np.zeros(CFG.frame_samples + 100, dtype=complex)
+    yield pytest.param(CFG, np.concatenate([silence, frames[30.0]]), id="silence-first")
+    # real samples whose repetition is negated: every product is negative
+    # real with a -0 imaginary part, so the sign of zero picks the angle
+    one = replace(CFG, symbols_per_frame=1)
+    x = rng.uniform(0.5, 1.5, 2 * one.symbol_samples)
+    x[one.fft_size : one.fft_size + one.cp_length] = -x[: one.cp_length]
+    yield pytest.param(one, x.astype(complex), id="one-symbol-negative-zero")
+
+
+@pytest.mark.parametrize("cfg, buffer", list(_sync_edge_buffers()))
+def test_cp_sync_edge_cases_match_the_per_offset_loop(cfg, buffer):
+    wave = ComplexWaveform(buffer, cfg.sample_rate)
+    # at threshold 0 every estimate is returned, a zero metric included
+    expected = _reference_cp_ml_sync(buffer, cfg, detection_threshold=0.0)
+    got = cp_ml_sync(wave, cfg, detection_threshold=0.0)
+    assert (got.timing_offset, got.fractional_cfo_hz.hex(), got.metric_peak.hex()) == expected
+    if _reference_cp_ml_sync(buffer, cfg) is None:
+        with pytest.raises(SyncFailure) as lost:
+            cp_ml_sync(wave, cfg)
+        assert lost.value.metric_peak.hex() == expected[2]
+    else:
+        assert cp_ml_sync(wave, cfg) == got
+
+
+def _reference_evm_snr(equalized_pilots, pilot_reference, cap_db=60.0):
+    y = np.asarray(equalized_pilots, dtype=np.complex128)
+    x = np.asarray(pilot_reference, dtype=np.complex128)
+    evm = np.sqrt(np.mean(np.abs(y - x) ** 2, axis=-1) / float(np.mean(np.abs(x) ** 2)))
+    with np.errstate(divide="ignore"):
+        snr = np.minimum(-20.0 * np.log10(evm), cap_db)
+    snr = np.where(evm <= 10.0 ** (-cap_db / 20.0), cap_db, snr)
+    return float(snr) if snr.ndim == 0 else snr
+
+
+def test_evm_snr_matches_the_errstate_formula():
+    cap = 10.0 ** (-60.0 / 20.0)
+    evms = np.array([0.0, np.nextafter(cap, 0.0), cap, np.nextafter(cap, 1.0), 0.3, np.nan])
+    # one unit pilot and a quadrature error: the EVM is the error itself
+    x = np.ones(1, dtype=complex)
+    y = x + 1j * evms[:, None]
+    assert _same_bytes(np.sqrt(np.mean(np.abs(y - x) ** 2, axis=-1)), evms)
+    for row in y:
+        assert evm_snr(row, x).hex() == _reference_evm_snr(row, x).hex()
+    assert _same_bytes(evm_snr(y, x), _reference_evm_snr(y, x))
+    assert evm_snr(y, x)[2] == 60.0
+
+    rng = np.random.default_rng(12)
+    pilots = composite_pilot_values(CFG, ALLOC, 295)
+    for scale in (1e-4, 1e-2, 1.0):
+        noisy = pilots + scale * (rng.normal(size=(5, 25)) + 1j * rng.normal(size=(5, 25)))
+        assert _same_bytes(evm_snr(noisy, pilots), _reference_evm_snr(noisy, pilots))
+        assert evm_snr(noisy[0], pilots).hex() == _reference_evm_snr(noisy[0], pilots).hex()
 
 
 def _reference_zf_equalize(row, estimate, threshold=1e-8):

@@ -8,6 +8,7 @@ import pytest
 from nomalink.frame_codec import (
     ComplexWaveform,
     FrameConfig,
+    _levels_to_bits,
     disassemble_symbol,
     pilot_mask,
     qam_demodulate,
@@ -137,7 +138,7 @@ class TestSicDecode:
         bits, _, composite = self._composite(alloc)
         own, stages = sic_decode(composite, alloc, 2)
         assert len(stages) == 1
-        assert np.array_equal(stages[0], bits[0])
+        assert np.array_equal(_levels_to_bits(stages[0], 4), bits[0])
         assert np.array_equal(qam_demodulate(own, 4), bits[1])
 
     def test_weak_user_runs_zero_stages(self):
@@ -158,7 +159,8 @@ class TestSicDecode:
         )
         assert np.allclose(own * alloc.amplitudes[2], expected_residual, atol=1e-12)
         assert np.allclose(own, syms[2], atol=1e-9)
-        assert [np.array_equal(s, b) for s, b in zip(stages, bits)] == [True, True]
+        decided = [_levels_to_bits(s, 4) for s in stages]
+        assert [np.array_equal(d, b) for d, b in zip(decided, bits)] == [True, True]
 
     def test_rejects_bad_user_index(self):
         alloc = PowerAllocation((0.8, 0.2))

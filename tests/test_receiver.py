@@ -12,6 +12,7 @@ from nomalink.frame_codec import (
 )
 from nomalink.noma import PowerAllocation, build_downlink_frame, composite_pilot_values
 from nomalink.receiver import (
+    SYNC_DETECTION_THRESHOLD,
     SyncFailure,
     correct_cfo,
     cp_ml_sync,
@@ -78,6 +79,12 @@ class TestCorrectCfo:
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=6)
         restored = correct_cfo(rx, 123.0)
         assert np.allclose(restored.samples, tx.samples, atol=1e-9)
+
+    @pytest.mark.parametrize("cfo_hz", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_offset(self, cfo_hz):
+        _, tx = make_frame(6)
+        with pytest.raises(ValueError, match="cfo_hz"):
+            correct_cfo(tx, cfo_hz)
 
     def test_zero_is_identity(self):
         _, tx = make_frame(6)
@@ -255,6 +262,18 @@ class TestReceiveUser:
         assert not report.detected
         assert report.bits.size == 0
         assert report.estimated_snr_db.size == 0
+
+    def test_lost_frame_keeps_its_correlation_peak(self):
+        rng = np.random.default_rng(24)
+        noise = (rng.normal(size=1600) + 1j * rng.normal(size=1600)) / np.sqrt(2)
+        rx = ComplexWaveform(noise, CFG.sample_rate)
+        report = receive_user(rx, CFG, ALLOC, 2, PILOT_SEED)
+        assert not report.detected
+        assert np.isfinite(report.sync_metric)
+        assert 0.0 < report.sync_metric < SYNC_DETECTION_THRESHOLD
+        with pytest.raises(SyncFailure) as lost:
+            cp_ml_sync(rx, CFG)
+        assert report.sync_metric == lost.value.metric_peak
 
     def test_stage_truth_error_counts(self):
         payloads, tx = make_frame(17)

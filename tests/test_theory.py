@@ -14,16 +14,20 @@ decisions end with a wrong decision for k.
 The simulated BER must sit between that curve with perfect channel
 knowledge and the same curve with the SNR lowered by the loss of a
 two-parameter LS fit on the pilots. The checks cover the measured fixed
-allocation and the distance-squared allocation.
+allocation and the distance-squared allocation. For 16QAM each axis
+carries a Gray 4-PAM level of every user instead of a sign, and SIC
+decides and cancels levels; the same construction gives its exact BER.
 """
 
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
 
 from nomalink.channel import ChannelParams
+from nomalink.frame_codec import FrameConfig
 from nomalink.scenario import ScenarioConfig, resolve_allocation, sweep_ber_vs_snr
 
 SNR_GRID_DB = (6.0, 10.0, 14.0)
@@ -38,46 +42,60 @@ def _gaussian_mass(lo, hi, mean, sigma):
     return upper_tail(lo) - upper_tail(hi)
 
 
-def _sic_decisions(y, amplitudes):
-    """Sign decisions of every user on one axis value, far user first,
+def _axis_levels(order):
+    """Unit-energy axis values of square QAM, level index 0 (the largest) first."""
+    levels = math.isqrt(order)
+    norm = math.sqrt(2.0 * (order - 1) / 3.0)
+    return [((levels - 1) - 2 * i) / norm for i in range(levels)]
+
+
+def _sic_decisions(y, amplitudes, values):
+    """Level decisions of every user on one axis value, far user first,
     each subtracting the earlier users' remodulated decisions."""
-    residual, signs = y, []
+    residual, decided = y, []
     for amp in amplitudes:
-        sign = 1.0 if residual >= 0.0 else -1.0
-        signs.append(sign)
-        residual -= amp * sign
-    return signs
+        level = min(range(len(values)), key=lambda i: abs(residual - amp * values[i]))
+        decided.append(level)
+        residual -= amp * values[level]
+    return decided
 
 
-def theory_ber(snr_db, coefficients, user):
-    """Exact BER of one user of Gray 4QAM superposition under hard SIC.
+def theory_ber(snr_db, coefficients, user, order=4):
+    """Exact BER of one user of Gray square-QAM superposition under hard SIC.
 
     ``snr_db`` is the per-subcarrier SNR: the composite symbol has unit
     power, and the complex noise on a subcarrier has power 10^(-snr/10).
+    Each axis carries a Gray-mapped PAM level of every user, so the BER is
+    that of one axis.
     """
-    # per-axis amplitude of each user, and the per-axis noise deviation
-    amplitudes = [math.sqrt(c / 2.0) for c in coefficients]
+    values = _axis_levels(order)
+    bits_per_axis = int(math.log2(len(values)))
+    gray = [i ^ (i >> 1) for i in range(len(values))]
+    amplitudes = [math.sqrt(c) for c in coefficients]
     sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
     # every decision threshold any SIC path can use on the received axis value
-    breaks = {0.0}
-    for j in range(1, len(amplitudes)):
-        for signs in itertools.product((-1.0, 1.0), repeat=j):
-            breaks.add(sum(s * a for s, a in zip(signs, amplitudes)))
+    midpoints = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    breaks = set()
+    for j, amp in enumerate(amplitudes):
+        for earlier in itertools.product(values, repeat=j):
+            offset = sum(v * a for v, a in zip(earlier, amplitudes))
+            breaks.update(offset + amp * m for m in midpoints)
     edges = [-math.inf, *sorted(breaks), math.inf]
     intervals = []
     for lo, hi in zip(edges, edges[1:]):
         mid = hi - 1.0 if lo == -math.inf else lo + 1.0 if hi == math.inf else (lo + hi) / 2
-        intervals.append((lo, hi, _sic_decisions(mid, amplitudes)[user - 1]))
-    patterns = list(itertools.product((-1.0, 1.0), repeat=len(amplitudes)))
+        intervals.append((lo, hi, _sic_decisions(mid, amplitudes, values)[user - 1]))
+    patterns = list(itertools.product(range(len(values)), repeat=len(amplitudes)))
     error = 0.0
-    for signs in patterns:
-        sent = sum(s * a for s, a in zip(signs, amplitudes))
+    for levels in patterns:
+        sent = sum(values[i] * a for i, a in zip(levels, amplitudes))
+        wrong_bits = [bin(gray[d] ^ gray[levels[user - 1]]).count("1") for d in range(len(values))]
         error += sum(
-            _gaussian_mass(lo, hi, sent, sigma)
+            _gaussian_mass(lo, hi, sent, sigma) * wrong_bits[decided]
             for lo, hi, decided in intervals
-            if decided != signs[user - 1]
+            if decided != levels[user - 1]
         )
-    return error / len(patterns)
+    return error / (len(patterns) * bits_per_axis)
 
 
 def test_single_user_matches_the_4qam_formula():
@@ -86,6 +104,15 @@ def test_single_user_matches_the_4qam_formula():
         snr = 10.0 ** (snr_db / 10.0)
         expected = 0.5 * math.erfc(math.sqrt(snr / 2.0))
         assert theory_ber(snr_db, (1.0,), 1) == pytest.approx(expected, rel=1e-12)
+
+
+def test_single_user_matches_the_16qam_formula():
+    # one user: the mean BER of the two Gray bits of 4-PAM on each axis
+    for snr_db in (0.0, 6.0, 12.0, 18.0):
+        d = math.sqrt(10.0 ** (snr_db / 10.0) / 5.0)  # half level spacing / noise deviation
+        q = [0.5 * math.erfc(m * d / math.sqrt(2.0)) for m in (1, 3, 5)]
+        expected = (3.0 * q[0] + 2.0 * q[1] - q[2]) / 4.0
+        assert theory_ber(snr_db, (1.0,), 1, 16) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("policy", ["fixed", "distance-squared"])
@@ -114,4 +141,37 @@ def test_sweep_ber_lies_between_perfect_and_ls_limited_theory(policy):
             assert low <= max(band) and high >= min(band), (
                 f"user {k} at {snr_db} dB: BER {curve.ber[i, k - 1]:.4g}"
                 f" [{low:.4g}, {high:.4g}], theory {band[0]:.4g} to {band[1]:.4g}"
+            )
+
+
+def test_16qam_sweep_ber_lies_between_perfect_and_ls_limited_theory():
+    # the fixed allocation overlaps the three 16QAM constellations, so SIC
+    # decisions clip at the outer levels and the curves carry error floors
+    cfg = ScenarioConfig(
+        frame=FrameConfig(modulation_order=16),
+        channel=ChannelParams(rician_k=math.inf, cfo_hz=0.0, cfo_jitter_hz=0.0),
+        speed=0.0,
+        seed=3,
+    )
+    curve = sweep_ber_vs_snr(cfg, SNR_GRID_DB, min_bits_per_point=BITS_PER_POINT)
+    coefficients = resolve_allocation(cfg).coefficients
+    frame = cfg.frame
+    bin_gain_db = 10.0 * math.log10(frame.fft_size / frame.total_subcarriers)
+    ls_loss_db = 10.0 * math.log10(1.0 + 2.0 / frame.pilot_subcarriers)
+    # the two bits of one 4-PAM decision err together, which at most doubles
+    # the variance of the error count; the z keeps all points jointly at 95%
+    points = curve.ber.size
+    z = statistics.NormalDist().inv_cdf(1.0 - 0.025 / points)
+    assert np.all(curve.bits >= BITS_PER_POINT)
+    for i, snr_db in enumerate(curve.snr_db):
+        for k in range(1, cfg.n_users + 1):
+            band = [
+                theory_ber(snr_db + bin_gain_db - loss, coefficients, k, 16)
+                for loss in (0.0, ls_loss_db)
+            ]
+            ber = curve.ber[i, k - 1]
+            half = z * math.sqrt(2.0 * ber * (1.0 - ber) / curve.bits[i, k - 1])
+            assert ber - half <= max(band) and ber + half >= min(band), (
+                f"user {k} at {snr_db} dB: BER {ber:.4g} +- {half:.2g},"
+                f" theory {band[0]:.4g} to {band[1]:.4g}"
             )
