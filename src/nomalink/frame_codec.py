@@ -60,7 +60,7 @@ class FrameConfig:
 
     def __post_init__(self) -> None:
         if self.data_subcarriers <= 0 or self.pilot_subcarriers <= 0:
-            raise ValueError("subcarrier counts must be positive")
+            raise ValueError("data_subcarriers and pilot_subcarriers must be positive")
         if not _is_power_of_two(self.fft_size):
             raise ValueError("fft_size must be a power of two")
         # DC is nulled, so the occupied span needs fft_size > total.

@@ -5,8 +5,10 @@ maximum-likelihood time/frequency synchronization, frequency correction,
 per-symbol FFT demapping, least-squares channel estimation by linear
 regression over the pilots, zero-forcing equalization, pilot-EVM SNR
 estimation, and successive interference cancellation down to the user's
-own bits. Frames whose sync metric falls below the detection threshold
-are reported undetected; the scenario layer assigns them BER 1.
+own bits. Each stage returns its estimate, however poor: ``receive_user``
+reports a frame undetected when its sync metric falls below the
+detection threshold or zero-forcing erases a whole symbol, and the
+scenario layer assigns it BER 1.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 from .frame_codec import (
     ComplexWaveform,
     FrameConfig,
-    FrameLostError,
-    _levels_to_bits,
     disassemble_symbol,
     pilot_mask,
     qam_demodulate,
@@ -31,7 +31,6 @@ from .noma import PowerAllocation, composite_pilot_values, sic_decode
 
 __all__ = [
     "SyncEstimate",
-    "SyncFailure",
     "UserRxReport",
     "cp_ml_sync",
     "correct_cfo",
@@ -50,17 +49,6 @@ SYNC_DETECTION_THRESHOLD = 0.5
 _EVM_AT_CAP = 10.0 ** (-SNR_CAP_DB / 20.0)
 
 
-class SyncFailure(FrameLostError):
-    """Correlation peak too weak: the frame start cannot be trusted.
-
-    ``metric_peak`` is the peak that fell short of the threshold.
-    """
-
-    def __init__(self, metric_peak: float, detection_threshold: float):
-        super().__init__(f"correlation peak {metric_peak:.3f} below {detection_threshold}")
-        self.metric_peak = metric_peak
-
-
 @dataclass(frozen=True)
 class SyncEstimate:
     """Joint time/frequency estimate from the cyclic prefix correlation."""
@@ -72,13 +60,18 @@ class SyncEstimate:
 
 @dataclass
 class UserRxReport:
-    """Everything one vehicle learns from one frame."""
+    """Everything one vehicle learns from one frame.
+
+    ``stage_levels`` holds the (symbols, 2) level indices that each SIC
+    stage decided for a user cancelled ahead of this one; a caller that
+    knows the transmitted bits counts the stage errors from them.
+    """
 
     bits: np.ndarray
     estimated_snr_db: np.ndarray
     estimated_cfo_hz: float
     detected: bool
-    sic_stage_errors: tuple | None = None
+    stage_levels: tuple = ()
     sync_metric: float = field(default=float("nan"))
 
     @classmethod
@@ -88,16 +81,11 @@ class UserRxReport:
             estimated_snr_db=np.empty(0, dtype=float),
             estimated_cfo_hz=float("nan"),
             detected=False,
-            sic_stage_errors=None,
             sync_metric=metric,
         )
 
 
-def cp_ml_sync(
-    rx: ComplexWaveform,
-    cfg: FrameConfig,
-    detection_threshold: float = SYNC_DETECTION_THRESHOLD,
-) -> SyncEstimate:
+def cp_ml_sync(rx: ComplexWaveform, cfg: FrameConfig) -> SyncEstimate:
     """Joint ML time/frequency offset estimate from the cyclic prefix.
 
     The correlation of each prefix with its repetition fft_size samples
@@ -105,7 +93,8 @@ def cp_ml_sync(
     timing estimate is the argmax of the normalized metric |gamma|/Phi in
     [0, 1]; the fractional CFO follows from the correlation phase as
     -angle(gamma) * sample_rate / (2 pi fft_size), unambiguous up to half
-    the subcarrier spacing.
+    the subcarrier spacing. The estimate is returned whatever its peak:
+    judging the peak is the caller's decision.
     """
     r = rx.samples
     n_fft, cp = cfg.fft_size, cfg.cp_length
@@ -138,8 +127,6 @@ def cp_ml_sync(
     metric = np.divide(np.abs(gamma), phi, out=np.zeros_like(phi), where=phi > 0)
     best = int(np.argmax(metric))
     peak = float(min(metric[best], 1.0))
-    if peak < detection_threshold:
-        raise SyncFailure(peak, detection_threshold)
     cfo = -np.angle(gamma[best]) * rx.sample_rate / (2.0 * np.pi * n_fft)
     return SyncEstimate(timing_offset=best, fractional_cfo_hz=float(cfo), metric_peak=peak)
 
@@ -222,7 +209,7 @@ def zf_equalize(row, estimate):
 
     Subcarriers whose estimate magnitude falls below
     ``ZF_SINGULARITY_THRESHOLD`` are zeroed and flagged instead of
-    divided. An all-erased symbol raises FrameLostError. Rows with a
+    divided. Returns the equalized row and the erasure mask. Rows with a
     leading symbol axis are equalized symbol by symbol.
     """
     row = np.asarray(row, dtype=np.complex128)
@@ -230,8 +217,6 @@ def zf_equalize(row, estimate):
     if not np.all(np.isfinite(estimate.view(np.float64))):
         raise ValueError("channel estimate must be finite")
     erased = np.abs(estimate) < ZF_SINGULARITY_THRESHOLD
-    if np.any(np.all(erased, axis=-1)):
-        raise FrameLostError("all subcarriers erased by zero-forcing")
     out = np.divide(row, estimate, out=np.zeros_like(row), where=~erased)
     return out, erased
 
@@ -283,26 +268,24 @@ def receive_user(
     pilot_seed: int,
     sync_threshold: float = SYNC_DETECTION_THRESHOLD,
     cfo_error_hz: float = 0.0,
-    stage_truth=None,
 ) -> UserRxReport:
     """Full decode of one frame at one vehicle.
 
     Pipeline: cp_ml_sync -> correct_cfo -> one FFT of all symbol bodies
     -> ls_estimate_channel -> zf_equalize -> evm_snr -> sic_decode ->
     qam_demodulate; the stages from the FFT to the EVM take all of the
-    frame's symbols at once. Synchronization failure yields
-    detected=False with empty bits. ``cfo_error_hz`` adds a known error to the applied
+    frame's symbols at once. A sync peak below ``sync_threshold``, a frame
+    that runs past the buffer or a symbol that zero-forcing erases on
+    every subcarrier yields detected=False with empty bits; the report
+    keeps the sync peak. ``cfo_error_hz`` adds a known error to the applied
     correction (estimation-error injection for stress tests); the
-    reported CFO stays the estimator output. When ``stage_truth`` holds
-    the transmitted bits of the users cancelled ahead of this one, the
-    per-stage decision error counts are filled in.
+    reported CFO stays the estimator output.
     """
     if not 1 <= user <= alloc.n_users:
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
-    try:
-        sync = cp_ml_sync(rx, cfg, detection_threshold=sync_threshold)
-    except SyncFailure as failure:
-        return UserRxReport.lost(failure.metric_peak)
+    sync = cp_ml_sync(rx, cfg)
+    if sync.metric_peak < sync_threshold:
+        return UserRxReport.lost(sync.metric_peak)
 
     corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz)
     frame = corrected.samples[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
@@ -315,9 +298,8 @@ def receive_user(
         frame.reshape(cfg.symbols_per_frame, cfg.symbol_samples), cfg, cfg.cp_length
     )
     estimate = ls_estimate_channel(rows, mask, reference)
-    try:
-        equalized, _ = zf_equalize(rows, estimate)
-    except FrameLostError:
+    equalized, erased = zf_equalize(rows, estimate)
+    if np.any(np.all(erased, axis=-1)):
         return UserRxReport.lost(sync.metric_peak)
     snr_db = evm_snr(equalized[:, mask], reference)
     # erased subcarriers equalize to 0 and decide to a fixed bit pattern
@@ -326,25 +308,11 @@ def receive_user(
     own_symbols, stage_levels = sic_decode(
         data_symbols, alloc, user, cfg.modulation_order
     )
-    bits = qam_demodulate(own_symbols, cfg.modulation_order)
-
-    stage_errors = None
-    if stage_truth is not None:
-        truth = [np.asarray(t).ravel() for t in stage_truth]
-        if len(truth) != len(stage_levels):
-            raise ValueError(
-                f"stage_truth must hold {len(stage_levels)} bit blocks, got {len(truth)}"
-            )
-        stage_errors = tuple(
-            int(np.sum(_levels_to_bits(levels, cfg.modulation_order) != sent))
-            for levels, sent in zip(stage_levels, truth)
-        )
-
     return UserRxReport(
-        bits=bits,
+        bits=qam_demodulate(own_symbols, cfg.modulation_order),
         estimated_snr_db=snr_db,
         estimated_cfo_hz=sync.fractional_cfo_hz,
         detected=True,
-        sic_stage_errors=stage_errors,
+        stage_levels=tuple(stage_levels),
         sync_metric=sync.metric_peak,
     )

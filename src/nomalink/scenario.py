@@ -107,6 +107,18 @@ class ScenarioConfig:
             raise ValueError("frame.symbols_per_frame must be >= 2 for cyclic-prefix sync")
         if self.frame.cp_length < 1:
             raise ValueError("frame.cp_length must be >= 1 for cyclic-prefix sync")
+        # a later symbol boundary matches the prefix as well as the frame start
+        if self.channel.delay_samples >= self.frame.symbol_samples:
+            raise ValueError(
+                f"channel.delay_samples ({self.channel.delay_samples}) must be below one"
+                f" symbol period, frame.symbol_samples = {self.frame.symbol_samples}"
+            )
+        if self.frame.pilot_subcarriers < 2:
+            raise ValueError("frame.pilot_subcarriers must be >= 2 for the pilot regression")
+        if not self.frame.carrier_frequency > 0:
+            raise ValueError(
+                f"frame.carrier_frequency must be positive, got {self.frame.carrier_frequency}"
+            )
         users = tuple(
             u if isinstance(u, UserPath) else UserPath(*u) for u in self.users
         )
@@ -117,7 +129,18 @@ class ScenarioConfig:
         if any(a <= b for a, b in zip(starts, starts[1:])):
             raise ValueError("users must be ordered far to near at the start line")
         if any(a <= b for a, b in zip(ends, ends[1:])):
-            raise ValueError("user distance ordering must hold at the end line")
+            raise ValueError("users must be ordered far to near at the end line")
+        # the channel scales each user by this path gain, which changes monotonically
+        # between the start and end distance
+        with np.errstate(over="ignore", under="ignore"):
+            gains = (self.channel.reference_distance / np.array(starts + ends)) ** (
+                self.channel.path_loss_exponent
+            )
+        if not np.all(np.isfinite(gains) & (gains > 0)):
+            raise ValueError(
+                "channel.path_loss_exponent gives a path gain that is zero or infinite"
+                " at some user's start or end distance"
+            )
         if self.power_policy not in ("fixed", "distance-squared"):
             raise ValueError(f"unknown power_policy {self.power_policy!r}")
         if self.power_policy == "fixed":
@@ -128,6 +151,11 @@ class ScenarioConfig:
             raise ValueError("stage durations must be positive")
         if self.total_duration <= self.stationary_duration:
             raise ValueError("total_duration must exceed the stationary stage")
+        if self.total_duration < self.frame.frame_duration:
+            raise ValueError(
+                f"timing.total_duration ({self.total_duration} s) must hold at least one"
+                f" frame of {self.frame.frame_duration} s"
+            )
         if self.speed < 0:
             raise ValueError("speed must be >= 0")
         # the CP sync resolves offsets within half a subcarrier spacing;
@@ -142,7 +170,8 @@ class ScenarioConfig:
             wander = " plus 4 x channel.cfo_jitter_hz"
         if not offset < half_spacing:
             raise ValueError(
-                f"channel.cfo_hz plus the Doppler shift at speed{wander} ({offset:.1f} Hz)"
+                f"channel.cfo_hz plus the Doppler shift at speed and"
+                f" frame.carrier_frequency{wander} ({offset:.1f} Hz)"
                 f" must be below half the subcarrier spacing ({half_spacing:.1f} Hz)"
             )
         for name in ("seed", "pilot_seed"):

@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from nomalink.channel import ChannelParams, generate_fading
+from nomalink.channel import ChannelParams, MobilityState, apply_channel, generate_fading
 from nomalink.cli import (
     SWEEP_COLUMNS,
     TIMESERIES_COLUMNS,
@@ -19,7 +19,9 @@ from nomalink.cli import (
     main,
 )
 from nomalink.frame_codec import FrameConfig
-from nomalink.scenario import ScenarioConfig
+from nomalink.noma import build_downlink_frame
+from nomalink.receiver import cp_ml_sync
+from nomalink.scenario import ScenarioConfig, resolve_allocation
 
 
 SHORT = {
@@ -125,6 +127,16 @@ class TestLoadConfig:
             ({"channel": {"cfo_hz": -970.0}}, "channel.cfo_hz"),
             ({"channel": {"cfo_hz": 960}}, "channel.cfo_jitter_hz"),
             ({"channel": {"cfo_hz": 100, "cfo_jitter_hz": 250}}, "channel.cfo_jitter_hz"),
+            ({"frame": {"pilot_subcarriers": 1}}, "frame.pilot_subcarriers"),
+            ({"frame": {"carrier_frequency": 0.0}}, "frame.carrier_frequency"),
+            ({"frame": {"carrier_frequency": -2.34e9}}, "frame.carrier_frequency"),
+            ({"frame": {"carrier_frequency": 3e11}}, "frame.carrier_frequency"),
+            ({"channel": {"path_loss_exponent": 1e6}}, "channel.path_loss_exponent"),
+            ({"channel": {"path_loss_exponent": -1e6}}, "channel.path_loss_exponent"),
+            ({"channel": {"delay_samples": 320}}, "channel.delay_samples"),
+            ({"channel": {"delay_samples": 640}}, "channel.delay_samples"),
+            ({"timing": {"stationary_duration": 0.001, "travel_duration": 0.001,
+                         "total_duration": 0.002}}, "timing.total_duration"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
@@ -132,6 +144,11 @@ class TestLoadConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=field):
             load_config(path)
+
+    def test_delay_up_to_one_symbol_period_loads(self, tmp_path):
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({"channel": {"delay_samples": 319}}))
+        assert load_config(path).channel.delay_samples == 319
 
     def test_infinite_anchor_snr_loads_as_noiseless(self, tmp_path):
         path = tmp_path / "quiet.json"
@@ -205,6 +222,108 @@ def test_load_returns_a_config_or_raises_value_error(tmp_path, raw):
         return
     path.write_text(json.dumps(config_to_dict(cfg)))
     assert load_config(path) == cfg
+
+
+# Fields whose values can load and still fail a run, drawn on both sides of
+# what a run takes. Timelines are 0.01-0.02 s (3-6 frames) or 0.5-4 ms,
+# around one 3.2 ms frame.
+_RUN_FIELDS = {
+    "frame.pilot_subcarriers": st.integers(0, 140),
+    "frame.carrier_frequency": st.sampled_from([-2.34e9, 0.0, 2.34e9])
+    | st.floats(-1e10, 4e11),
+    "frame.modulation_order": st.sampled_from([2, 4, 8, 16, 64, 256]),
+    "channel.path_loss_exponent": st.sampled_from([0.0, 1e6, -1e6])
+    | st.floats(-60.0, 60.0),
+    "channel.delay_samples": st.integers(0, 700),
+    "timing.total_duration": st.floats(0.01, 0.02) | st.floats(0.0005, 0.004),
+    "sync_threshold": st.floats(-0.5, 1.5),
+    # six distinct distances, far to near: three vehicles that keep their order
+    "users": st.lists(st.floats(0.05, 10.0), min_size=6, max_size=6, unique=True)
+    .map(lambda d: sorted(d, reverse=True))
+    .map(lambda d: [[d[0], d[3]], [d[1], d[4]], [d[2], d[5]]])
+    | st.lists(st.lists(st.floats(0.05, 10.0), min_size=2, max_size=2), min_size=3, max_size=3),
+}
+
+
+def _run_config(**fields):
+    """A config file's mapping: the given fields, keyed by their dotted names,
+    on a timeline whose stages each take half of it."""
+    total = fields.pop("timing.total_duration", 0.015)
+    raw = {"timing": {"stationary_duration": total / 2, "travel_duration": total / 2,
+                      "total_duration": total}}
+    for name, value in fields.items():
+        block, _, key = name.rpartition(".")
+        (raw.setdefault(block, {}) if block else raw)[key] = value
+    return raw
+
+
+@st.composite
+def _run_configs(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_RUN_FIELDS)), max_size=4, unique=True))
+    return _run_config(**{name: draw(_RUN_FIELDS[name]) for name in names})
+
+
+def _field_names(raw):
+    """What an error message may call a field set in ``raw``: its name, or
+    the block that holds it."""
+    names = set()
+    for name, value in raw.items():
+        names |= {f"config field '{name}'", *value} if isinstance(value, dict) else {name}
+    return names
+
+
+def _sync_offsets(cfg, frames=8):
+    """CP sync's timing estimates on noiseless line-of-sight frames of the
+    config, delayed as its channel delays them."""
+    los = ChannelParams(rician_k=np.inf, delay_samples=cfg.channel.delay_samples)
+    offsets = set()
+    for seed in range(frames):
+        payloads = np.random.default_rng(seed).integers(
+            0, 2, (cfg.n_users, cfg.frame.payload_bits)
+        )
+        tx = build_downlink_frame(
+            list(payloads), cfg.frame, resolve_allocation(cfg), cfg.pilot_seed
+        )
+        rx, _ = apply_channel(tx, los, MobilityState.static(1.0), seed=seed)
+        offsets.add(cp_ml_sync(rx, cfg.frame).timing_offset)
+    return offsets
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=_run_configs())
+@example(raw=_run_config(**{"frame.pilot_subcarriers": 1}))
+@example(raw=_run_config(**{"frame.carrier_frequency": -2.34e9}))
+@example(raw=_run_config(**{"channel.path_loss_exponent": 1e6, "timing.total_duration": 0.02}))
+@example(raw=_run_config(**{"channel.path_loss_exponent": -1e6}))
+@example(raw=_run_config(**{"channel.delay_samples": 320}))
+@example(raw=_run_config(**{"timing.total_duration": 0.002}))
+def test_config_is_rejected_at_load_or_runs_to_the_end(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    try:
+        cfg = load_config(path)
+    except ValueError as exc:
+        assert any(name in str(exc) for name in _field_names(raw)), str(exc)
+        return
+    # timing acquisition finds the frame start at every delay that loads
+    assert _sync_offsets(cfg) == {cfg.channel.delay_samples}
+    execute("run-scenario", cfg, tmp_path / "out")
+    lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
+    frames = int(np.floor(cfg.total_duration / cfg.frame.frame_duration))
+    assert len(lines) - 1 == frames * cfg.frame.symbols_per_frame * cfg.n_users > 0
+    rows = dict(zip(lines[0].split(","), np.loadtxt(lines[1:], delimiter=",", ndmin=2).T))
+    for flag in ("detected", "outage"):
+        assert set(np.unique(rows[flag])) <= {0.0, 1.0}
+    detected = rows["detected"] == 1.0
+    assert np.all(np.isfinite(rows["est_snr_db"][detected]))
+    assert np.all(np.isfinite(rows["est_cfo_hz"][detected]))
+    assert np.all((rows["ber"] >= 0.0) & (rows["ber"] <= 1.0))
 
 
 class TestRunScenarioCommand:

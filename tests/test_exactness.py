@@ -37,7 +37,12 @@ from nomalink.noma import (
     composite_pilot_values,
     sic_decode,
 )
-from nomalink.receiver import SyncFailure, cp_ml_sync, evm_snr, zf_equalize
+from nomalink.receiver import (
+    SYNC_DETECTION_THRESHOLD,
+    cp_ml_sync,
+    evm_snr,
+    zf_equalize,
+)
 
 CFG = FrameConfig()
 ALLOC = PowerAllocation.testbed_default()
@@ -215,14 +220,11 @@ def _sync_buffers():
 def test_cp_sync_matches_the_per_offset_loop(buffer):
     n_sym = min(CFG.symbols_per_frame, buffer.size // CFG.symbol_samples)
     assert buffer.size - n_sym * CFG.symbol_samples > 0  # several timing candidates
-    expected = _reference_cp_ml_sync(buffer, CFG)
-    wave = ComplexWaveform(buffer, CFG.sample_rate)
-    if expected is None:
-        with pytest.raises(SyncFailure):
-            cp_ml_sync(wave, CFG)
-        return
-    got = cp_ml_sync(wave, CFG)
+    expected = _reference_cp_ml_sync(buffer, CFG, detection_threshold=0.0)
+    got = cp_ml_sync(ComplexWaveform(buffer, CFG.sample_rate), CFG)
     assert (got.timing_offset, got.fractional_cfo_hz.hex(), got.metric_peak.hex()) == expected
+    lost = _reference_cp_ml_sync(buffer, CFG) is None
+    assert (got.metric_peak < SYNC_DETECTION_THRESHOLD) == lost
 
 
 def _sync_edge_buffers():
@@ -252,17 +254,12 @@ def _sync_edge_buffers():
 
 @pytest.mark.parametrize("cfg, buffer", list(_sync_edge_buffers()))
 def test_cp_sync_edge_cases_match_the_per_offset_loop(cfg, buffer):
-    wave = ComplexWaveform(buffer, cfg.sample_rate)
-    # at threshold 0 every estimate is returned, a zero metric included
+    # the reference at threshold 0 returns every estimate, a zero metric included
     expected = _reference_cp_ml_sync(buffer, cfg, detection_threshold=0.0)
-    got = cp_ml_sync(wave, cfg, detection_threshold=0.0)
+    got = cp_ml_sync(ComplexWaveform(buffer, cfg.sample_rate), cfg)
     assert (got.timing_offset, got.fractional_cfo_hz.hex(), got.metric_peak.hex()) == expected
-    if _reference_cp_ml_sync(buffer, cfg) is None:
-        with pytest.raises(SyncFailure) as lost:
-            cp_ml_sync(wave, cfg)
-        assert lost.value.metric_peak.hex() == expected[2]
-    else:
-        assert cp_ml_sync(wave, cfg) == got
+    lost = _reference_cp_ml_sync(buffer, cfg) is None
+    assert (got.metric_peak < SYNC_DETECTION_THRESHOLD) == lost
 
 
 def _reference_evm_snr(equalized_pilots, pilot_reference, cap_db=60.0):

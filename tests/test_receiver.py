@@ -7,13 +7,12 @@ from nomalink.channel import ChannelParams, MobilityState, apply_channel
 from nomalink.frame_codec import (
     ComplexWaveform,
     FrameConfig,
-    FrameLostError,
+    _levels_to_bits,
     pilot_mask,
 )
 from nomalink.noma import PowerAllocation, build_downlink_frame, composite_pilot_values
 from nomalink.receiver import (
     SYNC_DETECTION_THRESHOLD,
-    SyncFailure,
     correct_cfo,
     cp_ml_sync,
     evm_snr,
@@ -26,6 +25,14 @@ CFG = FrameConfig()
 SCS = CFG.subcarrier_spacing
 ALLOC = PowerAllocation.testbed_default()
 PILOT_SEED = 21
+
+
+def stage_errors(report, payloads):
+    """Bit errors of each SIC stage's decisions against the sent payloads."""
+    return tuple(
+        int(np.count_nonzero(_levels_to_bits(levels, CFG.modulation_order) != sent))
+        for levels, sent in zip(report.stage_levels, payloads, strict=True)
+    )
 
 
 def make_frame(seed, n_users=3):
@@ -61,11 +68,11 @@ class TestCpMlSync:
         assert truth.applied_cfo_hz == pytest.approx(injected)
         assert abs(sync.fractional_cfo_hz - injected) < 0.01 * injected
 
-    def test_noise_only_raises_sync_failure(self):
+    def test_noise_only_peaks_below_the_detection_threshold(self):
         rng = np.random.default_rng(4)
         noise = (rng.normal(size=3200) + 1j * rng.normal(size=3200)) / np.sqrt(2)
-        with pytest.raises(SyncFailure):
-            cp_ml_sync(ComplexWaveform(noise, CFG.sample_rate), CFG)
+        sync = cp_ml_sync(ComplexWaveform(noise, CFG.sample_rate), CFG)
+        assert sync.metric_peak < SYNC_DETECTION_THRESHOLD
 
     def test_requires_two_symbol_periods(self):
         with pytest.raises(ValueError):
@@ -163,8 +170,9 @@ class TestZfEqualize:
         assert np.allclose(np.delete(eq, 3), 1.0)
 
     def test_all_erased_is_symbol_loss(self):
-        with pytest.raises(FrameLostError):
-            zf_equalize(np.ones(4, dtype=complex), np.zeros(4, dtype=complex))
+        eq, erased = zf_equalize(np.ones(4, dtype=complex), np.zeros(4, dtype=complex))
+        assert erased.all()
+        assert np.array_equal(eq, np.zeros(4, dtype=complex))
 
     def test_post_equalization_evm_at_20db(self):
         # Monte Carlo: unit-magnitude random-phase channel, 20 dB noise;
@@ -271,18 +279,24 @@ class TestReceiveUser:
         assert not report.detected
         assert np.isfinite(report.sync_metric)
         assert 0.0 < report.sync_metric < SYNC_DETECTION_THRESHOLD
-        with pytest.raises(SyncFailure) as lost:
-            cp_ml_sync(rx, CFG)
-        assert report.sync_metric == lost.value.metric_peak
+        assert report.sync_metric == cp_ml_sync(rx, CFG).metric_peak
 
-    def test_stage_truth_error_counts(self):
+    def test_all_erased_frame_is_reported_lost(self):
+        # a silent frame passes a zero threshold, then every subcarrier erases
+        rx = ComplexWaveform(np.zeros(CFG.frame_samples, dtype=complex), CFG.sample_rate)
+        report = receive_user(rx, CFG, ALLOC, 2, PILOT_SEED, sync_threshold=0.0)
+        assert not report.detected
+        assert report.sync_metric == 0.0
+        assert report.bits.size == 0
+        assert report.stage_levels == ()
+
+    def test_stage_levels_count_no_errors_on_a_clean_channel(self):
         payloads, tx = make_frame(17)
         params = ChannelParams(rician_k=np.inf)
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=18)
-        report = receive_user(
-            rx, CFG, ALLOC, 3, PILOT_SEED, stage_truth=payloads[:2]
-        )
-        assert report.sic_stage_errors == (0, 0)
+        report = receive_user(rx, CFG, ALLOC, 3, PILOT_SEED)
+        assert [levels.shape for levels in report.stage_levels] == [(625, 2), (625, 2)]
+        assert stage_errors(report, payloads[:2]) == (0, 0)
 
     def test_cfo_estimator_unbiased_at_30db(self):
         # mean estimation error over 1000 noisy frames below 1% of the
@@ -326,10 +340,8 @@ class TestReceiveUser:
         for f in range(40):
             payloads, tx = make_frame(4000 + f)
             rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[22, f])
-            report = receive_user(
-                rx, CFG, ALLOC, 3, PILOT_SEED, stage_truth=payloads[:2]
-            )
-            if not report.detected or report.sic_stage_errors == (0, 0):
+            report = receive_user(rx, CFG, ALLOC, 3, PILOT_SEED)
+            if not report.detected or stage_errors(report, payloads[:2]) == (0, 0):
                 continue
             extra.append(np.count_nonzero(report.bits != payloads[2]))
         assert len(extra) > 0
