@@ -15,7 +15,6 @@ from .channel import (
 from .frame_codec import (
     ComplexWaveform,
     FrameConfig,
-    FrameLostError,
     assemble_frame,
     disassemble_symbol,
     qam_demodulate,
@@ -61,7 +60,6 @@ __all__ = [
     "generate_fading",
     "ComplexWaveform",
     "FrameConfig",
-    "FrameLostError",
     "assemble_frame",
     "disassemble_symbol",
     "qam_demodulate",

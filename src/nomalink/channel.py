@@ -11,7 +11,7 @@ and the parameter driving them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "ChannelParams",
     "MobilityState",
     "ChannelRealization",
-    "EstimationError",
     "doppler_shift",
     "generate_fading",
     "apply_channel",
@@ -30,10 +29,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
-
-
-class EstimationError(RuntimeError):
-    """Raised when a statistical estimate cannot be formed from the input."""
 
 
 @dataclass(frozen=True)
@@ -99,9 +94,10 @@ class MobilityState:
 
     start_distance: float
     end_distance: float | None = None
-    stationary_end: float = 2.165
-    mobile_end: float = 5.74
-    speed: float = 0.876
+    _: KW_ONLY
+    stationary_end: float
+    mobile_end: float
+    speed: float
 
     def __post_init__(self) -> None:
         if self.end_distance is None:
@@ -213,16 +209,17 @@ def _diffuse_gain_sampled(angles, phases, doppler_hz: float, tau) -> np.ndarray:
     angles = np.broadcast_to(angles, (rows, angles.shape[-1]))
     phases = np.broadcast_to(phases, angles.shape)
     span = np.ptp(tau, axis=1)
-    n_knots = np.ceil(2.0 * np.pi * doppler_hz * span / _KNOT_PHASE_STEP).astype(int) + 2
+    # a row that needs a knot per sample gets one: np.interp returns knot values exactly
+    n_knots = np.minimum(
+        np.ceil(2.0 * np.pi * doppler_hz * span / _KNOT_PHASE_STEP).astype(int) + 2, n
+    )
     out = np.empty(tau.shape, dtype=np.complex128)
 
     flat = (span == 0.0) | (doppler_hz == 0.0)
     if flat.any():
         out[flat] = _diffuse_gain(angles[flat], phases[flat], doppler_hz, tau[flat, :1])
-    for r in np.flatnonzero(~flat & (n_knots >= n)):
-        out[r] = _diffuse_gain(angles[r], phases[r], doppler_hz, tau[r])
     sample = np.arange(n)
-    for count in np.unique(n_knots[~flat & (n_knots < n)]):
+    for count in np.unique(n_knots[~flat]):
         sel = np.flatnonzero(~flat & (n_knots == count))
         idx = np.unique(np.linspace(0, n - 1, count).round().astype(int))
         at_knots = np.ascontiguousarray(tau[sel][:, idx])
@@ -400,7 +397,7 @@ def estimate_k_factor(envelope_samples) -> tuple[float, float, float]:
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise ValueError("envelope samples must be finite and non-negative")
     if np.ptp(x) == 0.0:
-        raise EstimationError("degenerate envelope: all samples equal")
+        raise ValueError("degenerate envelope: all samples equal")
 
     counts, edges = np.histogram(x, bins=4096)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "FrameConfig",
     "ComplexWaveform",
-    "FrameLostError",
     "qam_modulate",
     "qam_demodulate",
     "assemble_frame",
@@ -27,10 +26,6 @@ __all__ = [
     "pilot_mask",
     "pilot_values",
 ]
-
-
-class FrameLostError(RuntimeError):
-    """A frame or OFDM symbol could not be recovered from the samples."""
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -43,9 +38,8 @@ class FrameConfig:
 
     Defaults describe the 3-vehicle downlink testbed: 125 data + 25 pilot
     subcarriers per symbol, 5 symbols per frame, 4QAM, 64-sample cyclic
-    prefix, 500 kS/s complex baseband at a 2.34 GHz carrier. The nominal
-    RF bandwidth is carried as metadata only; all timing derives from
-    ``sample_rate``.
+    prefix, 500 kS/s complex baseband at a 2.34 GHz carrier. All timing
+    derives from ``sample_rate``.
     """
 
     data_subcarriers: int = 125
@@ -56,7 +50,6 @@ class FrameConfig:
     modulation_order: int = 4
     sample_rate: float = 5.0e5
     carrier_frequency: float = 2.34e9
-    bandwidth: float = 8.0e5
 
     def __post_init__(self) -> None:
         if self.data_subcarriers <= 0 or self.pilot_subcarriers <= 0:
@@ -222,18 +215,10 @@ def _check_order(order: int) -> None:
         raise ValueError("order must be a power of 4 (square QAM)")
 
 
-def _levels_to_symbols(idx: np.ndarray, order: int) -> np.ndarray:
-    """Constellation points of (n, 2) in-phase and quadrature level indices."""
-    levels = int(np.sqrt(order))
-    amp = (levels - 1) - 2.0 * idx
-    return (amp[:, 0] + 1j * amp[:, 1]) / _axis_norm(order)
-
-
 @lru_cache(maxsize=8)
 def _axis_levels(order: int) -> np.ndarray:
-    """Axis value of each level index, rounded as ``_levels_to_symbols``
-    rounds it: numpy divides a complex number by a real one as a product
-    with the reciprocal."""
+    """Unit-energy axis value of each level index, the one table that
+    modulation and SIC cancellation read."""
     levels = int(np.sqrt(order))
     return _frozen(((levels - 1) - 2.0 * np.arange(levels)) * (1.0 / _axis_norm(order)))
 
@@ -273,7 +258,8 @@ def qam_modulate(bits, order: int = 4) -> np.ndarray:
 
     p = _axis_bits(order)
     weights = 1 << np.arange(p - 1, -1, -1)
-    return _levels_to_symbols(_gray_decode(bits.reshape(-1, 2, p) @ weights, p), order)
+    idx = _gray_decode(bits.reshape(-1, 2, p) @ weights, p)
+    return _axis_levels(order)[idx].view(np.complex128).reshape(-1)
 
 
 def qam_demodulate(symbols, order: int = 4) -> np.ndarray:
@@ -330,7 +316,7 @@ def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.n
         samples = samples.samples
     samples = np.asarray(samples, dtype=np.complex128)
     if symbol_start < 0 or samples.shape[-1] - symbol_start < cfg.fft_size:
-        raise FrameLostError(
+        raise ValueError(
             f"segment too short: need {cfg.fft_size} samples at offset {symbol_start}"
         )
     body = samples[..., symbol_start : symbol_start + cfg.fft_size]

@@ -5,10 +5,12 @@ maximum-likelihood time/frequency synchronization, frequency correction,
 per-symbol FFT demapping, least-squares channel estimation by linear
 regression over the pilots, zero-forcing equalization, pilot-EVM SNR
 estimation, and successive interference cancellation down to the user's
-own bits. Each stage returns its estimate, however poor: ``receive_user``
+own bits. A bad argument, such as a buffer shorter than one frame, is a
+``ValueError`` raised before any work. A channel outcome is a value:
+each stage returns its estimate, however poor, and ``receive_user``
 reports a frame undetected when its sync metric falls below the
-detection threshold or zero-forcing erases a whole symbol, and the
-scenario layer assigns it BER 1.
+detection threshold or zero-forcing erases a whole symbol; the scenario
+layer assigns it BER 1.
 """
 
 from __future__ import annotations
@@ -274,23 +276,26 @@ def receive_user(
     Pipeline: cp_ml_sync -> correct_cfo -> one FFT of all symbol bodies
     -> ls_estimate_channel -> zf_equalize -> evm_snr -> sic_decode ->
     qam_demodulate; the stages from the FFT to the EVM take all of the
-    frame's symbols at once. A sync peak below ``sync_threshold``, a frame
-    that runs past the buffer or a symbol that zero-forcing erases on
-    every subcarrier yields detected=False with empty bits; the report
-    keeps the sync peak. ``cfo_error_hz`` adds a known error to the applied
-    correction (estimation-error injection for stress tests); the
+    frame's symbols at once. A buffer shorter than one frame is a
+    ValueError; sync never places a frame past the end of a longer one. A
+    sync peak below ``sync_threshold`` or a symbol that zero-forcing
+    erases on every subcarrier yields detected=False with empty bits; the
+    report keeps the sync peak. ``cfo_error_hz`` adds a known error to the
+    applied correction (estimation-error injection for stress tests); the
     reported CFO stays the estimator output.
     """
     if not 1 <= user <= alloc.n_users:
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
+    if len(rx) < cfg.frame_samples:
+        raise ValueError(
+            f"buffer of {len(rx)} samples is shorter than one frame of {cfg.frame_samples}"
+        )
     sync = cp_ml_sync(rx, cfg)
     if sync.metric_peak < sync_threshold:
         return UserRxReport.lost(sync.metric_peak)
 
     corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz)
     frame = corrected.samples[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
-    if frame.size < cfg.frame_samples:  # the last symbol runs past the buffer
-        return UserRxReport.lost(sync.metric_peak)
     mask = pilot_mask(cfg)
     reference = composite_pilot_values(cfg, alloc, pilot_seed)
 

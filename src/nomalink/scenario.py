@@ -24,7 +24,7 @@ from .noma import (
     build_downlink_frame,
     composite_pilot_values,
 )
-from .receiver import receive_user
+from .receiver import SYNC_DETECTION_THRESHOLD, receive_user
 
 __all__ = [
     "UserPath",
@@ -82,9 +82,7 @@ class ScenarioConfig:
 
     frame: FrameConfig = field(default_factory=FrameConfig)
     channel: ChannelParams = field(
-        default_factory=lambda: ChannelParams(
-            rician_k=10.92, cfo_hz=100.0, cfo_jitter_hz=55.0
-        )
+        default_factory=lambda: ChannelParams(cfo_hz=100.0, cfo_jitter_hz=55.0)
     )
     users: tuple[UserPath, ...] = tuple(UserPath(*p) for p in DEFAULT_USER_PATHS)
     power_policy: str = "fixed"
@@ -95,7 +93,7 @@ class ScenarioConfig:
     speed: float = 0.876
     anchor_snr_db: float = 23.5
     outage_threshold_db: float = 10.0
-    sync_threshold: float = 0.5
+    sync_threshold: float = SYNC_DETECTION_THRESHOLD
     pilot_seed: int = 295
     seed: int = 10
 
@@ -107,11 +105,12 @@ class ScenarioConfig:
             raise ValueError("frame.symbols_per_frame must be >= 2 for cyclic-prefix sync")
         if self.frame.cp_length < 1:
             raise ValueError("frame.cp_length must be >= 1 for cyclic-prefix sync")
-        # a later symbol boundary matches the prefix as well as the frame start
-        if self.channel.delay_samples >= self.frame.symbol_samples:
+        # a timing candidate more than fft_size samples early lays its prefix
+        # windows over the previous symbol's prefix and can outscore the frame
+        if self.channel.delay_samples > self.frame.fft_size:
             raise ValueError(
-                f"channel.delay_samples ({self.channel.delay_samples}) must be below one"
-                f" symbol period, frame.symbol_samples = {self.frame.symbol_samples}"
+                f"channel.delay_samples ({self.channel.delay_samples}) must be at most"
+                f" frame.fft_size ({self.frame.fft_size})"
             )
         if self.frame.pilot_subcarriers < 2:
             raise ValueError("frame.pilot_subcarriers must be >= 2 for the pilot regression")

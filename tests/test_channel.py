@@ -6,7 +6,6 @@ from scipy import signal, stats
 
 from nomalink.channel import (
     ChannelParams,
-    EstimationError,
     MobilityState,
     apply_channel,
     doppler_shift,
@@ -118,7 +117,7 @@ class TestMobilityState:
 
     def test_rejects_bad_distances(self):
         with pytest.raises(ValueError):
-            MobilityState(-1.0)
+            MobilityState(-1.0, stationary_end=2.165, mobile_end=5.745, speed=0.876)
 
 
 def _unit_frame(n=1600, fs=5e5, seed=0):
@@ -281,7 +280,7 @@ class TestKFactorEstimation:
         assert abs(k_large - 10.92) < abs(k_small - 10.92)
 
     def test_degenerate_samples_fail(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(ValueError, match="degenerate"):
             estimate_k_factor(np.ones(5000))
 
     def test_requires_enough_samples(self):

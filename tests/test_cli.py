@@ -40,7 +40,6 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.power_coefficients == (0.761, 0.191, 0.048)
         assert cfg.frame.carrier_frequency == 2.34e9
-        assert cfg.frame.bandwidth == 8.0e5
         assert cfg.frame.sample_rate == 5.0e5
         assert cfg.speed == 0.876
         assert cfg.stationary_duration == 2.165
@@ -137,6 +136,9 @@ class TestLoadConfig:
             ({"channel": {"delay_samples": 640}}, "channel.delay_samples"),
             ({"timing": {"stationary_duration": 0.001, "travel_duration": 0.001,
                          "total_duration": 0.002}}, "timing.total_duration"),
+            ({"channel": {"delay_samples": 257}}, "channel.delay_samples"),
+            ({"channel": {"delay_samples": 319}}, "channel.delay_samples"),
+            ({"frame": {"bandwidth": 8.0e5}}, "frame.bandwidth"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
@@ -145,10 +147,10 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=field):
             load_config(path)
 
-    def test_delay_up_to_one_symbol_period_loads(self, tmp_path):
+    def test_delay_up_to_fft_size_loads(self, tmp_path):
         path = tmp_path / "late.json"
-        path.write_text(json.dumps({"channel": {"delay_samples": 319}}))
-        assert load_config(path).channel.delay_samples == 319
+        path.write_text(json.dumps({"channel": {"delay_samples": 256}}))
+        assert load_config(path).channel.delay_samples == 256
 
     def test_infinite_anchor_snr_loads_as_noiseless(self, tmp_path):
         path = tmp_path / "quiet.json"
@@ -302,6 +304,7 @@ def _sync_offsets(cfg, frames=8):
 @example(raw=_run_config(**{"channel.path_loss_exponent": 1e6, "timing.total_duration": 0.02}))
 @example(raw=_run_config(**{"channel.path_loss_exponent": -1e6}))
 @example(raw=_run_config(**{"channel.delay_samples": 320}))
+@example(raw=_run_config(**{"channel.delay_samples": 319}))
 @example(raw=_run_config(**{"timing.total_duration": 0.002}))
 def test_config_is_rejected_at_load_or_runs_to_the_end(tmp_path, raw):
     path = tmp_path / "cfg.json"
@@ -495,6 +498,15 @@ class TestMainEntry:
         code = main(["sweep-ber", "--snr-grid", "-5,nan", "--out", str(tmp_path)])
         assert code == 1
         assert "snr_grid" in capsys.readouterr().err
+
+    def test_constant_envelope_exits_nonzero_with_one_error_line(self, tmp_path, capsys):
+        flat = tmp_path / "flat.npy"
+        np.save(flat, np.ones(5000))
+        code = main(["estimate-k", "--input", str(flat), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: degenerate envelope: all samples equal"]
+        assert "Traceback" not in err
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

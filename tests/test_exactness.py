@@ -1,11 +1,12 @@
 """Trimmed per-frame stages against the code they replaced, bit for bit.
 
-QAM decisions, SIC remodulation (now a per-level lookup), the CP
-correlation and its accumulation over symbols, zero-forcing, the pilot
-EVM, the channel's noise addition and the transmit chain's subcarrier
-mapping were rewritten to do less array work per frame. Each test keeps
-the replaced code here as the reference and compares raw bytes, so even
-a changed sign of zero fails.
+QAM decisions and modulation (now a level-table lookup), SIC
+remodulation (a per-level lookup), the CP correlation and its
+accumulation over symbols, zero-forcing, the pilot EVM, the channel's
+noise addition, the sampled fading of short rows and the transmit
+chain's subcarrier mapping were rewritten to do less array work per
+frame. Each test keeps the replaced code here as the reference and
+compares raw bytes, so even a changed sign of zero fails.
 """
 
 from dataclasses import replace
@@ -17,7 +18,10 @@ from nomalink.channel import (
     ChannelParams,
     MobilityState,
     _block_wander,
+    _diffuse_gain,
+    _diffuse_gain_sampled,
     _noise_seed,
+    _sos_parameters,
     apply_channel,
 )
 from nomalink.frame_codec import (
@@ -121,7 +125,7 @@ def _hard_axis_values(order, rng):
     return np.concatenate([near, special, rng.normal(0.0, 1.0, 200)])
 
 
-@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("order", [4, 16, 64, 256, 1024])
 def test_qam_decisions_and_sic_match_the_bit_round_trip(order):
     rng = np.random.default_rng(order)
     axis = _hard_axis_values(order, rng)
@@ -348,3 +352,16 @@ def test_noisy_channel_block_matches_complex_noise_sum(params, per_frame_seeds):
         w = draws.normal(0.0, np.sqrt(truth.noise_power[f] / 2.0), (n, 2))
         expected = noiseless.samples[f] + w[:, 0] + 1j * w[:, 1]
         assert _same_bytes(rx.samples[f], expected), f"frame {f}"
+
+
+@pytest.mark.parametrize("n, spacing_s", [(4, 1e-4), (4, 2e-6), (40, 5e-4)])
+def test_rows_with_a_knot_per_sample_equal_the_direct_sum(n, spacing_s):
+    # at 2 kHz each of these rows needs at least as many knots as samples
+    rng = np.random.default_rng(n)
+    rows = 6
+    drawn = [_sos_parameters(np.random.default_rng([5, r]), 64) for r in range(rows)]
+    angles, phases = (np.stack(v) for v in zip(*drawn))
+    tau = rng.uniform(0.0, 2.0, (rows, 1)) + np.arange(n) * spacing_s
+    out = _diffuse_gain_sampled(angles, phases, 2000.0, tau)
+    for r in range(rows):
+        assert _same_bytes(out[r], _diffuse_gain(angles[r], phases[r], 2000.0, tau[r])), r

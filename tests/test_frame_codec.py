@@ -6,7 +6,6 @@ import pytest
 from nomalink.frame_codec import (
     ComplexWaveform,
     FrameConfig,
-    FrameLostError,
     assemble_frame,
     disassemble_symbol,
     occupied_bins,
@@ -223,8 +222,8 @@ class TestDisassembleSymbol:
         sent = bits[2 * 250 : 3 * 250]
         assert np.count_nonzero(recovered != sent) > 0
 
-    def test_short_segment_is_frame_loss(self, cfg):
-        with pytest.raises(FrameLostError):
+    def test_short_segment_is_rejected(self, cfg):
+        with pytest.raises(ValueError, match="segment too short"):
             disassemble_symbol(np.zeros(100, dtype=complex), cfg, 0)
 
     def test_full_roundtrip_bits(self, cfg):

@@ -281,6 +281,20 @@ class TestReceiveUser:
         assert 0.0 < report.sync_metric < SYNC_DETECTION_THRESHOLD
         assert report.sync_metric == cp_ml_sync(rx, CFG).metric_peak
 
+    def test_buffer_shorter_than_a_frame_is_rejected(self):
+        payloads, tx = make_frame(25)
+        params = ChannelParams(rician_k=np.inf)
+        rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=26)
+        assert len(rx) == CFG.frame_samples
+        for k in (1, 2, 3):
+            report = receive_user(rx, CFG, ALLOC, k, PILOT_SEED)
+            assert report.detected
+            assert np.count_nonzero(report.bits != payloads[k - 1]) == 0
+        short = ComplexWaveform(rx.samples[:-1], CFG.sample_rate)
+        need = f"{CFG.frame_samples - 1} samples.*{CFG.frame_samples}"
+        with pytest.raises(ValueError, match=need):
+            receive_user(short, CFG, ALLOC, 1, PILOT_SEED, sync_threshold=0.0)
+
     def test_all_erased_frame_is_reported_lost(self):
         # a silent frame passes a zero threshold, then every subcarrier erases
         rx = ComplexWaveform(np.zeros(CFG.frame_samples, dtype=complex), CFG.sample_rate)
