@@ -43,7 +43,6 @@ from .scenario import (
     ScenarioConfig,
     UserPath,
     compute_ber,
-    count_outages,
     run_v2x_scenario,
     snr_histogram,
     sweep_ber_vs_snr,
@@ -82,7 +81,6 @@ __all__ = [
     "ScenarioConfig",
     "UserPath",
     "compute_ber",
-    "count_outages",
     "run_v2x_scenario",
     "snr_histogram",
     "sweep_ber_vs_snr",

@@ -63,10 +63,12 @@ class ChannelParams:
             raise ValueError("rician_k must be >= 0")
         if self.doppler_hz < 0:
             raise ValueError("doppler_hz must be >= 0")
-        if self.cfo_jitter_hz < 0 or self.cfo_jitter_tau_s <= 0:
-            raise ValueError("invalid cfo jitter parameters")
+        if self.cfo_jitter_hz < 0:
+            raise ValueError(f"cfo_jitter_hz must be >= 0, got {self.cfo_jitter_hz}")
+        if self.cfo_jitter_tau_s <= 0:
+            raise ValueError(f"cfo_jitter_tau_s must be positive, got {self.cfo_jitter_tau_s}")
         if self.target_snr_db is not None and self.noise_power_dbm is not None:
-            raise ValueError("set target_snr_db or noise_power_dbm, not both")
+            raise ValueError("target_snr_db and noise_power_dbm exclude each other: set one")
         # a NaN level would draw no noise at all, and an infinite noise
         # power cannot be drawn; +inf dB SNR and -inf dBm mean noiseless
         snr, floor = self.target_snr_db, self.noise_power_dbm

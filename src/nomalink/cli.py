@@ -32,6 +32,9 @@ from . import __version__
 from .channel import ChannelParams, estimate_k_factor
 from .frame_codec import FrameConfig
 from .scenario import (
+    MIN_BITS_PER_POINT,
+    _CONFIG_BLOCKS,
+    _CONFIG_PATHS,
     BerCurve,
     MetricsTimeSeries,
     ScenarioConfig,
@@ -71,13 +74,6 @@ class RunManifest:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-# The JSON layout that the flat fields of ScenarioConfig do not show: these
-# blocks group top-level fields, key -> field.
-_BLOCKS = {
-    "power": {"policy": "power_policy", "coefficients": "power_coefficients"},
-    "timing": {k: k for k in ("stationary_duration", "travel_duration", "total_duration")},
-}
-_IN_BLOCKS = {name for keys in _BLOCKS.values() for name in keys.values()}
 # Channel fields that every run sets itself, from speed and anchor_snr_db or
 # from the SNR grid; a config neither sets nor records them.
 _RUN_SET = {ChannelParams: ("doppler_hz", "target_snr_db", "noise_power_dbm")}
@@ -105,7 +101,7 @@ def _to_json(value):
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     flat = _to_json(cfg)
-    for block, keys in _BLOCKS.items():
+    for block, keys in _CONFIG_BLOCKS.items():
         flat[block] = {key: flat.pop(name) for key, name in keys.items()}
     return flat
 
@@ -162,18 +158,19 @@ def _load(default, entries, block: str = ""):
     except ValueError as exc:
         if not block:  # ScenarioConfig's own messages name their field
             raise
-        raise ValueError(f"config field {block!r}: {exc}") from exc
+        # a block's dataclass begins each message with the field it rejects
+        raise ValueError(f"config field {block!r}: {block}.{exc}") from exc
 
 
 def _build_config(raw: dict) -> ScenarioConfig:
     """Construct a validated ScenarioConfig from a parsed mapping."""
     entries = []  # (JSON name, field or None where unknown, value)
     for key, value in raw.items():
-        if key in _BLOCKS:
+        if key in _CONFIG_BLOCKS:
             sub = _expect(key, value, (dict,), "an object")
-            entries += [(f"{key}.{k}", _BLOCKS[key].get(k), v) for k, v in sub.items()]
+            entries += [(f"{key}.{k}", _CONFIG_BLOCKS[key].get(k), v) for k, v in sub.items()]
         else:  # a field that sits in a block is unknown at the top level
-            entries.append((key, None if key in _IN_BLOCKS else key, value))
+            entries.append((key, None if key in _CONFIG_PATHS else key, value))
     return _load(ScenarioConfig(), entries)
 
 
@@ -305,7 +302,7 @@ def execute(
     out_dir,
     fmt: str = "text",
     snr_grid=None,
-    min_bits: int = 100_000,
+    min_bits: int = MIN_BITS_PER_POINT,
     input_path=None,
 ) -> RunManifest:
     """Run one command and emit its outputs plus a manifest; returns it."""
@@ -393,7 +390,7 @@ def main(argv=None) -> int:
         )
         if name == "sweep-ber":
             p.add_argument("--snr-grid", type=_parse_grid, help="comma-separated dB values")
-            p.add_argument("--min-bits", type=int, default=100_000)
+            p.add_argument("--min-bits", type=int, default=MIN_BITS_PER_POINT)
         if name == "estimate-k":
             p.add_argument("--input", type=Path, help="envelope file (.npy or text)")
 
@@ -413,7 +410,7 @@ def main(argv=None) -> int:
             args.out,
             fmt=args.fmt,
             snr_grid=getattr(args, "snr_grid", None),
-            min_bits=getattr(args, "min_bits", 100_000),
+            min_bits=getattr(args, "min_bits", MIN_BITS_PER_POINT),
             input_path=getattr(args, "input", None),
         )
     except (ValueError, OSError, RuntimeError) as exc:

@@ -52,8 +52,9 @@ class FrameConfig:
     carrier_frequency: float = 2.34e9
 
     def __post_init__(self) -> None:
-        if self.data_subcarriers <= 0 or self.pilot_subcarriers <= 0:
-            raise ValueError("data_subcarriers and pilot_subcarriers must be positive")
+        for name in ("data_subcarriers", "pilot_subcarriers", "symbols_per_frame", "sample_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not _is_power_of_two(self.fft_size):
             raise ValueError("fft_size must be a power of two")
         # DC is nulled, so the occupied span needs fft_size > total.
@@ -64,13 +65,7 @@ class FrameConfig:
             )
         if not (0 <= self.cp_length <= self.fft_size):
             raise ValueError("cp_length must lie in [0, fft_size]")
-        order = self.modulation_order
-        if not _is_power_of_two(order) or int(log2(order)) % 2 != 0:
-            raise ValueError("modulation_order must be a power of 4 (square QAM)")
-        if self.symbols_per_frame <= 0:
-            raise ValueError("symbols_per_frame must be positive")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        _check_order(self.modulation_order, "modulation_order")
 
     @property
     def total_subcarriers(self) -> int:
@@ -132,8 +127,18 @@ class ComplexWaveform:
         return wave
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=64)
-def _occupied_bins_cached(cfg: FrameConfig) -> np.ndarray:
+def occupied_bins(cfg: FrameConfig) -> np.ndarray:
+    """FFT bin indices of the occupied subcarriers, in ascending frequency.
+
+    Subcarriers are centred around DC with the DC bin nulled: for N
+    occupied positions the offsets are -N//2..-1 and 1..ceil(N/2).
+    """
     total = cfg.total_subcarriers
     n_neg = total // 2
     n_pos = total - n_neg
@@ -141,37 +146,17 @@ def _occupied_bins_cached(cfg: FrameConfig) -> np.ndarray:
     return _frozen(offsets % cfg.fft_size)
 
 
-def occupied_bins(cfg: FrameConfig) -> np.ndarray:
-    """FFT bin indices of the occupied subcarriers, in ascending frequency.
-
-    Subcarriers are centred around DC with the DC bin nulled: for N
-    occupied positions the offsets are -N//2..-1 and 1..ceil(N/2).
-    """
-    return _occupied_bins_cached(cfg)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @lru_cache(maxsize=64)
-def _pilot_mask_cached(cfg: FrameConfig) -> np.ndarray:
-    stride = cfg.total_subcarriers // cfg.pilot_subcarriers
-    if stride < 1:
-        raise ValueError("more pilots than occupied subcarriers")
-    mask = np.zeros(cfg.total_subcarriers, dtype=bool)
-    mask[np.arange(cfg.pilot_subcarriers) * stride] = True
-    return _frozen(mask)
-
-
 def pilot_mask(cfg: FrameConfig) -> np.ndarray:
     """Boolean pilot mask over the occupied subcarriers (fixed per config).
 
     Pilots sit on every (total/pilots)-th occupied position starting at
     index 0, i.e. every 6th position for the 150/25 defaults.
     """
-    return _pilot_mask_cached(cfg)
+    stride = cfg.total_subcarriers // cfg.pilot_subcarriers
+    mask = np.zeros(cfg.total_subcarriers, dtype=bool)
+    mask[np.arange(cfg.pilot_subcarriers) * stride] = True
+    return _frozen(mask)
 
 
 @lru_cache(maxsize=256)
@@ -210,9 +195,9 @@ def _axis_norm(order: int) -> float:
     return np.sqrt(2.0 * (order - 1) / 3.0)
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int, name: str = "order") -> None:
     if not _is_power_of_two(order) or int(log2(order)) % 2 != 0:
-        raise ValueError("order must be a power of 4 (square QAM)")
+        raise ValueError(f"{name} must be a power of 4 (square QAM)")
 
 
 @lru_cache(maxsize=8)

@@ -20,6 +20,7 @@ from .frame_codec import (
     _axis_levels,
     _check_order,
     _decide_levels,
+    _frozen,
     assemble_frame,
     pilot_values,
 )
@@ -154,19 +155,12 @@ def user_pilot_seed(pilot_seed: int, user: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=256)
-def _composite_pilots_cached(
-    cfg: FrameConfig, alloc: PowerAllocation, pilot_seed: int
-) -> np.ndarray:
+def composite_pilot_values(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed: int) -> np.ndarray:
+    """Superposed pilot reference as seen on the air interface."""
     out = np.zeros(cfg.pilot_subcarriers, dtype=np.complex128)
     for k, amp in enumerate(alloc.amplitudes, start=1):
         out += amp * pilot_values(cfg, user_pilot_seed(pilot_seed, k))
-    out.flags.writeable = False
-    return out
-
-
-def composite_pilot_values(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed: int) -> np.ndarray:
-    """Superposed pilot reference as seen on the air interface."""
-    return _composite_pilots_cached(cfg, alloc, int(pilot_seed))
+    return _frozen(out)
 
 
 def build_downlink_frame(

@@ -25,6 +25,7 @@ import numpy as np
 from .frame_codec import (
     ComplexWaveform,
     FrameConfig,
+    _frozen,
     disassemble_symbol,
     pilot_mask,
     qam_demodulate,
@@ -179,7 +180,7 @@ def _pilot_line_cached(mask_bytes: bytes, reference_bytes: bytes) -> _PilotLine:
     conj_x = np.conj(x)
     conj_x_k = conj_x * k_pilot
     for arr in (k_pilot, k_all, conj_x, conj_x_k):
-        arr.flags.writeable = False
+        _frozen(arr)
     return _PilotLine(k_pilot, k_all, conj_x, conj_x_k, g00, g01, g11, det)
 
 
@@ -257,9 +258,7 @@ def evm_snr(equalized_pilots, pilot_reference):
 @lru_cache(maxsize=64)
 def _data_columns(cfg: FrameConfig) -> np.ndarray:
     """Indices of the data subcarriers among the occupied ones."""
-    columns = np.flatnonzero(~pilot_mask(cfg))
-    columns.flags.writeable = False
-    return columns
+    return _frozen(np.flatnonzero(~pilot_mask(cfg)))
 
 
 def receive_user(

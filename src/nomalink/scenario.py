@@ -4,9 +4,10 @@ The default scenario replays the three-vehicle downlink run: all
 vehicles hold still for the stationary stage, then approach the base
 station at constant speed until the run ends. Frames are streamed
 back-to-back at the sample rate; per OFDM symbol and user the estimated
-SNR, estimated CFO, BER, and outage flag are recorded. Frames whose
-synchronization fails are assigned BER 1 and counted separately, outside
-the averaged statistics.
+SNR, estimated CFO, BER, and outage flag are recorded. A frame is lost
+when its sync peak falls below the detection threshold or zero-forcing
+erases a whole symbol; lost frames are assigned BER 1 and counted
+separately, outside the averaged statistics.
 """
 
 from __future__ import annotations
@@ -33,13 +34,16 @@ __all__ = [
     "BerCurve",
     "StageHistogram",
     "compute_ber",
-    "count_outages",
     "snr_histogram",
     "run_v2x_scenario",
     "sweep_ber_vs_snr",
     "resolve_allocation",
     "calibrate_noise_floor",
+    "MIN_BITS_PER_POINT",
 ]
+
+# Smallest bit budget a sweep point may ask of each user
+MIN_BITS_PER_POINT = 100_000
 
 # Table of start/end base-station distances (m), far user first.
 DEFAULT_USER_PATHS = ((4.27, 1.25), (4.02, 1.12), (3.90, 0.57))
@@ -58,6 +62,14 @@ class UserPath:
         if self.start_distance <= self.end_distance:
             raise ValueError("vehicles approach the base station: start > end")
 
+
+# The blocks of a config file that group top-level fields, key -> field;
+# messages name a field by its path in the file
+_CONFIG_BLOCKS = {
+    "power": {"policy": "power_policy", "coefficients": "power_coefficients"},
+    "timing": {k: k for k in ("stationary_duration", "travel_duration", "total_duration")},
+}
+_CONFIG_PATHS = {f: f"{b}.{k}" for b, keys in _CONFIG_BLOCKS.items() for k, f in keys.items()}
 
 # +inf has a meaning here: a noiseless receiver, a pure line-of-sight channel
 _INF_ALLOWED = ("anchor_snr_db", "channel.rician_k")
@@ -99,7 +111,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require_finite(f.name, getattr(self, f.name))
+            _require_finite(_CONFIG_PATHS.get(f.name, f.name), getattr(self, f.name))
         # the receiver's cyclic-prefix sync correlates over two symbol periods
         if self.frame.symbols_per_frame < 2:
             raise ValueError("frame.symbols_per_frame must be >= 2 for cyclic-prefix sync")
@@ -122,7 +134,7 @@ class ScenarioConfig:
             u if isinstance(u, UserPath) else UserPath(*u) for u in self.users
         )
         if not users:
-            raise ValueError("at least one user is required")
+            raise ValueError("users must hold at least one vehicle")
         starts = [u.start_distance for u in users]
         ends = [u.end_distance for u in users]
         if any(a <= b for a, b in zip(starts, starts[1:])):
@@ -130,26 +142,36 @@ class ScenarioConfig:
         if any(a <= b for a, b in zip(ends, ends[1:])):
             raise ValueError("users must be ordered far to near at the end line")
         # the channel scales each user by this path gain, which changes monotonically
-        # between the start and end distance
+        # between the start and end distance. CP sync sums the received power over
+        # a frame and its delay: the sum stays inside the float range with a factor
+        # 100 to spare for fading peaks and noise
         with np.errstate(over="ignore", under="ignore"):
             gains = (self.channel.reference_distance / np.array(starts + ends)) ** (
                 self.channel.path_loss_exponent
             )
-        if not np.all(np.isfinite(gains) & (gains > 0)):
+        samples = self.frame.frame_samples + self.channel.delay_samples
+        gain_limit = np.finfo(float).max / (100.0 * samples)
+        if not np.all((gains > 0) & (gains < gain_limit)):
             raise ValueError(
-                "channel.path_loss_exponent gives a path gain that is zero or infinite"
+                "channel.path_loss_exponent gives a path gain that is zero, or above"
+                f" {gain_limit:.3g} for cyclic-prefix sync over {samples} samples,"
                 " at some user's start or end distance"
             )
         if self.power_policy not in ("fixed", "distance-squared"):
-            raise ValueError(f"unknown power_policy {self.power_policy!r}")
+            raise ValueError(f"unknown power.policy {self.power_policy!r}")
         if self.power_policy == "fixed":
             if len(self.power_coefficients) != len(users):
-                raise ValueError("power_coefficients must match the user count")
-            PowerAllocation(tuple(self.power_coefficients))  # eager validation
-        if self.stationary_duration < 0 or self.travel_duration <= 0:
-            raise ValueError("stage durations must be positive")
+                raise ValueError("power.coefficients must hold one value per user")
+            try:
+                PowerAllocation(tuple(self.power_coefficients))
+            except ValueError as exc:
+                raise ValueError(f"power.coefficients: {exc}") from exc
+        if self.stationary_duration < 0:
+            raise ValueError("timing.stationary_duration must be >= 0")
+        if self.travel_duration <= 0:
+            raise ValueError("timing.travel_duration must be positive")
         if self.total_duration <= self.stationary_duration:
-            raise ValueError("total_duration must exceed the stationary stage")
+            raise ValueError("timing.total_duration must exceed timing.stationary_duration")
         if self.total_duration < self.frame.frame_duration:
             raise ValueError(
                 f"timing.total_duration ({self.total_duration} s) must hold at least one"
@@ -240,15 +262,6 @@ def compute_ber(tx_bits, rx_bits, detected: bool) -> float:
     return float(np.count_nonzero(tx != rx)) / tx.size
 
 
-def count_outages(snr_series_db, threshold_db: float) -> tuple[int, float]:
-    """Symbols whose estimated SNR fell below the service threshold."""
-    snr = np.asarray(snr_series_db, dtype=float)
-    if snr.size == 0:
-        raise ValueError("empty SNR series")
-    count = int(np.count_nonzero(snr < threshold_db))
-    return count, count / snr.size
-
-
 @dataclass(frozen=True)
 class StageHistogram:
     """Occurrence counts of estimated SNR values within one test stage."""
@@ -304,9 +317,10 @@ def snr_histogram(
 class MetricsTimeSeries:
     """Per-symbol, per-user metric record of one scenario run.
 
-    Rows are ordered by (time, user). ``lost_frames`` counts frames whose
-    synchronization failed per user; their rows carry BER 1 and no SNR or
-    CFO estimate, and are excluded from averaged BER by the stage helpers.
+    Rows are ordered by (time, user). ``lost_frames`` counts each user's
+    lost frames, those with a low sync peak or an all-erased symbol; their
+    rows carry BER 1 and no SNR or CFO estimate, and are excluded from
+    averaged BER by the stage helpers.
     """
 
     time_s: np.ndarray
@@ -486,7 +500,7 @@ class BerCurve:
 
 
 def sweep_ber_vs_snr(
-    cfg: ScenarioConfig, snr_grid_db, min_bits_per_point: int = 100_000
+    cfg: ScenarioConfig, snr_grid_db, min_bits_per_point: int = MIN_BITS_PER_POINT
 ) -> BerCurve:
     """Monte Carlo BER curve under mobile-stage impairments.
 
@@ -498,8 +512,8 @@ def sweep_ber_vs_snr(
     in blocks no longer than the trials still certain to be needed, so
     the blocks run exactly the trials that one trial at a time would.
     """
-    if min_bits_per_point < 100_000:
-        raise ValueError("min_bits_per_point must be at least 1e5")
+    if min_bits_per_point < MIN_BITS_PER_POINT:
+        raise ValueError(f"min_bits_per_point must be at least {MIN_BITS_PER_POINT}")
     grid = np.sort(np.asarray(snr_grid_db, dtype=float))
     if grid.size == 0:
         raise ValueError("empty SNR grid")

@@ -1,6 +1,7 @@
 """Config ingestion, command execution, and output-file contracts."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from nomalink.cli import (
 from nomalink.frame_codec import FrameConfig
 from nomalink.noma import build_downlink_frame
 from nomalink.receiver import cp_ml_sync
-from nomalink.scenario import ScenarioConfig, resolve_allocation
+from nomalink.scenario import ScenarioConfig, resolve_allocation, run_v2x_scenario
 
 
 SHORT = {
@@ -31,6 +32,9 @@ SHORT = {
         "total_duration": 0.11,
     }
 }
+# vehicles near 10 m: path-loss exponents near -300 give path gains near the
+# top of the float range
+_FAR_USERS = [[9.9, 9.5], [9.8, 9.4], [9.7, 9.3]]
 
 
 class TestLoadConfig:
@@ -139,6 +143,21 @@ class TestLoadConfig:
             ({"channel": {"delay_samples": 257}}, "channel.delay_samples"),
             ({"channel": {"delay_samples": 319}}, "channel.delay_samples"),
             ({"frame": {"bandwidth": 8.0e5}}, "frame.bandwidth"),
+            ({"timing": {"travel_duration": 0.0}}, r"timing\.travel_duration"),
+            ({"timing": {"stationary_duration": -1.0}}, r"timing\.stationary_duration"),
+            ({"timing": {"stationary_duration": float("nan")}}, r"timing\.stationary_duration"),
+            ({"timing": {"total_duration": 2.0}}, r"timing\.total_duration"),
+            ({"channel": {"cfo_jitter_hz": -1.0}}, r"channel\.cfo_jitter_hz"),
+            ({"channel": {"cfo_jitter_tau_s": 0.0}}, r"channel\.cfo_jitter_tau_s"),
+            ({"users": []}, "^users"),
+            ({"power": {"policy": "equal"}}, r"power\.policy"),
+            ({"power": {"coefficients": [0.8, 0.2]}}, r"power\.coefficients"),
+            ({"power": {"coefficients": [0.7, 0.15, 0.05]}}, r"power\.coefficients"),
+            ({"power": {"coefficients": [float("nan"), 0.2, 0.1]}}, r"power\.coefficients\[0\]"),
+            ({"frame": {"data_subcarriers": 0}}, r"frame\.data_subcarriers"),
+            ({"frame": {"pilot_subcarriers": 0}}, r"frame\.pilot_subcarriers"),
+            ({"users": _FAR_USERS, "channel": {"path_loss_exponent": -307}},
+             r"channel\.path_loss_exponent"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
@@ -146,6 +165,18 @@ class TestLoadConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=field):
             load_config(path)
+
+    @pytest.mark.parametrize("exponent", [-300, -304])
+    def test_large_path_gain_loads_and_replays_without_warning(self, tmp_path, exponent):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(_run_config(
+            **{"users": _FAR_USERS, "channel.path_loss_exponent": exponent}
+        )))
+        cfg = load_config(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = run_v2x_scenario(cfg)
+        assert np.all(np.isfinite(series.est_snr_db[series.detected]))
 
     def test_delay_up_to_fft_size_loads(self, tmp_path):
         path = tmp_path / "late.json"
@@ -306,6 +337,8 @@ def _sync_offsets(cfg, frames=8):
 @example(raw=_run_config(**{"channel.delay_samples": 320}))
 @example(raw=_run_config(**{"channel.delay_samples": 319}))
 @example(raw=_run_config(**{"timing.total_duration": 0.002}))
+@example(raw=_run_config(**{"users": _FAR_USERS, "channel.path_loss_exponent": -304}))
+@example(raw=_run_config(**{"users": _FAR_USERS, "channel.path_loss_exponent": -307}))
 def test_config_is_rejected_at_load_or_runs_to_the_end(tmp_path, raw):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
@@ -506,6 +539,16 @@ class TestMainEntry:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: degenerate envelope: all samples equal"]
+        assert "Traceback" not in err
+
+    def test_path_gain_that_overflows_cp_sync_exits_with_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "far.json"
+        bad.write_text(json.dumps({"users": _FAR_USERS, "channel": {"path_loss_exponent": -307}}))
+        code = main(["run-scenario", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: channel.path_loss_exponent")
         assert "Traceback" not in err
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from nomalink.frame_codec import (
     qam_demodulate,
     qam_modulate,
 )
+from nomalink.noma import PowerAllocation, composite_pilot_values
 
 RT2 = np.sqrt(2.0)
 
@@ -129,6 +130,23 @@ class TestPilots:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.all(np.isin(a.real, (-1.0, 1.0))) and np.all(a.imag == 0)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            occupied_bins,
+            pilot_mask,
+            lambda cfg: pilot_values(cfg, (295, 2)),
+            lambda cfg: composite_pilot_values(cfg, PowerAllocation.testbed_default(), 295),
+        ],
+        ids=["occupied_bins", "pilot_mask", "pilot_values", "composite_pilot_values"],
+    )
+    def test_layout_tables_are_shared_and_read_only(self, cfg, table):
+        # every frame reads the same cached array: a write would change them all
+        first = table(cfg)
+        assert table(FrameConfig()) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = first[1]
 
 
 class TestAssembleFrame:

@@ -10,7 +10,6 @@ from nomalink.scenario import (
     UserPath,
     calibrate_noise_floor,
     compute_ber,
-    count_outages,
     resolve_allocation,
     run_v2x_scenario,
     snr_histogram,
@@ -35,28 +34,6 @@ class TestComputeBer:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compute_ber([0, 1], [0, 1, 1], True)
-
-
-class TestCountOutages:
-    def test_all_above(self):
-        assert count_outages([15.0, 20.0, 30.0], 10.0) == (0, 0.0)
-
-    def test_all_below(self):
-        count, ratio = count_outages(np.full(7, 3.0), 10.0)
-        assert (count, ratio) == (7, 1.0)
-
-    def test_threshold_at_median(self):
-        # order-statistics oracle: strictly-below count of an odd-length
-        # series thresholded at its median is (N-1)/2
-        rng = np.random.default_rng(1)
-        series = rng.normal(20.0, 4.0, 1001)
-        count, ratio = count_outages(series, float(np.median(series)))
-        assert count == 500
-        assert abs(ratio - 0.5) <= 1.0 / series.size
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            count_outages([], 10.0)
 
 
 class TestSnrHistogram:
