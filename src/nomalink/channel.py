@@ -393,7 +393,11 @@ def estimate_k_factor(envelope_samples) -> tuple[float, float, float]:
     # nomalink and every other command start without it
     from scipy import special
 
-    x = np.asarray(envelope_samples, dtype=float).ravel()
+    x = np.asarray(envelope_samples)
+    # a complex gain cast to float would keep only its real part
+    if np.iscomplexobj(x):
+        raise ValueError("envelope samples must be real magnitudes: pass np.abs of complex gains")
+    x = np.asarray(x, dtype=float).ravel()
     if x.size < 1000:
         raise ValueError(f"need at least 1000 samples, got {x.size}")
     if not np.all(np.isfinite(x)) or np.any(x < 0):

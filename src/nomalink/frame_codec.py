@@ -160,17 +160,11 @@ def pilot_mask(cfg: FrameConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _pilot_values_cached(cfg: FrameConfig, pilot_seed) -> np.ndarray:
+def pilot_values(cfg: FrameConfig, pilot_seed: int | tuple[int, ...]) -> np.ndarray:
+    """Unit-magnitude BPSK pilot sequence, reproducible from the seed."""
     rng = np.random.default_rng(pilot_seed)
     values = (2.0 * rng.integers(0, 2, cfg.pilot_subcarriers) - 1.0).astype(np.complex128)
     return _frozen(values)
-
-
-def pilot_values(cfg: FrameConfig, pilot_seed) -> np.ndarray:
-    """Unit-magnitude BPSK pilot sequence, reproducible from the seed."""
-    if isinstance(pilot_seed, (list, np.ndarray)):
-        pilot_seed = tuple(int(s) for s in pilot_seed)
-    return _pilot_values_cached(cfg, pilot_seed)
 
 
 def _axis_bits(order: int) -> int:
@@ -297,8 +291,6 @@ def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.n
     leading symbol axis, one symbol period per row, give one row of
     subcarriers per symbol through a single FFT.
     """
-    if isinstance(samples, ComplexWaveform):
-        samples = samples.samples
     samples = np.asarray(samples, dtype=np.complex128)
     if symbol_start < 0 or samples.shape[-1] - symbol_start < cfg.fft_size:
         raise ValueError(

@@ -144,17 +144,17 @@ class ScenarioConfig:
         # the channel scales each user by this path gain, which changes monotonically
         # between the start and end distance. CP sync sums the received power over
         # a frame and its delay: the sum stays inside the float range with a factor
-        # 100 to spare for fading peaks and noise
+        # 100 to spare for fading peaks and noise. The noise power obeys the same limit
         with np.errstate(over="ignore", under="ignore"):
             gains = (self.channel.reference_distance / np.array(starts + ends)) ** (
                 self.channel.path_loss_exponent
             )
         samples = self.frame.frame_samples + self.channel.delay_samples
-        gain_limit = np.finfo(float).max / (100.0 * samples)
-        if not np.all((gains > 0) & (gains < gain_limit)):
+        sync_limit = np.finfo(float).max / (100.0 * samples)
+        if not np.all((gains > 0) & (gains < sync_limit)):
             raise ValueError(
                 "channel.path_loss_exponent gives a path gain that is zero, or above"
-                f" {gain_limit:.3g} for cyclic-prefix sync over {samples} samples,"
+                f" {sync_limit:.3g} for cyclic-prefix sync over {samples} samples,"
                 " at some user's start or end distance"
             )
         if self.power_policy not in ("fixed", "distance-squared"):
@@ -177,8 +177,6 @@ class ScenarioConfig:
                 f"timing.total_duration ({self.total_duration} s) must hold at least one"
                 f" frame of {self.frame.frame_duration} s"
             )
-        if self.speed < 0:
-            raise ValueError("speed must be >= 0")
         # the CP sync resolves offsets within half a subcarrier spacing;
         # beyond it the offset aliases and every frame decodes as noise.
         # Carrier wander runs while vehicles move: four of its standard
@@ -199,6 +197,16 @@ class ScenarioConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "users", users)
+        # in the log domain, where a noise power beyond the float range stays a number
+        signal, bin_ratio = _anchor_signal(self)
+        with np.errstate(divide="ignore"):
+            noise_log10 = np.log10(signal * bin_ratio) - self.anchor_snr_db / 10.0
+        if not noise_log10 < np.log10(sync_limit):
+            raise ValueError(
+                f"anchor_snr_db ({self.anchor_snr_db}) gives a noise power of"
+                f" 10^{noise_log10:.1f}, above {sync_limit:.3g} for cyclic-prefix sync"
+                f" over {samples} samples"
+            )
 
     @property
     def n_users(self) -> int:
@@ -225,6 +233,20 @@ def resolve_allocation(cfg: ScenarioConfig) -> PowerAllocation:
     return PowerAllocation(tuple(cfg.power_coefficients))
 
 
+def _anchor_signal(cfg: ScenarioConfig) -> tuple[float, float]:
+    """The anchor user's received composite pilot power at its start
+    distance, and the ratio of FFT bins to occupied subcarriers: the noise
+    power is their product over the anchor SNR."""
+    anchor_user = min(2, cfg.n_users)
+    d = cfg.users[anchor_user - 1].start_distance
+    amp2 = (cfg.channel.reference_distance / d) ** cfg.channel.path_loss_exponent
+    pilots = composite_pilot_values(cfg.frame, resolve_allocation(cfg), cfg.pilot_seed)
+    pilot_power = float(np.mean(np.abs(pilots) ** 2))
+    # per-subcarrier SNR -> time-domain variance: noise spreads over all
+    # fft bins while the signal occupies total_subcarriers of them
+    return amp2 * pilot_power, cfg.frame.fft_size / cfg.frame.total_subcarriers
+
+
 def calibrate_noise_floor(cfg: ScenarioConfig) -> float:
     """Receiver noise floor (dBm) anchoring the second user's stationary SNR.
 
@@ -235,15 +257,8 @@ def calibrate_noise_floor(cfg: ScenarioConfig) -> float:
     30 dBm. The realized composite pilot power enters so the anchor holds
     for any pilot seed and power allocation.
     """
-    anchor_user = min(2, cfg.n_users)
-    d = cfg.users[anchor_user - 1].start_distance
-    amp2 = (cfg.channel.reference_distance / d) ** cfg.channel.path_loss_exponent
-    pilots = composite_pilot_values(cfg.frame, resolve_allocation(cfg), cfg.pilot_seed)
-    pilot_power = float(np.mean(np.abs(pilots) ** 2))
-    # per-subcarrier SNR -> time-domain variance: noise spreads over all
-    # fft bins while the signal occupies total_subcarriers of them
-    bin_ratio = cfg.frame.fft_size / cfg.frame.total_subcarriers
-    noise_power = amp2 * pilot_power * 10.0 ** (-cfg.anchor_snr_db / 10.0) * bin_ratio
+    signal, bin_ratio = _anchor_signal(cfg)
+    noise_power = signal * 10.0 ** (-cfg.anchor_snr_db / 10.0) * bin_ratio
     if noise_power == 0.0:
         return -np.inf
     return 10.0 * np.log10(noise_power) + 30.0
@@ -275,17 +290,25 @@ class StageHistogram:
         """Per-second occurrence rate of the bin containing value_db."""
         if self.bin_centers.size == 0 or self.duration_s <= 0:
             return 0.0
-        idx = int(np.round((value_db - self.bin_centers[0]) / self.bin_width_db))
+        # both bins by the counting rule, so that a counted value finds its count
+        first, idx = _bin_index([self.bin_centers[0], value_db], self.bin_width_db)
+        idx = int(idx - first)
         if not 0 <= idx < self.counts.size:
             return 0.0
         return float(self.counts[idx]) / self.duration_s
+
+
+def _bin_index(values, bin_width: float):
+    """Bin number of each value, as a float: bin i is centred on i * bin_width
+    and holds its lower edge, (i - 1/2) * bin_width, but not its upper one."""
+    return np.floor(np.asarray(values, dtype=float) / bin_width + 0.5)
 
 
 def _stage_histogram(values: np.ndarray, bin_width: float, duration: float) -> StageHistogram:
     values = values[np.isfinite(values)]
     if values.size == 0:
         return StageHistogram(np.empty(0), np.empty(0, dtype=int), duration, bin_width)
-    idx = np.round(values / bin_width).astype(int)
+    idx = _bin_index(values, bin_width).astype(int)
     lo, hi = idx.min(), idx.max()
     counts = np.bincount(idx - lo, minlength=hi - lo + 1)
     centers = np.arange(lo, hi + 1) * bin_width
@@ -333,10 +356,6 @@ class MetricsTimeSeries:
     lost_frames: tuple
     stationary_end_s: float
     total_duration_s: float
-
-    @property
-    def n_users(self) -> int:
-        return len(self.lost_frames)
 
     def user_mask(self, user: int) -> np.ndarray:
         return self.user == user

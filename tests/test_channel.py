@@ -287,6 +287,16 @@ class TestKFactorEstimation:
         with pytest.raises(ValueError):
             estimate_k_factor(np.abs(np.random.default_rng(0).normal(size=500)))
 
+    def test_rejects_complex_gains(self):
+        # a float cast would fit the real parts: K 10.10 here, against 10.88
+        # for the magnitudes of the same gains
+        params = ChannelParams(rician_k=10.92, doppler_hz=0.4)
+        gain = generate_fading(params, 200_000, 1.0, seed=17)
+        with pytest.raises(ValueError, match="real magnitudes"):
+            estimate_k_factor(gain)
+        k, _, _ = estimate_k_factor(np.abs(gain))
+        assert 10.4 <= k <= 11.5
+
     def test_rejects_negative_magnitudes(self):
         with pytest.raises(ValueError):
             estimate_k_factor(np.linspace(-1, 1, 2000))

@@ -158,6 +158,15 @@ class TestLoadConfig:
             ({"frame": {"pilot_subcarriers": 0}}, r"frame\.pilot_subcarriers"),
             ({"users": _FAR_USERS, "channel": {"path_loss_exponent": -307}},
              r"channel\.path_loss_exponent"),
+            ({"anchor_snr_db": -3083}, "^anchor_snr_db"),
+            ({"anchor_snr_db": -3082}, "^anchor_snr_db"),
+            ({"channel": {"reference_distance": 0}}, r"channel\.reference_distance"),
+            ({"channel": {"delay_samples": -1}}, r"channel\.delay_samples"),
+            ({"channel": {"n_sinusoids": 0}}, r"channel\.n_sinusoids"),
+            ({"frame": {"cp_length": 300}}, r"frame\.cp_length"),
+            ({"users": [[4.27, 1.0], [4.02, 1.12], [3.9, 0.57]]}, "^users .* end line"),
+            ({"speed": -1}, "^speed must be >= 0"),
+            ([1], "must hold a JSON object"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
@@ -172,6 +181,15 @@ class TestLoadConfig:
         path.write_text(json.dumps(_run_config(
             **{"users": _FAR_USERS, "channel.path_loss_exponent": exponent}
         )))
+        cfg = load_config(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = run_v2x_scenario(cfg)
+        assert np.all(np.isfinite(series.est_snr_db[series.detected]))
+
+    def test_low_anchor_snr_loads_and_replays_without_warning(self, tmp_path):
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(_run_config(anchor_snr_db=-3000.0)))
         cfg = load_config(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -549,6 +567,27 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: channel.path_loss_exponent")
+        assert "Traceback" not in err
+
+    def test_anchor_snr_whose_noise_overflows_exits_with_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "noisy.json"
+        bad.write_text(json.dumps({"anchor_snr_db": -3083}))
+        code = main(["run-scenario", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: anchor_snr_db")
+        assert "Traceback" not in err
+
+    def test_complex_envelope_exits_nonzero_with_one_error_line(self, tmp_path, capsys):
+        gains = tmp_path / "gains.npy"
+        params = ChannelParams(rician_k=10.92, doppler_hz=0.4)
+        np.save(gains, generate_fading(params, 5000, 1.0, seed=17))
+        code = main(["estimate-k", "--input", str(gains), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: envelope samples must be real magnitudes")
         assert "Traceback" not in err
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from nomalink.frame_codec import (
     _levels_to_bits,
     pilot_mask,
 )
+from nomalink import receiver
 from nomalink.noma import PowerAllocation, build_downlink_frame, composite_pilot_values
 from nomalink.receiver import (
     SYNC_DETECTION_THRESHOLD,
@@ -280,6 +281,17 @@ class TestReceiveUser:
         assert np.isfinite(report.sync_metric)
         assert 0.0 < report.sync_metric < SYNC_DETECTION_THRESHOLD
         assert report.sync_metric == cp_ml_sync(rx, CFG).metric_peak
+
+    @pytest.mark.parametrize("user", [0, 4])
+    def test_user_outside_the_allocation_is_rejected_before_sync(self, monkeypatch, user):
+        _, tx = make_frame(27)
+
+        def sync(*args, **kwargs):
+            raise AssertionError("sync ran")
+
+        monkeypatch.setattr(receiver, "cp_ml_sync", sync)
+        with pytest.raises(ValueError, match=f"user index {user} outside 1..3"):
+            receive_user(tx, CFG, ALLOC, user, PILOT_SEED)
 
     def test_buffer_shorter_than_a_frame_is_rejected(self):
         payloads, tx = make_frame(25)

@@ -64,6 +64,25 @@ class TestSnrHistogram:
         assert stationary.rate_at(20.2) == pytest.approx(3.0)
         assert stationary.rate_at(20.5) == 0.0
 
+    def test_a_value_half_a_bin_above_a_centre_falls_in_the_bin_above(self):
+        # the 23 dB bin covers [22.5, 23.5), in the counts and in rate_at
+        times = np.array([0.0, 0.3, 0.6])
+        stationary, _ = snr_histogram(
+            times, [21.5, 22.5, 23.5], 1.0, 1.0, total_duration_s=1.0
+        )
+        assert stationary.bin_centers.tolist() == [22.0, 23.0, 24.0]
+        assert stationary.counts.tolist() == [1, 1, 1]
+        assert stationary.rate_at(22.5) == stationary.rate_at(23.0) == pytest.approx(1.0)
+        assert stationary.rate_at(24.49) == pytest.approx(1.0)
+        assert stationary.rate_at(24.5) == 0.0
+
+    def test_rate_at_a_counted_value_finds_its_count(self):
+        # 0.55 is counted in bin 6, centred on 0.6000000000000001: measured
+        # from that centre, 0.55 would fall just below the bin
+        stationary, _ = snr_histogram([0.0], [0.55], 0.1, 1.0, total_duration_s=2.0)
+        assert stationary.counts.tolist() == [1]
+        assert stationary.rate_at(0.55) == pytest.approx(1.0)
+
     def test_stage_split(self):
         times = np.array([0.0, 1.0, 3.0, 4.0])
         values = np.array([20.0, 20.0, 30.0, 30.0])
@@ -234,6 +253,10 @@ class TestSweep:
     def test_rejects_small_bit_budget(self):
         with pytest.raises(ValueError):
             sweep_ber_vs_snr(ScenarioConfig(), [10.0], min_bits_per_point=1000)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="empty SNR grid"):
+            sweep_ber_vs_snr(ScenarioConfig(), [])
 
     @pytest.mark.parametrize("grid", [[float("nan")], [20.0, float("-inf")]])
     def test_rejects_grid_point_without_noise_level(self, grid):
