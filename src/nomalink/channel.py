@@ -147,14 +147,16 @@ class MobilityState:
 class ChannelRealization:
     """Ground truth of one apply_channel call, for oracle comparison.
 
-    For a block of frames, ``tap_gain`` has one row and ``applied_cfo_hz``
-    and ``noise_power`` one entry per frame.
+    For one frame ``tap_gain`` holds one gain per received sample and
+    ``applied_cfo_hz`` and ``noise_power`` are floats. For a block of
+    frames ``tap_gain`` is ``(frames, samples)`` and ``applied_cfo_hz``
+    and ``noise_power`` hold one entry per frame.
     """
 
     tap_gain: np.ndarray
-    applied_cfo_hz: float
+    applied_cfo_hz: float | np.ndarray
     applied_delay: int
-    noise_power: float
+    noise_power: float | np.ndarray
 
 
 def doppler_shift(speed: float, carrier_frequency: float) -> float:
@@ -171,6 +173,23 @@ def _sos_parameters(rng: np.random.Generator, n_sinusoids: int):
     return angles, phases
 
 
+def _phasor(theta) -> np.ndarray:
+    """exp(1j * theta) for real theta, from one cosine and one sine pass.
+
+    On the pinned numpy this is byte for byte ``np.exp(1j * theta)``,
+    whose complex exp multiplies exp(0) = 1 into the same libm cosine and
+    sine, without its complex argument array and complex exponential.
+    The one exception is theta = -0.0: ``1j * -0.0`` has a +0.0
+    imaginary part, so np.exp gives 1+0j where this gives 1-0j. The
+    fading arguments add a draw in [0, 2 pi), and apply_channel adds
+    +0.0 to the carrier phase, so no channel phase reaching here is -0.0.
+    """
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _diffuse_gain(angles, phases, doppler_hz: float, tau) -> np.ndarray:
     """Unit-power diffuse component evaluated at fading times tau.
 
@@ -183,11 +202,11 @@ def _diffuse_gain(angles, phases, doppler_hz: float, tau) -> np.ndarray:
     # the choice goes by row length, so a row of a block is evaluated as
     # it would be on its own
     if tau.shape[-1] * n <= 1_000_000:
-        terms = np.exp(1j * (tau[..., :, None] * rates[..., None, :] + phases[..., None, :]))
+        terms = _phasor(tau[..., :, None] * rates[..., None, :] + phases[..., None, :])
         return terms.sum(axis=-1) / np.sqrt(n)
     out = np.zeros(tau.shape, dtype=np.complex128)
     for rate, phi in zip(np.moveaxis(rates, -1, 0), np.moveaxis(phases, -1, 0)):
-        out += np.exp(1j * (rate[..., None] * tau + phi[..., None]))
+        out += _phasor(rate[..., None] * tau + phi[..., None])
     return out / np.sqrt(n)
 
 
@@ -220,14 +239,15 @@ def _diffuse_gain_sampled(angles, phases, doppler_hz: float, tau) -> np.ndarray:
     flat = (span == 0.0) | (doppler_hz == 0.0)
     if flat.any():
         out[flat] = _diffuse_gain(angles[flat], phases[flat], doppler_hz, tau[flat, :1])
-    sample = np.arange(n)
+    sample = np.arange(n, dtype=float)
     for count in np.unique(n_knots[~flat]):
         sel = np.flatnonzero(~flat & (n_knots == count))
         idx = np.unique(np.linspace(0, n - 1, count).round().astype(int))
         at_knots = np.ascontiguousarray(tau[sel][:, idx])
         knots = _diffuse_gain(angles[sel], phases[sel], doppler_hz, at_knots)
         for r, row in zip(sel, knots):
-            out[r] = np.interp(sample, idx, row.real) + 1j * np.interp(sample, idx, row.imag)
+            out[r].real = np.interp(sample, idx, row.real)
+            out[r].imag = np.interp(sample, idx, row.imag)
     return out
 
 
@@ -295,20 +315,34 @@ def apply_channel(
     A waveform holding a block of frames (one row each) is propagated row
     by row in one call, exactly as one call per row would: ``t0`` then
     gives each row's start time, and ``seed`` is either one seed shared
-    by the rows or a 2-D array with one seed row per frame. The
-    realization's fields then hold one row or value per frame.
+    by the rows or a 2-D array with one seed row per frame; any other row
+    count, or a ``t0`` that is neither one time nor one per frame, is a
+    ValueError before any draw. The realization's fields then hold one
+    row or value per frame.
     """
     if len(tx) == 0:
         raise ValueError("tx waveform must be non-empty")
-    fs = tx.sample_rate
-    delay = params.delay_samples
     block = tx.samples.reshape(-1, len(tx))
     frames = block.shape[0]
-    n = len(tx) + delay
-    x = np.concatenate([np.zeros((frames, delay), dtype=np.complex128), block], axis=1)
-    t0 = np.broadcast_to(np.asarray(t0, dtype=float), (frames,))
-    t = t0[:, None] + np.arange(n) / fs
     per_frame = np.ndim(seed) == 2
+    if per_frame and len(seed) != frames:
+        raise ValueError(
+            f"seed must hold one row per frame: {len(seed)} rows for {frames} frames"
+        )
+    t0 = np.asarray(t0, dtype=float)
+    if t0.ndim > 1 or t0.size not in (1, frames):
+        raise ValueError(
+            f"t0 must be one start time or one per frame ({frames}), got shape {t0.shape}"
+        )
+    fs = tx.sample_rate
+    delay = params.delay_samples
+    n = len(tx) + delay
+    if delay:
+        x = np.concatenate([np.zeros((frames, delay), dtype=np.complex128), block], axis=1)
+    else:
+        x = block
+    t0 = np.broadcast_to(t0, (frames,))
+    t = t0[:, None] + np.arange(n) / fs
     seeds = list(seed) if per_frame else [seed] * frames
 
     drawn = [
@@ -317,36 +351,49 @@ def apply_channel(
     ]
     angles, phases = (np.stack(v) for v in zip(*drawn))
     los, diff = _rician_weights(params.rician_k)
-    h = los + diff * _diffuse_gain_sampled(
-        angles, phases, params.doppler_hz, mobility.motion_time(t)
-    )
-
-    d = mobility.distance(t)
-    amp = (params.reference_distance / d) ** (params.path_loss_exponent / 2.0)
+    h = _diffuse_gain_sampled(angles, phases, params.doppler_hz, mobility.motion_time(t))
+    # in place, with the bytes of los + diff * h: the same scalar multiply
+    # and add on the same operands, without two block temporaries
+    h *= diff
+    h += los
+    amp = (params.reference_distance / mobility.distance(t)) ** (params.path_loss_exponent / 2.0)
 
     draw_rngs = [
         np.random.default_rng(_noise_seed(s, int(round(start * fs))))
         for s, start in zip(seeds, t0)
     ]
     moving = mobility.is_moving(t)
+    del t
     f_inst = np.full((frames, n), params.cfo_hz, dtype=float)
     f_inst += params.doppler_hz * moving
     if params.cfo_jitter_hz > 0:
         step = max(1, int(round(params.cfo_jitter_tau_s * fs)))
-        wander = np.stack(
-            [_block_wander(rng, n, params.cfo_jitter_hz, step) for rng in draw_rngs]
-        )
-        f_inst += wander * moving
-
+        for row, rng, row_moving in zip(f_inst, draw_rngs, moving):
+            row += _block_wander(rng, n, params.cfo_jitter_hz, step) * row_moving
+    del moving
+    applied_cfo = np.mean(f_inst, axis=1)
+    f_inst *= 2.0 * np.pi
+    f_inst /= fs
     phase = np.zeros((frames, n), dtype=float)
-    np.cumsum(2.0 * np.pi * f_inst[:, :-1] / fs, axis=1, out=phase[:, 1:])
-    # Named products: numpy may reuse a large unnamed temporary as the
-    # output of the next product, and its in-place complex multiply
-    # rounds differently, so a block would drift from single frames.
+    np.cumsum(f_inst[:, :-1], axis=1, out=phase[:, 1:])
+    del f_inst
+    # a negative CFO that underflows leaves -0.0 phases, where _phasor's
+    # sine keeps the sign that np.exp(1j * phase) drops
+    phase += 0.0
+    rotation = _phasor(phase)
+    del phase
+    # Named products: each complex-by-complex product gets a new array.
+    # On the pinned numpy an in-place complex multiply gave the same
+    # bytes, but no test pins that; only the real-scalar scaling of h
+    # above is done in place. Each input is freed once used: a lower
+    # peak keeps the block's memory from going back to the system, and
+    # faulting in, on every call.
     gain = amp * h
+    del amp
     carried = gain * x
-    rotation = np.exp(1j * phase)
+    del gain
     noiseless = carried * rotation
+    del carried, rotation
 
     if params.target_snr_db is not None:
         signal_power = np.mean(np.abs(noiseless) ** 2, axis=1)
@@ -362,7 +409,6 @@ def apply_channel(
     for f in np.flatnonzero(noise_power > 0):
         interleaved[f] += draw_rngs[f].normal(0.0, np.sqrt(noise_power[f] / 2.0), (n, 2))
 
-    applied_cfo = np.mean(f_inst, axis=1)
     if tx.samples.ndim == 1:
         rx, h = rx[0], h[0]
         applied_cfo, noise_power = float(applied_cfo[0]), float(noise_power[0])

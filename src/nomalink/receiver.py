@@ -141,6 +141,10 @@ def correct_cfo(rx: ComplexWaveform, cfo_hz: float) -> ComplexWaveform:
     if cfo_hz == 0.0:
         return rx
     n = np.arange(len(rx))
+    # np.exp stays (the channel's cos/sin phasor would not keep the bytes):
+    # numpy divides this complex phase by the sample rate with a rounding
+    # that neither b * n / fs nor (b * n) * (1 / fs) reproduces in floats,
+    # and taking .imag of the complex phase matches but saves nothing
     rotation = np.exp(-2j * np.pi * cfo_hz * n / rx.sample_rate)
     return ComplexWaveform._of_finite(rx.samples * rotation, rx.sample_rate)
 

@@ -246,6 +246,42 @@ class TestApplyChannel:
                 seed=1,
             )
 
+    @pytest.mark.parametrize("frames", [None, 3])
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    @pytest.mark.parametrize("delay", [0, 17])
+    def test_leaves_the_transmit_samples_untouched(self, delay, snr_db, frames):
+        # without a delay the frame block itself is the channel input
+        rng = np.random.default_rng(delay)
+        shape = (400,) if frames is None else (frames, 400)
+        tx = ComplexWaveform(rng.normal(size=shape) + 1j * rng.normal(size=shape), 1e4)
+        before = tx.samples.tobytes()
+        params = ChannelParams(doppler_hz=40.0, target_snr_db=snr_db, delay_samples=delay)
+        t0 = 0.0 if frames is None else np.arange(frames) * 0.04
+        rx, _ = apply_channel(tx, params, MobilityState.always_moving(1.0), seed=5, t0=t0)
+        assert tx.samples.tobytes() == before
+        assert not np.shares_memory(rx.samples, tx.samples)
+        assert rx.samples.shape == shape[:-1] + (400 + delay,)
+
+    @pytest.mark.parametrize(
+        "seed, t0, name",
+        [
+            ([[7, f] for f in range(3)], 0.0, "seed"),
+            ([[7, f] for f in range(5)], 0.0, "seed"),
+            (7, np.arange(3) * 0.04, "t0"),
+        ],
+        ids=["3_seed_rows", "5_seed_rows", "3_start_times"],
+    )
+    def test_mismatched_block_arguments_are_rejected_before_any_draw(
+        self, monkeypatch, seed, t0, name
+    ):
+        def no_draw(*args):
+            raise AssertionError("fading drawn before the arguments were checked")
+
+        monkeypatch.setattr("nomalink.channel._sos_parameters", no_draw)
+        tx = ComplexWaveform(np.ones((4, 400), dtype=complex), 1e4)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            apply_channel(tx, ChannelParams(), MobilityState.static(1.0), seed=seed, t0=t0)
+
 
 class TestKFactorEstimation:
     def test_recovers_testbed_k(self):

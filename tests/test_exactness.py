@@ -3,12 +3,14 @@
 QAM decisions and modulation (now a level-table lookup), SIC
 remodulation (a per-level lookup), the CP correlation and its
 accumulation over symbols, zero-forcing, the pilot EVM, the channel's
-noise addition, the sampled fading of short rows and the transmit
-chain's subcarrier mapping were rewritten to do less array work per
-frame. Each test keeps the replaced code here as the reference and
-compares raw bytes, so even a changed sign of zero fails.
+noise addition, the sampled fading of short rows, the channel's unit
+phasors and the transmit chain's subcarrier mapping were rewritten to
+do less array work per frame. Each test keeps the replaced code here as
+the reference and compares raw bytes, so even a changed sign of zero
+fails.
 """
 
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from nomalink.channel import (
     _diffuse_gain,
     _diffuse_gain_sampled,
     _noise_seed,
+    _phasor,
     _sos_parameters,
     apply_channel,
 )
@@ -365,3 +368,101 @@ def test_rows_with_a_knot_per_sample_equal_the_direct_sum(n, spacing_s):
     out = _diffuse_gain_sampled(angles, phases, 2000.0, tau)
     for r in range(rows):
         assert _same_bytes(out[r], _diffuse_gain(angles[r], phases[r], 2000.0, tau[r])), r
+
+
+_PHASOR_PINNED = {"python": "3.11.7", "numpy": "2.4.6"}
+_phasor_versions = {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def _channel_phases():
+    """Every phase array one moving, offset, wandering apply_channel call
+    turns into a phasor: the sampled fading's knot arguments and the
+    carrier rotation's ramp."""
+    seen = []
+
+    def recording(theta):
+        seen.append(np.array(theta))
+        return _phasor(theta)
+
+    params = ChannelParams(doppler_hz=6.8, cfo_hz=-350.0, cfo_jitter_hz=55.0, delay_samples=9)
+    mobility = MobilityState(2.0, 1.0, stationary_end=0.001, mobile_end=1.0, speed=0.876)
+    rng = np.random.default_rng(12)
+    tx = ComplexWaveform(rng.normal(size=(4, 1600)) + 0j, CFG.sample_rate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nomalink.channel._phasor", recording)
+        apply_channel(tx, params, mobility, seed=[6, 2], t0=np.arange(4) * 0.0032)
+    # the knots come in one call per knot count, the carrier ramp last
+    assert len(seen) >= 2 and np.ptp(seen[-1]) > 1.0
+    return seen
+
+
+def _long_row_phases():
+    """Fading arguments of a 1e6-sample row at 1 Hz sampling and 0.4 Hz
+    Doppler, up to about 2.5e6 rad, for four of its sinusoids."""
+    angles, phases = _sos_parameters(np.random.default_rng([17, 0]), 64)
+    rates = 2.0 * np.pi * 0.4 * np.cos(angles[:4])
+    tau = np.arange(1_000_000) / 1.0
+    return [rate * tau + phi for rate, phi in zip(rates, phases[:4])]
+
+
+_phasor_pinned = pytest.mark.skipif(
+    _phasor_versions != _PHASOR_PINNED,
+    reason=f"identity pinned for {_PHASOR_PINNED}, running {_phasor_versions}",
+)
+
+
+@_phasor_pinned
+def test_phasor_matches_complex_exp_of_an_imaginary_phase():
+    # np.exp(1j * theta) multiplies exp(+-0.0) = 1 into libm's cosine and
+    # sine; a numpy whose sin or cos leave libm fails here by name instead
+    # of through a golden digest
+    quarter_turns = np.arange(-16, 17) * (np.pi / 2)
+    large = np.geomspace(1.0, 1e8, 400)
+    thetas = [
+        *_channel_phases(),
+        *_long_row_phases(),
+        np.concatenate([[0.0], quarter_turns, large, -large]),
+        np.random.default_rng(3).uniform(-1e8, 1e8, 10_000),
+    ]
+    for theta in thetas:
+        assert _same_bytes(_phasor(theta), np.exp(1j * theta))
+    # -0.0 is the one input where the two differ: 1j * -0.0 has a +0.0
+    # imaginary part, so only the sign of the sine's zero changes
+    at_negative_zero, reference = _phasor(np.array([-0.0])), np.exp(1j * np.array([-0.0]))
+    assert at_negative_zero == reference
+    assert np.signbit(at_negative_zero.imag) and not np.signbit(reference.imag)
+
+
+@_phasor_pinned
+@pytest.mark.parametrize(
+    "params, mobility",
+    [
+        # a negative CFO that underflows to a -0.0 phase step: with Rayleigh
+        # gains in every quadrant, the noiseless delay prefix's zero
+        # samples carry the rotation's sign of zero into rx
+        (
+            ChannelParams(rician_k=0.0, cfo_hz=-1e-320, delay_samples=9),
+            MobilityState.static(1.0),
+        ),
+        (
+            ChannelParams(rician_k=0.0, cfo_hz=-1e-320, doppler_hz=6.8, delay_samples=9),
+            MobilityState(2.0, 1.0, stationary_end=0.001, mobile_end=1.0, speed=0.876),
+        ),
+        (
+            ChannelParams(doppler_hz=6.8, cfo_hz=-350.0, cfo_jitter_hz=55.0, delay_samples=17),
+            MobilityState(2.0, 1.0, stationary_end=0.001, mobile_end=1.0, speed=0.876),
+        ),
+    ],
+    ids=["subnormal_cfo_static", "subnormal_cfo_starts_moving", "wander_offset"],
+)
+def test_channel_output_equals_the_complex_exp_rotation(params, mobility):
+    rng = np.random.default_rng(21)
+    samples = rng.normal(size=(3, 1600)) + 1j * rng.normal(size=(3, 1600))
+    tx = ComplexWaveform(samples, CFG.sample_rate)
+    t0 = np.arange(3) * 0.0008
+    rx, truth = apply_channel(tx, params, mobility, seed=[6, 2], t0=t0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nomalink.channel._phasor", lambda theta: np.exp(1j * theta))
+        ref_rx, ref_truth = apply_channel(tx, params, mobility, seed=[6, 2], t0=t0)
+    assert _same_bytes(rx.samples, ref_rx.samples)
+    assert _same_bytes(truth.tap_gain, ref_truth.tap_gain)
