@@ -59,14 +59,17 @@ class ChannelParams:
     n_sinusoids: int = 64
 
     def __post_init__(self) -> None:
-        if self.rician_k < 0:
-            raise ValueError("rician_k must be >= 0")
-        if self.doppler_hz < 0:
-            raise ValueError("doppler_hz must be >= 0")
-        if self.cfo_jitter_hz < 0:
-            raise ValueError(f"cfo_jitter_hz must be >= 0, got {self.cfo_jitter_hz}")
-        if self.cfo_jitter_tau_s <= 0:
-            raise ValueError(f"cfo_jitter_tau_s must be positive, got {self.cfo_jitter_tau_s}")
+        # each comparison fails on NaN; only K and the noise level may be infinite
+        if not self.rician_k >= 0:
+            raise ValueError(f"rician_k must be >= 0, got {self.rician_k}")
+        if not 0 <= self.doppler_hz < np.inf:
+            raise ValueError(f"doppler_hz must be >= 0 and finite, got {self.doppler_hz}")
+        if not np.isfinite(self.cfo_hz):
+            raise ValueError(f"cfo_hz must be finite, got {self.cfo_hz}")
+        if not 0 <= self.cfo_jitter_hz < np.inf:
+            raise ValueError(f"cfo_jitter_hz must be >= 0 and finite, got {self.cfo_jitter_hz}")
+        if not 0 < self.cfo_jitter_tau_s < np.inf:
+            raise ValueError(f"cfo_jitter_tau_s must be > 0 and finite, got {self.cfo_jitter_tau_s}")
         if self.target_snr_db is not None and self.noise_power_dbm is not None:
             raise ValueError("target_snr_db and noise_power_dbm exclude each other: set one")
         # a NaN level would draw no noise at all, and an infinite noise
@@ -76,11 +79,13 @@ class ChannelParams:
             raise ValueError(f"target_snr_db must be a number above -inf, got {snr}")
         if floor is not None and not floor < np.inf:
             raise ValueError(f"noise_power_dbm must be a number below inf, got {floor}")
-        if self.reference_distance <= 0:
-            raise ValueError("reference_distance must be positive")
-        if self.delay_samples < 0:
+        if not np.isfinite(self.path_loss_exponent):
+            raise ValueError(f"path_loss_exponent must be finite, got {self.path_loss_exponent}")
+        if not 0 < self.reference_distance < np.inf:
+            raise ValueError("reference_distance must be > 0 and finite")
+        if not self.delay_samples >= 0:
             raise ValueError("delay_samples must be >= 0")
-        if self.n_sinusoids < 1:
+        if not self.n_sinusoids >= 1:
             raise ValueError("n_sinusoids must be >= 1")
 
 
@@ -104,12 +109,12 @@ class MobilityState:
     def __post_init__(self) -> None:
         if self.end_distance is None:
             object.__setattr__(self, "end_distance", self.start_distance)
-        if self.start_distance <= 0 or self.end_distance <= 0:
-            raise ValueError("distances must be positive")
-        if self.mobile_end < self.stationary_end:
-            raise ValueError("mobile_end must not precede stationary_end")
-        if self.speed < 0:
-            raise ValueError("speed must be >= 0")
+        if not (0 < self.start_distance < np.inf and 0 < self.end_distance < np.inf):
+            raise ValueError("start_distance and end_distance must be > 0 and finite")
+        if not self.mobile_end >= self.stationary_end:
+            raise ValueError("mobile_end must be a time not before stationary_end")
+        if not 0 <= self.speed < np.inf:
+            raise ValueError(f"speed must be >= 0 and finite, got {self.speed}")
 
     @classmethod
     def static(cls, distance: float) -> "MobilityState":
@@ -161,8 +166,8 @@ class ChannelRealization:
 
 def doppler_shift(speed: float, carrier_frequency: float) -> float:
     """Doppler frequency v * f_c / c in Hz."""
-    if speed < 0:
-        raise ValueError("speed must be >= 0")
+    if not 0 <= speed < np.inf:
+        raise ValueError(f"speed must be >= 0 and finite, got {speed}")
     return speed * carrier_frequency / SPEED_OF_LIGHT
 
 
@@ -382,28 +387,25 @@ def apply_channel(
     phase += 0.0
     rotation = _phasor(phase)
     del phase
-    # Named products: each complex-by-complex product gets a new array.
-    # On the pinned numpy an in-place complex multiply gave the same
-    # bytes, but no test pins that; only the real-scalar scaling of h
-    # above is done in place. Each input is freed once used: a lower
-    # peak keeps the block's memory from going back to the system, and
-    # faulting in, on every call.
-    gain = amp * h
+    # One block buffer for the products: on the pinned numpy an in-place
+    # complex multiply has the bytes of a new array for two or more
+    # samples (pinned in tests/test_exactness.py), not always for one.
+    # Each input is freed once used: a lower peak keeps the block's memory
+    # from going back to the system, and faulting in, on every call.
+    rx = amp * h
     del amp
-    carried = gain * x
-    del gain
-    noiseless = carried * rotation
-    del carried, rotation
+    rx *= x
+    rx *= rotation
+    del rotation
 
     if params.target_snr_db is not None:
-        signal_power = np.mean(np.abs(noiseless) ** 2, axis=1)
+        signal_power = np.mean(np.abs(rx) ** 2, axis=1)
         noise_power = signal_power / 10.0 ** (params.target_snr_db / 10.0)
     elif params.noise_power_dbm is not None:
         noise_power = np.full(frames, 10.0 ** ((params.noise_power_dbm - 30.0) / 10.0))
     else:
         noise_power = np.zeros(frames)
 
-    rx = noiseless
     # each draw's (n, 2) rows are one sample's in-phase and quadrature noise
     interleaved = rx.view(np.float64).reshape(frames, n, 2)
     for f in np.flatnonzero(noise_power > 0):

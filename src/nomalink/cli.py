@@ -290,7 +290,7 @@ def _selftest() -> list[tuple[str, bool]]:
     rx, _ = apply_channel(tx, clean, MobilityState.static(1.0), seed=1)
     ok = True
     for k in range(1, 4):
-        report = receive_user(rx, cfg, alloc, k, 11)
+        report = receive_user(rx.samples, cfg, alloc, k, 11)
         ok = ok and report.detected and compute_ber(payloads[k - 1], report.bits, True) == 0.0
     checks.append(("transparent end-to-end", ok))
     return checks

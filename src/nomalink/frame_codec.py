@@ -117,15 +117,6 @@ class ComplexWaveform:
     def __len__(self) -> int:
         return self.samples.shape[-1]
 
-    @classmethod
-    def _of_finite(cls, samples: np.ndarray, sample_rate: float) -> "ComplexWaveform":
-        """Wrap complex128 samples already known to be finite (a row of a
-        checked block, or its CFO-corrected copy) without scanning them again."""
-        wave = object.__new__(cls)
-        object.__setattr__(wave, "samples", samples)
-        object.__setattr__(wave, "sample_rate", sample_rate)
-        return wave
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False

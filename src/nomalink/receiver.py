@@ -5,7 +5,7 @@ maximum-likelihood time/frequency synchronization, frequency correction,
 per-symbol FFT demapping, least-squares channel estimation by linear
 regression over the pilots, zero-forcing equalization, pilot-EVM SNR
 estimation, and successive interference cancellation down to the user's
-own bits. A bad argument, such as a buffer shorter than one frame, is a
+own bits. A bad argument, such as a short or non-finite buffer, is a
 ``ValueError`` raised before any work. A channel outcome is a value:
 each stage returns its estimate, however poor, and ``receive_user``
 reports a frame undetected when its sync metric falls below the
@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .frame_codec import (
-    ComplexWaveform,
     FrameConfig,
     _frozen,
     disassemble_symbol,
@@ -88,7 +87,7 @@ class UserRxReport:
         )
 
 
-def cp_ml_sync(rx: ComplexWaveform, cfg: FrameConfig) -> SyncEstimate:
+def cp_ml_sync(rx, cfg: FrameConfig) -> SyncEstimate:
     """Joint ML time/frequency offset estimate from the cyclic prefix.
 
     The correlation of each prefix with its repetition fft_size samples
@@ -97,9 +96,12 @@ def cp_ml_sync(rx: ComplexWaveform, cfg: FrameConfig) -> SyncEstimate:
     [0, 1]; the fractional CFO follows from the correlation phase as
     -angle(gamma) * sample_rate / (2 pi fft_size), unambiguous up to half
     the subcarrier spacing. The estimate is returned whatever its peak:
-    judging the peak is the caller's decision.
+    judging the peak is the caller's decision. ``rx`` must be one 1-D
+    row of finite samples at ``cfg.sample_rate``.
     """
-    r = rx.samples
+    r = np.asarray(rx, dtype=np.complex128)
+    if r.ndim != 1 or not np.isfinite(r).all():
+        raise ValueError(f"rx must be one 1-D row of finite samples, got shape {r.shape}")
     n_fft, cp = cfg.fft_size, cfg.cp_length
     block = cfg.symbol_samples
     if len(r) < 2 * block:
@@ -130,23 +132,26 @@ def cp_ml_sync(rx: ComplexWaveform, cfg: FrameConfig) -> SyncEstimate:
     metric = np.divide(np.abs(gamma), phi, out=np.zeros_like(phi), where=phi > 0)
     best = int(np.argmax(metric))
     peak = float(min(metric[best], 1.0))
-    cfo = -np.angle(gamma[best]) * rx.sample_rate / (2.0 * np.pi * n_fft)
+    cfo = -np.angle(gamma[best]) * cfg.sample_rate / (2.0 * np.pi * n_fft)
     return SyncEstimate(timing_offset=best, fractional_cfo_hz=float(cfo), metric_peak=peak)
 
 
-def correct_cfo(rx: ComplexWaveform, cfo_hz: float) -> ComplexWaveform:
-    """Remove a frequency offset: rx[n] * exp(-j 2 pi f n / fs)."""
+def correct_cfo(rx, cfo_hz: float, sample_rate: float) -> np.ndarray:
+    """Remove a frequency offset: rx[n] * exp(-j 2 pi f n / fs); samples pass unchecked."""
     if not math.isfinite(cfo_hz):
         raise ValueError(f"cfo_hz must be finite, got {cfo_hz}")
+    if not 0.0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+    rx = np.asarray(rx, dtype=np.complex128)
     if cfo_hz == 0.0:
         return rx
-    n = np.arange(len(rx))
+    n = np.arange(rx.shape[-1])
     # np.exp stays (the channel's cos/sin phasor would not keep the bytes):
     # numpy divides this complex phase by the sample rate with a rounding
     # that neither b * n / fs nor (b * n) * (1 / fs) reproduces in floats,
     # and taking .imag of the complex phase matches but saves nothing
-    rotation = np.exp(-2j * np.pi * cfo_hz * n / rx.sample_rate)
-    return ComplexWaveform._of_finite(rx.samples * rotation, rx.sample_rate)
+    rotation = np.exp(-2j * np.pi * cfo_hz * n / sample_rate)
+    return rx * rotation
 
 
 class _PilotLine(NamedTuple):
@@ -266,7 +271,7 @@ def _data_columns(cfg: FrameConfig) -> np.ndarray:
 
 
 def receive_user(
-    rx: ComplexWaveform,
+    rx,
     cfg: FrameConfig,
     alloc: PowerAllocation,
     user: int,
@@ -274,12 +279,12 @@ def receive_user(
     sync_threshold: float = SYNC_DETECTION_THRESHOLD,
     cfo_error_hz: float = 0.0,
 ) -> UserRxReport:
-    """Full decode of one frame at one vehicle.
+    """Full decode of one frame at one vehicle from one row of samples.
 
     Pipeline: cp_ml_sync -> correct_cfo -> one FFT of all symbol bodies
     -> ls_estimate_channel -> zf_equalize -> evm_snr -> sic_decode ->
     qam_demodulate; the stages from the FFT to the EVM take all of the
-    frame's symbols at once. A buffer shorter than one frame is a
+    frame's symbols at once. A buffer under one frame or not finite is a
     ValueError; sync never places a frame past the end of a longer one. A
     sync peak below ``sync_threshold`` or a symbol that zero-forcing
     erases on every subcarrier yields detected=False with empty bits; the
@@ -289,16 +294,17 @@ def receive_user(
     """
     if not 1 <= user <= alloc.n_users:
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
-    if len(rx) < cfg.frame_samples:
+    rx = np.asarray(rx, dtype=np.complex128)
+    if rx.size < cfg.frame_samples:
         raise ValueError(
-            f"buffer of {len(rx)} samples is shorter than one frame of {cfg.frame_samples}"
+            f"buffer of {rx.size} samples is shorter than one frame of {cfg.frame_samples}"
         )
     sync = cp_ml_sync(rx, cfg)
     if sync.metric_peak < sync_threshold:
         return UserRxReport.lost(sync.metric_peak)
 
-    corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz)
-    frame = corrected.samples[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
+    corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz, cfg.sample_rate)
+    frame = corrected[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
     mask = pilot_mask(cfg)
     reference = composite_pilot_values(cfg, alloc, pilot_seed)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, MobilityState, apply_channel, doppler_shift
-from .frame_codec import ComplexWaveform, FrameConfig
+from .frame_codec import FrameConfig
 from .noma import (
     DEFAULT_POWER_COEFFICIENTS,
     PowerAllocation,
@@ -287,8 +287,8 @@ class StageHistogram:
     bin_width_db: float
 
     def rate_at(self, value_db: float) -> float:
-        """Per-second occurrence rate of the bin containing value_db."""
-        if self.bin_centers.size == 0 or self.duration_s <= 0:
+        """Per-second occurrence rate of the bin containing value_db (0 if not finite)."""
+        if self.bin_centers.size == 0 or self.duration_s <= 0 or not np.isfinite(value_db):
             return 0.0
         # both bins by the counting rule, so that a counted value finds its count
         first, idx = _bin_index([self.bin_centers[0], value_db], self.bin_width_db)
@@ -416,14 +416,14 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
         rx, _ = apply_channel(tx, params, mobility, seed=seed, t0=t0)
         reports = [
             receive_user(
-                ComplexWaveform._of_finite(samples, rx.sample_rate),
+                row,
                 frame_cfg,
                 alloc,
                 k + 1,
                 cfg.pilot_seed,
                 sync_threshold=cfg.sync_threshold,
             )
-            for samples in rx.samples
+            for row in rx.samples
         ]
         got = [r for r in reports if r.detected]
         if not got:

@@ -136,14 +136,14 @@ def test_criterion_6_synchronization_accuracy():
             rx, truth = apply_channel(
                 tx, params, MobilityState.static(1.0), seed=[30, trial]
             )
-            err = abs(cp_ml_sync(rx, CFG).fractional_cfo_hz - truth.applied_cfo_hz)
+            err = abs(cp_ml_sync(rx.samples, CFG).fractional_cfo_hz - truth.applied_cfo_hz)
             worst = max(worst, err / SCS)
     assert worst < 0.02
 
     for delay in (0, 17, 50, 113):
         params = ChannelParams(rician_k=np.inf, delay_samples=delay)
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=31)
-        assert cp_ml_sync(rx, CFG).timing_offset == delay
+        assert cp_ml_sync(rx.samples, CFG).timing_offset == delay
     report(6, f"worst CFO error {100 * worst:.3f}% of spacing; delays exact")
 
 
@@ -159,7 +159,7 @@ def test_criterion_7_perfect_sic_identity():
             tx, ChannelParams(rician_k=np.inf), MobilityState.static(1.0), seed=32
         )
         for k in range(1, len(coeffs) + 1):
-            rep = receive_user(rx, CFG, alloc, k, 21)
+            rep = receive_user(rx.samples, CFG, alloc, k, 21)
             assert rep.detected
             assert np.array_equal(rep.bits, payloads[k - 1]), f"user {k} of {coeffs}"
 

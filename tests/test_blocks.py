@@ -187,7 +187,7 @@ def _sweep_trial_by_trial(cfg, snr_db, min_bits, seed):
         for k in range(1, k_users + 1):
             rx, _ = apply_channel(tx, params, mobility, seed=[seed, 20, 0, trial, k])
             report = receive_user(
-                rx, frame_cfg, alloc, k, cfg.pilot_seed, sync_threshold=cfg.sync_threshold
+                rx.samples, frame_cfg, alloc, k, cfg.pilot_seed, sync_threshold=cfg.sync_threshold
             )
             if report.detected:
                 errors[k - 1] += np.count_nonzero(report.bits != payloads[k - 1])
@@ -256,7 +256,12 @@ def _replay_frame_by_frame(cfg):
             rx, _ = apply_channel(tx, params, cfg.mobility(k), seed=[cfg.seed, 1, k], t0=t0)
             reports.append(
                 receive_user(
-                    rx, frame_cfg, alloc, k, cfg.pilot_seed, sync_threshold=cfg.sync_threshold
+                    rx.samples,
+                    frame_cfg,
+                    alloc,
+                    k,
+                    cfg.pilot_seed,
+                    sync_threshold=cfg.sync_threshold,
                 )
             )
             lost[k - 1] += not reports[-1].detected

@@ -119,6 +119,28 @@ class TestMobilityState:
         with pytest.raises(ValueError):
             MobilityState(-1.0, stationary_end=2.165, mobile_end=5.745, speed=0.876)
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"start_distance": np.nan}, "start_distance"),
+            ({"end_distance": np.nan}, "start_distance and end_distance"),
+            ({"start_distance": np.inf}, "start_distance"),
+            ({"stationary_end": np.nan}, "mobile_end"),
+            ({"mobile_end": np.nan}, "mobile_end"),
+            ({"speed": np.nan}, "speed"),
+            ({"speed": np.inf}, "speed"),
+        ],
+    )
+    def test_rejects_nan_and_meaningless_infinity(self, change, field):
+        profile = {"start_distance": 4.02, "end_distance": 1.12, "stationary_end": 2.165}
+        with pytest.raises(ValueError, match=f"^{field}"):
+            MobilityState(**{**profile, "mobile_end": 5.74, "speed": 0.876, **change})
+
+    @pytest.mark.parametrize("speed", [np.nan, np.inf])
+    def test_doppler_shift_rejects_a_non_finite_speed(self, speed):
+        with pytest.raises(ValueError, match="^speed"):
+            doppler_shift(speed, 2.34e9)
+
 
 def _unit_frame(n=1600, fs=5e5, seed=0):
     rng = np.random.default_rng(seed)
@@ -139,6 +161,29 @@ class TestChannelParams:
     def test_rejects_nan_or_infinite_noise_power(self, level):
         with pytest.raises(ValueError, match=next(iter(level))):
             ChannelParams(**level)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rician_k", np.nan),
+            ("doppler_hz", np.nan),
+            ("doppler_hz", np.inf),
+            ("cfo_hz", np.nan),
+            ("cfo_hz", np.inf),
+            ("cfo_jitter_hz", np.nan),
+            ("cfo_jitter_hz", np.inf),
+            ("cfo_jitter_tau_s", np.nan),
+            ("cfo_jitter_tau_s", np.inf),
+            ("path_loss_exponent", np.nan),
+            ("path_loss_exponent", -np.inf),
+            ("reference_distance", np.nan),
+            ("reference_distance", np.inf),
+        ],
+    )
+    def test_rejects_nan_and_meaningless_infinity(self, field, value):
+        # the message begins with the field, as the config loader expects
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ChannelParams(**{field: value})
 
     def test_infinite_snr_and_zero_noise_power_are_noiseless(self):
         tx = _unit_frame()

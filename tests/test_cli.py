@@ -336,7 +336,7 @@ def _sync_offsets(cfg, frames=8):
             list(payloads), cfg.frame, resolve_allocation(cfg), cfg.pilot_seed
         )
         rx, _ = apply_channel(tx, los, MobilityState.static(1.0), seed=seed)
-        offsets.add(cp_ml_sync(rx, cfg.frame).timing_offset)
+        offsets.add(cp_ml_sync(rx.samples, cfg.frame).timing_offset)
     return offsets
 
 

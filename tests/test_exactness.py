@@ -46,6 +46,7 @@ from nomalink.noma import (
 )
 from nomalink.receiver import (
     SYNC_DETECTION_THRESHOLD,
+    correct_cfo,
     cp_ml_sync,
     evm_snr,
     zf_equalize,
@@ -228,7 +229,7 @@ def test_cp_sync_matches_the_per_offset_loop(buffer):
     n_sym = min(CFG.symbols_per_frame, buffer.size // CFG.symbol_samples)
     assert buffer.size - n_sym * CFG.symbol_samples > 0  # several timing candidates
     expected = _reference_cp_ml_sync(buffer, CFG, detection_threshold=0.0)
-    got = cp_ml_sync(ComplexWaveform(buffer, CFG.sample_rate), CFG)
+    got = cp_ml_sync(buffer, CFG)
     assert (got.timing_offset, got.fractional_cfo_hz.hex(), got.metric_peak.hex()) == expected
     lost = _reference_cp_ml_sync(buffer, CFG) is None
     assert (got.metric_peak < SYNC_DETECTION_THRESHOLD) == lost
@@ -263,10 +264,20 @@ def _sync_edge_buffers():
 def test_cp_sync_edge_cases_match_the_per_offset_loop(cfg, buffer):
     # the reference at threshold 0 returns every estimate, a zero metric included
     expected = _reference_cp_ml_sync(buffer, cfg, detection_threshold=0.0)
-    got = cp_ml_sync(ComplexWaveform(buffer, cfg.sample_rate), cfg)
+    got = cp_ml_sync(buffer, cfg)
     assert (got.timing_offset, got.fractional_cfo_hz.hex(), got.metric_peak.hex()) == expected
     lost = _reference_cp_ml_sync(buffer, cfg) is None
     assert (got.metric_peak < SYNC_DETECTION_THRESHOLD) == lost
+
+
+@pytest.mark.parametrize("cfo_hz", [310.0, -977.0, 1e-3])
+def test_cfo_correction_of_a_row_matches_the_waveform_product(cfo_hz):
+    # the correction once multiplied the waveform's samples by the rotation
+    rng = np.random.default_rng(13)
+    row = rng.normal(size=CFG.frame_samples) + 1j * rng.normal(size=CFG.frame_samples)
+    n = np.arange(row.size)
+    expected = row * np.exp(-2j * np.pi * cfo_hz * n / CFG.sample_rate)
+    assert _same_bytes(correct_cfo(row, cfo_hz, CFG.sample_rate), expected)
 
 
 def _reference_evm_snr(equalized_pilots, pilot_reference, cap_db=60.0):
@@ -466,3 +477,22 @@ def test_channel_output_equals_the_complex_exp_rotation(params, mobility):
         ref_rx, ref_truth = apply_channel(tx, params, mobility, seed=[6, 2], t0=t0)
     assert _same_bytes(rx.samples, ref_rx.samples)
     assert _same_bytes(truth.tap_gain, ref_truth.tap_gain)
+
+
+@pytest.mark.parametrize("shape", [(8, 1600), (8, 1856), (3, 2100), (2, 20_000), (2,)])
+def test_channel_products_in_place_equal_the_named_products(shape):
+    # apply_channel multiplies path loss, fading, signal and carrier rotation
+    # into one buffer; a one-sample product takes another numpy loop and may
+    # round differently, so no shape here has a single element
+    rng = np.random.default_rng(shape[-1])
+    for _ in range(5):
+        amp = rng.uniform(0.1, 2.0, shape)
+        h, x = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        rotation = _phasor(rng.uniform(0.0, 2.0 * np.pi, shape))
+        gain = amp * h
+        carried = gain * x
+        expected = carried * rotation
+        got = amp * h
+        got *= x
+        got *= rotation
+        assert _same_bytes(got, expected)

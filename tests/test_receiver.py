@@ -5,7 +5,6 @@ import pytest
 
 from nomalink.channel import ChannelParams, MobilityState, apply_channel
 from nomalink.frame_codec import (
-    ComplexWaveform,
     FrameConfig,
     _levels_to_bits,
     pilot_mask,
@@ -44,10 +43,19 @@ def make_frame(seed, n_users=3):
     return payloads, tx
 
 
+def _bad_row(samples, bad):
+    """A frame's samples with a NaN or an infinite sample, or as a 2-D array."""
+    if bad == "2-D":
+        return np.stack([samples, samples])
+    row = samples.copy()
+    row[700] = np.nan if bad == "nan" else np.inf
+    return row
+
+
 class TestCpMlSync:
     def test_null_offsets(self):
         _, tx = make_frame(0)
-        sync = cp_ml_sync(tx, CFG)
+        sync = cp_ml_sync(tx.samples, CFG)
         assert sync.timing_offset == 0
         assert abs(sync.fractional_cfo_hz) < 1e-6 * SCS
         assert sync.metric_peak == pytest.approx(1.0, abs=1e-9)
@@ -56,7 +64,7 @@ class TestCpMlSync:
         _, tx = make_frame(1)
         params = ChannelParams(rician_k=np.inf, delay_samples=50)
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=2)
-        assert cp_ml_sync(rx, CFG).timing_offset == 50
+        assert cp_ml_sync(rx.samples, CFG).timing_offset == 50
 
     def test_fractional_cfo_at_30db(self):
         # truth comparison: injected 0.1 subcarrier-spacing offset comes
@@ -65,19 +73,25 @@ class TestCpMlSync:
         injected = 0.1 * SCS
         params = ChannelParams(rician_k=np.inf, cfo_hz=injected, target_snr_db=30.0)
         rx, truth = apply_channel(tx, params, MobilityState.static(1.0), seed=3)
-        sync = cp_ml_sync(rx, CFG)
+        sync = cp_ml_sync(rx.samples, CFG)
         assert truth.applied_cfo_hz == pytest.approx(injected)
         assert abs(sync.fractional_cfo_hz - injected) < 0.01 * injected
 
     def test_noise_only_peaks_below_the_detection_threshold(self):
         rng = np.random.default_rng(4)
         noise = (rng.normal(size=3200) + 1j * rng.normal(size=3200)) / np.sqrt(2)
-        sync = cp_ml_sync(ComplexWaveform(noise, CFG.sample_rate), CFG)
+        sync = cp_ml_sync(noise, CFG)
         assert sync.metric_peak < SYNC_DETECTION_THRESHOLD
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "2-D"])
+    def test_rejects_a_row_that_is_not_finite_or_not_1d(self, bad):
+        _, tx = make_frame(28)
+        with pytest.raises(ValueError, match="one 1-D row of finite samples"):
+            cp_ml_sync(_bad_row(tx.samples, bad), CFG)
 
     def test_requires_two_symbol_periods(self):
         with pytest.raises(ValueError):
-            cp_ml_sync(ComplexWaveform(np.ones(500, dtype=complex), CFG.sample_rate), CFG)
+            cp_ml_sync(np.ones(500, dtype=complex), CFG)
 
 
 class TestCorrectCfo:
@@ -85,26 +99,32 @@ class TestCorrectCfo:
         _, tx = make_frame(5)
         params = ChannelParams(rician_k=np.inf, cfo_hz=123.0)
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=6)
-        restored = correct_cfo(rx, 123.0)
-        assert np.allclose(restored.samples, tx.samples, atol=1e-9)
+        restored = correct_cfo(rx.samples, 123.0, CFG.sample_rate)
+        assert np.allclose(restored, tx.samples, atol=1e-9)
 
     @pytest.mark.parametrize("cfo_hz", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_offset(self, cfo_hz):
         _, tx = make_frame(6)
         with pytest.raises(ValueError, match="cfo_hz"):
-            correct_cfo(tx, cfo_hz)
+            correct_cfo(tx.samples, cfo_hz, CFG.sample_rate)
+
+    @pytest.mark.parametrize("sample_rate", [0.0, -5e5, np.nan, np.inf])
+    def test_rejects_a_sample_rate_that_is_not_positive_and_finite(self, sample_rate):
+        _, tx = make_frame(6)
+        with pytest.raises(ValueError, match="sample_rate"):
+            correct_cfo(tx.samples, 10.0, sample_rate)
 
     def test_zero_is_identity(self):
         _, tx = make_frame(6)
-        assert correct_cfo(tx, 0.0) is tx
+        assert correct_cfo(tx.samples, 0.0, CFG.sample_rate) is tx.samples
 
     def test_residual_after_estimated_correction(self):
         _, tx = make_frame(7)
         injected = 0.2 * SCS
         params = ChannelParams(rician_k=np.inf, cfo_hz=injected, target_snr_db=30.0)
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=8)
-        sync = cp_ml_sync(rx, CFG)
-        corrected = correct_cfo(rx, sync.fractional_cfo_hz)
+        sync = cp_ml_sync(rx.samples, CFG)
+        corrected = correct_cfo(rx.samples, sync.fractional_cfo_hz, CFG.sample_rate)
         residual = cp_ml_sync(corrected, CFG).fractional_cfo_hz
         assert abs(residual) < 0.02 * SCS
 
@@ -224,7 +244,7 @@ class TestReceiveUser:
         params = ChannelParams(rician_k=np.inf)
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=13)
         for k in (1, 2, 3):
-            report = receive_user(rx, CFG, ALLOC, k, PILOT_SEED)
+            report = receive_user(rx.samples, CFG, ALLOC, k, PILOT_SEED)
             assert report.detected
             assert np.array_equal(report.bits, payloads[k - 1])
             assert abs(report.estimated_cfo_hz) < 1e-6 * SCS
@@ -240,7 +260,7 @@ class TestReceiveUser:
             payloads, tx = make_frame(1000 + f)
             rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[14, f])
             for k in (1, 2, 3):
-                report = receive_user(rx, CFG, ALLOC, k, PILOT_SEED)
+                report = receive_user(rx.samples, CFG, ALLOC, k, PILOT_SEED)
                 assert report.detected
                 errors[k - 1] += np.count_nonzero(report.bits != payloads[k - 1])
         total = n_frames * CFG.payload_bits
@@ -257,7 +277,7 @@ class TestReceiveUser:
             payloads, tx = make_frame(2000 + f)
             rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[15, f])
             report = receive_user(
-                rx, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.2 * SCS
+                rx.samples, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.2 * SCS
             )
             errors += np.count_nonzero(report.bits != payloads[0])
         assert errors / (n_frames * CFG.payload_bits) > 1e-2
@@ -265,9 +285,7 @@ class TestReceiveUser:
     def test_sync_failure_reports_lost_frame(self):
         rng = np.random.default_rng(16)
         noise = (rng.normal(size=1600) + 1j * rng.normal(size=1600)) / np.sqrt(2)
-        report = receive_user(
-            ComplexWaveform(noise, CFG.sample_rate), CFG, ALLOC, 1, PILOT_SEED
-        )
+        report = receive_user(noise, CFG, ALLOC, 1, PILOT_SEED)
         assert not report.detected
         assert report.bits.size == 0
         assert report.estimated_snr_db.size == 0
@@ -275,12 +293,11 @@ class TestReceiveUser:
     def test_lost_frame_keeps_its_correlation_peak(self):
         rng = np.random.default_rng(24)
         noise = (rng.normal(size=1600) + 1j * rng.normal(size=1600)) / np.sqrt(2)
-        rx = ComplexWaveform(noise, CFG.sample_rate)
-        report = receive_user(rx, CFG, ALLOC, 2, PILOT_SEED)
+        report = receive_user(noise, CFG, ALLOC, 2, PILOT_SEED)
         assert not report.detected
         assert np.isfinite(report.sync_metric)
         assert 0.0 < report.sync_metric < SYNC_DETECTION_THRESHOLD
-        assert report.sync_metric == cp_ml_sync(rx, CFG).metric_peak
+        assert report.sync_metric == cp_ml_sync(noise, CFG).metric_peak
 
     @pytest.mark.parametrize("user", [0, 4])
     def test_user_outside_the_allocation_is_rejected_before_sync(self, monkeypatch, user):
@@ -291,7 +308,20 @@ class TestReceiveUser:
 
         monkeypatch.setattr(receiver, "cp_ml_sync", sync)
         with pytest.raises(ValueError, match=f"user index {user} outside 1..3"):
-            receive_user(tx, CFG, ALLOC, user, PILOT_SEED)
+            receive_user(tx.samples, CFG, ALLOC, user, PILOT_SEED)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "2-D"])
+    def test_row_that_is_not_finite_or_not_1d_is_rejected_before_any_work(
+        self, monkeypatch, bad
+    ):
+        _, tx = make_frame(29)
+
+        def stage(*args, **kwargs):
+            raise AssertionError("a stage after the row check ran")
+
+        monkeypatch.setattr(receiver, "correct_cfo", stage)
+        with pytest.raises(ValueError, match="one 1-D row of finite samples"):
+            receive_user(_bad_row(tx.samples, bad), CFG, ALLOC, 2, PILOT_SEED, sync_threshold=0.0)
 
     def test_buffer_shorter_than_a_frame_is_rejected(self):
         payloads, tx = make_frame(25)
@@ -299,17 +329,17 @@ class TestReceiveUser:
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=26)
         assert len(rx) == CFG.frame_samples
         for k in (1, 2, 3):
-            report = receive_user(rx, CFG, ALLOC, k, PILOT_SEED)
+            report = receive_user(rx.samples, CFG, ALLOC, k, PILOT_SEED)
             assert report.detected
             assert np.count_nonzero(report.bits != payloads[k - 1]) == 0
-        short = ComplexWaveform(rx.samples[:-1], CFG.sample_rate)
+        short = rx.samples[:-1]
         need = f"{CFG.frame_samples - 1} samples.*{CFG.frame_samples}"
         with pytest.raises(ValueError, match=need):
             receive_user(short, CFG, ALLOC, 1, PILOT_SEED, sync_threshold=0.0)
 
     def test_all_erased_frame_is_reported_lost(self):
         # a silent frame passes a zero threshold, then every subcarrier erases
-        rx = ComplexWaveform(np.zeros(CFG.frame_samples, dtype=complex), CFG.sample_rate)
+        rx = np.zeros(CFG.frame_samples, dtype=complex)
         report = receive_user(rx, CFG, ALLOC, 2, PILOT_SEED, sync_threshold=0.0)
         assert not report.detected
         assert report.sync_metric == 0.0
@@ -320,7 +350,7 @@ class TestReceiveUser:
         payloads, tx = make_frame(17)
         params = ChannelParams(rician_k=np.inf)
         rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=18)
-        report = receive_user(rx, CFG, ALLOC, 3, PILOT_SEED)
+        report = receive_user(rx.samples, CFG, ALLOC, 3, PILOT_SEED)
         assert [levels.shape for levels in report.stage_levels] == [(625, 2), (625, 2)]
         assert stage_errors(report, payloads[:2]) == (0, 0)
 
@@ -335,7 +365,7 @@ class TestReceiveUser:
             rx, truth = apply_channel(
                 tx, params, MobilityState.static(1.0), seed=[20, f]
             )
-            sync = cp_ml_sync(rx, CFG)
+            sync = cp_ml_sync(rx.samples, CFG)
             errors.append(sync.fractional_cfo_hz - truth.applied_cfo_hz)
         assert abs(np.mean(errors)) < 0.01 * SCS
 
@@ -347,12 +377,12 @@ class TestReceiveUser:
             _, tx = make_frame(3000 + f)
             rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[21, f])
             clean.append(
-                np.mean(receive_user(rx, CFG, ALLOC, 1, PILOT_SEED).estimated_snr_db)
+                np.mean(receive_user(rx.samples, CFG, ALLOC, 1, PILOT_SEED).estimated_snr_db)
             )
             degraded.append(
                 np.mean(
                     receive_user(
-                        rx, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.05 * SCS
+                        rx.samples, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.05 * SCS
                     ).estimated_snr_db
                 )
             )
@@ -366,7 +396,7 @@ class TestReceiveUser:
         for f in range(40):
             payloads, tx = make_frame(4000 + f)
             rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[22, f])
-            report = receive_user(rx, CFG, ALLOC, 3, PILOT_SEED)
+            report = receive_user(rx.samples, CFG, ALLOC, 3, PILOT_SEED)
             if not report.detected or stage_errors(report, payloads[:2]) == (0, 0):
                 continue
             extra.append(np.count_nonzero(report.bits != payloads[2]))

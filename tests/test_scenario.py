@@ -83,6 +83,15 @@ class TestSnrHistogram:
         assert stationary.counts.tolist() == [1]
         assert stationary.rate_at(0.55) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("value_db", [np.nan, np.inf, -np.inf])
+    def test_rate_at_a_non_finite_value_is_zero(self, value_db):
+        # the histograms drop non-finite values, so no bin holds one
+        stationary, _ = snr_histogram(
+            [0.0, 0.3], [23.0, np.nan], 1.0, 1.0, total_duration_s=1.0
+        )
+        assert stationary.counts.tolist() == [1]
+        assert stationary.rate_at(value_db) == 0.0
+
     def test_stage_split(self):
         times = np.array([0.0, 1.0, 3.0, 4.0])
         values = np.array([20.0, 20.0, 30.0, 30.0])
