@@ -13,7 +13,6 @@ from .channel import (
     generate_fading,
 )
 from .frame_codec import (
-    ComplexWaveform,
     FrameConfig,
     assemble_frame,
     disassemble_symbol,
@@ -57,7 +56,6 @@ __all__ = [
     "doppler_shift",
     "estimate_k_factor",
     "generate_fading",
-    "ComplexWaveform",
     "FrameConfig",
     "assemble_frame",
     "disassemble_symbol",

@@ -15,8 +15,6 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .frame_codec import ComplexWaveform
-
 __all__ = [
     "SPEED_OF_LIGHT",
     "ChannelParams",
@@ -281,8 +279,8 @@ def generate_fading(
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    if not 0 < sample_rate < np.inf:
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
     rng = np.random.default_rng(_fading_seed(seed))
     angles, phases = _sos_parameters(rng, params.n_sinusoids)
     tau = np.arange(n_samples) / sample_rate
@@ -300,13 +298,15 @@ def _block_wander(
 
 
 def apply_channel(
-    tx: ComplexWaveform,
+    tx,
+    sample_rate: float,
     params: ChannelParams,
     mobility: MobilityState,
     seed,
     t0=0.0,
-) -> tuple[ComplexWaveform, ChannelRealization]:
-    """Propagate a waveform through the mobile fading channel.
+) -> tuple[np.ndarray, ChannelRealization]:
+    """Propagate transmit samples at ``sample_rate`` through the mobile
+    fading channel.
 
     rx[n] = a(d(t_n)) * h[n] * tx[n - delay] * exp(j*phi[n]) + w[n], where
     phi integrates the instantaneous frequency offset (constant CFO, plus
@@ -317,17 +317,24 @@ def apply_channel(
     ``t0`` continue the same channel; noise and wander draws are keyed by
     (seed, start sample) and therefore differ per call deterministically.
 
-    A waveform holding a block of frames (one row each) is propagated row
-    by row in one call, exactly as one call per row would: ``t0`` then
-    gives each row's start time, and ``seed`` is either one seed shared
-    by the rows or a 2-D array with one seed row per frame; any other row
-    count, or a ``t0`` that is neither one time nor one per frame, is a
-    ValueError before any draw. The realization's fields then hold one
-    row or value per frame.
+    ``tx`` is one frame's samples or a block of frames, one row each. A
+    block is propagated row by row in one call, exactly as one call per
+    row would: ``t0`` then gives each row's start time, and ``seed`` is
+    either one seed shared by the rows or a 2-D array with one seed row
+    per frame. The realization's fields then hold one row or value per
+    frame. An empty ``tx``, one that is not 1-D or 2-D or holds a
+    non-finite sample, a ``sample_rate`` that is not positive and finite,
+    another seed row count, or a ``t0`` that is neither one time nor one
+    per frame is a ValueError before any draw.
     """
-    if len(tx) == 0:
-        raise ValueError("tx waveform must be non-empty")
-    block = tx.samples.reshape(-1, len(tx))
+    tx = np.asarray(tx, dtype=np.complex128)
+    if tx.ndim not in (1, 2) or tx.size == 0:
+        raise ValueError(f"tx must be a non-empty 1-D or 2-D array, got shape {tx.shape}")
+    if not np.isfinite(tx).all():
+        raise ValueError("tx must hold finite samples")
+    if not 0 < sample_rate < np.inf:
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+    block = tx.reshape(-1, tx.shape[-1])
     frames = block.shape[0]
     per_frame = np.ndim(seed) == 2
     if per_frame and len(seed) != frames:
@@ -339,15 +346,14 @@ def apply_channel(
         raise ValueError(
             f"t0 must be one start time or one per frame ({frames}), got shape {t0.shape}"
         )
-    fs = tx.sample_rate
     delay = params.delay_samples
-    n = len(tx) + delay
+    n = tx.shape[-1] + delay
     if delay:
         x = np.concatenate([np.zeros((frames, delay), dtype=np.complex128), block], axis=1)
     else:
         x = block
     t0 = np.broadcast_to(t0, (frames,))
-    t = t0[:, None] + np.arange(n) / fs
+    t = t0[:, None] + np.arange(n) / sample_rate
     seeds = list(seed) if per_frame else [seed] * frames
 
     drawn = [
@@ -364,7 +370,7 @@ def apply_channel(
     amp = (params.reference_distance / mobility.distance(t)) ** (params.path_loss_exponent / 2.0)
 
     draw_rngs = [
-        np.random.default_rng(_noise_seed(s, int(round(start * fs))))
+        np.random.default_rng(_noise_seed(s, int(round(start * sample_rate))))
         for s, start in zip(seeds, t0)
     ]
     moving = mobility.is_moving(t)
@@ -372,13 +378,13 @@ def apply_channel(
     f_inst = np.full((frames, n), params.cfo_hz, dtype=float)
     f_inst += params.doppler_hz * moving
     if params.cfo_jitter_hz > 0:
-        step = max(1, int(round(params.cfo_jitter_tau_s * fs)))
+        step = max(1, int(round(params.cfo_jitter_tau_s * sample_rate)))
         for row, rng, row_moving in zip(f_inst, draw_rngs, moving):
             row += _block_wander(rng, n, params.cfo_jitter_hz, step) * row_moving
     del moving
     applied_cfo = np.mean(f_inst, axis=1)
     f_inst *= 2.0 * np.pi
-    f_inst /= fs
+    f_inst /= sample_rate
     phase = np.zeros((frames, n), dtype=float)
     np.cumsum(f_inst[:, :-1], axis=1, out=phase[:, 1:])
     del f_inst
@@ -411,7 +417,7 @@ def apply_channel(
     for f in np.flatnonzero(noise_power > 0):
         interleaved[f] += draw_rngs[f].normal(0.0, np.sqrt(noise_power[f] / 2.0), (n, 2))
 
-    if tx.samples.ndim == 1:
+    if tx.ndim == 1:
         rx, h = rx[0], h[0]
         applied_cfo, noise_power = float(applied_cfo[0]), float(noise_power[0])
     truth = ChannelRealization(
@@ -420,7 +426,7 @@ def apply_channel(
         applied_delay=delay,
         noise_power=noise_power,
     )
-    return ComplexWaveform(rx, fs), truth
+    return rx, truth
 
 
 def _rician_moment_start(m2: float, m4: float) -> tuple[float, float]:

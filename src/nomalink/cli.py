@@ -268,7 +268,7 @@ def _selftest() -> list[tuple[str, bool]]:
     )
     wave = assemble_frame(bits, cfg, 11)
     checks.append(("frame length", len(wave) == cfg.frame_samples))
-    body = wave.samples[: cfg.symbol_samples]
+    body = wave[: cfg.symbol_samples]
     checks.append(
         (
             "cyclic prefix",
@@ -277,20 +277,20 @@ def _selftest() -> list[tuple[str, bool]]:
     )
     alloc = PowerAllocation.testbed_default()
     ones = [wave, wave, wave]
-    total = superpose(ones, alloc).samples
+    total = superpose(ones, alloc)
     expected = sum(np.sqrt(c) for c in alloc.coefficients)
     checks.append(
-        ("superposition", bool(np.allclose(total, expected * wave.samples)))
+        ("superposition", bool(np.allclose(total, expected * wave)))
     )
     checks.append(("doppler formula", abs(doppler_shift(0.876, 2.34e9) - 6.8375) < 0.01))
 
     payloads = [rng.integers(0, 2, cfg.payload_bits) for _ in range(3)]
     tx = build_downlink_frame(payloads, cfg, alloc, 11)
     clean = ChannelParams(rician_k=1e12)
-    rx, _ = apply_channel(tx, clean, MobilityState.static(1.0), seed=1)
+    rx, _ = apply_channel(tx, cfg.sample_rate, clean, MobilityState.static(1.0), seed=1)
     ok = True
     for k in range(1, 4):
-        report = receive_user(rx.samples, cfg, alloc, k, 11)
+        report = receive_user(rx, cfg, alloc, k, 11)
         ok = ok and report.detected and compute_ber(payloads[k - 1], report.bits, True) == 0.0
     checks.append(("transparent end-to-end", ok))
     return checks

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "FrameConfig",
-    "ComplexWaveform",
     "qam_modulate",
     "qam_demodulate",
     "assemble_frame",
@@ -52,9 +51,11 @@ class FrameConfig:
     carrier_frequency: float = 2.34e9
 
     def __post_init__(self) -> None:
-        for name in ("data_subcarriers", "pilot_subcarriers", "symbols_per_frame", "sample_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # the comparison fails on NaN too
+        counts = ("data_subcarriers", "pilot_subcarriers", "symbols_per_frame")
+        for name in (*counts, "sample_rate", "carrier_frequency"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not _is_power_of_two(self.fft_size):
             raise ValueError("fft_size must be a power of two")
         # DC is nulled, so the occupied span needs fft_size > total.
@@ -95,27 +96,6 @@ class FrameConfig:
     @property
     def frame_duration(self) -> float:
         return self.frame_samples / self.sample_rate
-
-
-@dataclass(frozen=True)
-class ComplexWaveform:
-    """Complex baseband sample sequence with its sample rate.
-
-    ``samples`` is one frame's samples, or a block of frames with one row
-    per frame; ``len`` is the number of samples in a frame.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise ValueError("waveform samples must be finite")
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.shape[-1]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -246,12 +226,13 @@ def _spectrum_scale(cfg: FrameConfig) -> float:
     return cfg.fft_size / np.sqrt(cfg.total_subcarriers)
 
 
-def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> ComplexWaveform:
+def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> np.ndarray:
     """Build one frame: modulate, interleave pilots, IFFT, prepend prefixes.
 
-    Returns the time-domain waveform (symbols_per_frame * (fft + cp)
-    samples). A payload block of shape (frames, payload_bits) builds one
-    frame per row, and the waveform carries the same leading frame axis.
+    Returns the time-domain samples at ``cfg.sample_rate``
+    (symbols_per_frame * (fft + cp) of them). A payload block of shape
+    (frames, payload_bits) builds one frame per row, and the samples
+    carry the same leading frame axis.
     """
     payload = np.asarray(payload, dtype=np.int64)
     if payload.ndim not in (1, 2) or payload.shape[-1] != cfg.payload_bits:
@@ -270,7 +251,7 @@ def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> ComplexWaveform:
     )
     bodies = np.fft.ifft(spectra, axis=-1) * _spectrum_scale(cfg)
     with_cp = np.concatenate([bodies[..., cfg.fft_size - cfg.cp_length :], bodies], axis=-1)
-    return ComplexWaveform(with_cp.reshape(*frames, -1), cfg.sample_rate)
+    return with_cp.reshape(*frames, -1)
 
 
 def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.ndarray:

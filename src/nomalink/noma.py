@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .frame_codec import (
-    ComplexWaveform,
     FrameConfig,
     _axis_levels,
     _check_order,
@@ -53,8 +52,9 @@ class PowerAllocation:
         coeffs = tuple(float(c) for c in np.atleast_1d(self.coefficients))
         if len(coeffs) == 0:
             raise ValueError("allocation needs at least one coefficient")
-        if any(c <= 0 for c in coeffs):
-            raise ValueError("power coefficients must be positive")
+        # fails on NaN too
+        if not all(0 < c < np.inf for c in coeffs):
+            raise ValueError(f"power coefficients must be positive and finite, got {coeffs}")
         if abs(sum(coeffs) - 1.0) > _SUM_TOL:
             raise ValueError(f"power coefficients must sum to 1, got {sum(coeffs):.9f}")
         if any(a < b - _SUM_TOL for a, b in zip(coeffs, coeffs[1:])):
@@ -92,25 +92,23 @@ def allocate_power_by_distance(distances) -> PowerAllocation:
     return PowerAllocation(tuple(alpha))
 
 
-def superpose(waveforms: Sequence[ComplexWaveform], alloc: PowerAllocation) -> ComplexWaveform:
-    """Amplitude-weighted sum of per-user waveforms: sum_k sqrt(alpha_k) x_k.
+def superpose(waveforms: Sequence, alloc: PowerAllocation) -> np.ndarray:
+    """Amplitude-weighted sum of per-user samples: sum_k sqrt(alpha_k) x_k.
 
-    Waveforms holding a block of frames are summed frame by frame.
+    Samples holding a block of frames are summed frame by frame.
     """
     if len(waveforms) != alloc.n_users:
         raise ValueError(
             f"got {len(waveforms)} waveforms for {alloc.n_users} coefficients"
         )
-    shapes = {w.samples.shape for w in waveforms}
+    waves = [np.asarray(w, dtype=np.complex128) for w in waveforms]
+    shapes = {w.shape for w in waves}
     if len(shapes) != 1:
         raise ValueError("user waveforms must have equal length")
-    rates = {w.sample_rate for w in waveforms}
-    if len(rates) != 1:
-        raise ValueError("user waveforms must share a sample rate")
     out = np.zeros(shapes.pop(), dtype=np.complex128)
-    for amp, wave in zip(alloc.amplitudes, waveforms):
-        out += amp * wave.samples
-    return ComplexWaveform(out, rates.pop())
+    for amp, wave in zip(alloc.amplitudes, waves):
+        out += amp * wave
+    return out
 
 
 def sic_decode(
@@ -168,11 +166,12 @@ def build_downlink_frame(
     cfg: FrameConfig,
     alloc: PowerAllocation,
     pilot_seed: int,
-) -> ComplexWaveform:
+) -> np.ndarray:
     """Assemble one frame per user and superpose them for transmission.
 
-    Each payload may be a block of shape (frames, payload_bits); the
-    waveform then carries that leading frame axis.
+    Returns the samples at ``cfg.sample_rate``. Each payload may be a
+    block of shape (frames, payload_bits); the samples then carry that
+    leading frame axis.
     """
     if len(payloads) != alloc.n_users:
         raise ValueError(f"need {alloc.n_users} payloads, got {len(payloads)}")

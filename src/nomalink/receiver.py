@@ -288,12 +288,16 @@ def receive_user(
     ValueError; sync never places a frame past the end of a longer one. A
     sync peak below ``sync_threshold`` or a symbol that zero-forcing
     erases on every subcarrier yields detected=False with empty bits; the
-    report keeps the sync peak. ``cfo_error_hz`` adds a known error to the
+    report keeps the sync peak; a NaN threshold is a ValueError, and one
+    above 1 loses every frame. ``cfo_error_hz`` adds a known error to the
     applied correction (estimation-error injection for stress tests); the
     reported CFO stays the estimator output.
     """
     if not 1 <= user <= alloc.n_users:
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
+    # a NaN threshold would pass every frame as detected
+    if math.isnan(sync_threshold):
+        raise ValueError("sync_threshold must be a number, got nan")
     rx = np.asarray(rx, dtype=np.complex128)
     if rx.size < cfg.frame_samples:
         raise ValueError(

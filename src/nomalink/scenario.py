@@ -57,8 +57,9 @@ class UserPath:
     end_distance: float
 
     def __post_init__(self) -> None:
-        if self.start_distance <= 0 or self.end_distance <= 0:
-            raise ValueError("distances must be positive")
+        # fails on NaN too
+        if not (0 < self.start_distance < np.inf and 0 < self.end_distance < np.inf):
+            raise ValueError("distances must be positive and finite")
         if self.start_distance <= self.end_distance:
             raise ValueError("vehicles approach the base station: start > end")
 
@@ -126,10 +127,6 @@ class ScenarioConfig:
             )
         if self.frame.pilot_subcarriers < 2:
             raise ValueError("frame.pilot_subcarriers must be >= 2 for the pilot regression")
-        if not self.frame.carrier_frequency > 0:
-            raise ValueError(
-                f"frame.carrier_frequency must be positive, got {self.frame.carrier_frequency}"
-            )
         users = tuple(
             u if isinstance(u, UserPath) else UserPath(*u) for u in self.users
         )
@@ -323,8 +320,10 @@ def snr_histogram(
     Bins are centred on integer multiples of the bin width, so the
     "23 dB" bin covers [22.5, 23.5) for a 1 dB width.
     """
-    if bin_width_db <= 0:
-        raise ValueError("bin_width_db must be positive")
+    if not 0 < bin_width_db < np.inf:
+        raise ValueError(f"bin_width_db must be positive and finite, got {bin_width_db}")
+    if not np.isfinite(stage_split_s):
+        raise ValueError(f"stage_split_s must be finite, got {stage_split_s}")
     t = np.asarray(times_s, dtype=float)
     v = np.asarray(snr_db, dtype=float)
     if t.size != v.size or t.size == 0:
@@ -413,7 +412,7 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
     errors = np.zeros((n_frames, n_sym, k_users), dtype=np.int64)
     snr = np.full((n_frames, n_sym, k_users), np.nan)
     for k, (params, mobility, seed) in enumerate(channels):
-        rx, _ = apply_channel(tx, params, mobility, seed=seed, t0=t0)
+        rx, _ = apply_channel(tx, frame_cfg.sample_rate, params, mobility, seed=seed, t0=t0)
         reports = [
             receive_user(
                 row,
@@ -423,7 +422,7 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
                 cfg.pilot_seed,
                 sync_threshold=cfg.sync_threshold,
             )
-            for row in rx.samples
+            for row in rx
         ]
         got = [r for r in reports if r.detected]
         if not got:

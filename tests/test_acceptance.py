@@ -19,7 +19,6 @@ from nomalink.channel import (
 )
 from nomalink.cli import execute, load_config
 from nomalink.frame_codec import (
-    ComplexWaveform,
     FrameConfig,
     assemble_frame,
     disassemble_symbol,
@@ -134,16 +133,16 @@ def test_criterion_6_synchronization_accuracy():
         params = ChannelParams(rician_k=np.inf, cfo_hz=frac * SCS, target_snr_db=30.0)
         for trial in range(25):
             rx, truth = apply_channel(
-                tx, params, MobilityState.static(1.0), seed=[30, trial]
+                tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=[30, trial]
             )
-            err = abs(cp_ml_sync(rx.samples, CFG).fractional_cfo_hz - truth.applied_cfo_hz)
+            err = abs(cp_ml_sync(rx, CFG).fractional_cfo_hz - truth.applied_cfo_hz)
             worst = max(worst, err / SCS)
     assert worst < 0.02
 
     for delay in (0, 17, 50, 113):
         params = ChannelParams(rician_k=np.inf, delay_samples=delay)
-        rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=31)
-        assert cp_ml_sync(rx.samples, CFG).timing_offset == delay
+        rx, _ = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=31)
+        assert cp_ml_sync(rx, CFG).timing_offset == delay
     report(6, f"worst CFO error {100 * worst:.3f}% of spacing; delays exact")
 
 
@@ -156,27 +155,24 @@ def test_criterion_7_perfect_sic_identity():
         payloads = [rng.integers(0, 2, CFG.payload_bits) for _ in coeffs]
         tx = build_downlink_frame(payloads, CFG, alloc, 21)
         rx, _ = apply_channel(
-            tx, ChannelParams(rician_k=np.inf), MobilityState.static(1.0), seed=32
+            tx, CFG.sample_rate, ChannelParams(rician_k=np.inf), MobilityState.static(1.0), seed=32
         )
         for k in range(1, len(coeffs) + 1):
-            rep = receive_user(rx.samples, CFG, alloc, k, 21)
+            rep = receive_user(rx, CFG, alloc, k, 21)
             assert rep.detected
             assert np.array_equal(rep.bits, payloads[k - 1]), f"user {k} of {coeffs}"
 
     bits = rng.integers(0, 2, CFG.payload_bits)
     assert np.array_equal(qam_demodulate(qam_modulate(bits, 4), 4), bits)
     wave = assemble_frame(bits, CFG, 21)
-    symbols = wave.samples.reshape(CFG.symbols_per_frame, CFG.symbol_samples)
+    symbols = wave.reshape(CFG.symbols_per_frame, CFG.symbol_samples)
     subcarriers = disassemble_symbol(symbols, CFG, CFG.cp_length)
     assert np.mean(np.abs(subcarriers) ** 2) == pytest.approx(1.0, abs=1e-9)
 
     n = 10_000
     alloc = PowerAllocation.testbed_default()
-    waves = [
-        ComplexWaveform(qam_modulate(rng.integers(0, 2, 2 * n), 4), CFG.sample_rate)
-        for _ in range(3)
-    ]
-    power = float(np.mean(np.abs(superpose(waves, alloc).samples) ** 2))
+    waves = [qam_modulate(rng.integers(0, 2, 2 * n), 4) for _ in range(3)]
+    power = float(np.mean(np.abs(superpose(waves, alloc)) ** 2))
     assert power == pytest.approx(1.0, rel=0.01)
     report(7, f"identity suite clean; superposed power {power:.4f}")
 

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from nomalink.channel import ChannelParams, MobilityState, apply_channel, doppler_shift
-from nomalink.frame_codec import (
-    ComplexWaveform,
-    FrameConfig,
-    disassemble_symbol,
-    pilot_mask,
-)
+from nomalink.frame_codec import FrameConfig, disassemble_symbol, pilot_mask
 from nomalink.noma import PowerAllocation, build_downlink_frame, composite_pilot_values
 from nomalink.receiver import evm_snr, ls_estimate_channel, receive_user, zf_equalize
 from nomalink.scenario import (
@@ -46,11 +41,10 @@ def _tx_block(frames=FRAMES, seed=0):
 def test_downlink_block_equals_single_frames():
     payloads = _payloads(5)
     tx = build_downlink_frame(list(payloads.swapaxes(0, 1)), CFG, ALLOC, PILOT_SEED)
-    assert tx.samples.shape == (5, CFG.frame_samples)
-    assert len(tx) == CFG.frame_samples
+    assert tx.shape == (5, CFG.frame_samples)
     for f in range(5):
         one = build_downlink_frame(list(payloads[f]), CFG, ALLOC, PILOT_SEED)
-        assert np.array_equal(tx.samples[f], one.samples)
+        assert np.array_equal(tx[f], one)
 
 
 def _assert_block_matches_frames(
@@ -58,14 +52,13 @@ def _assert_block_matches_frames(
 ):
     """One call on the block against one call per frame, for the frames in
     ``rows`` (all of them by default)."""
-    rx, truth = apply_channel(tx, params, mobility, seed=block_seed, t0=t0)
-    assert rx.samples.shape == (tx.samples.shape[0], len(tx) + params.delay_samples)
+    rx, truth = apply_channel(tx, CFG.sample_rate, params, mobility, seed=block_seed, t0=t0)
+    assert rx.shape == (tx.shape[0], tx.shape[1] + params.delay_samples)
     for f in range(len(t0)) if rows is None else rows:
-        one = ComplexWaveform(tx.samples[f], tx.sample_rate)
         rx_f, truth_f = apply_channel(
-            one, params, mobility, seed=frame_seeds[f], t0=float(t0[f])
+            tx[f], CFG.sample_rate, params, mobility, seed=frame_seeds[f], t0=float(t0[f])
         )
-        assert np.array_equal(rx.samples[f], rx_f.samples), f"frame {f}"
+        assert np.array_equal(rx[f], rx_f), f"frame {f}"
         assert np.array_equal(truth.tap_gain[f], truth_f.tap_gain)
         assert truth.applied_cfo_hz[f] == truth_f.applied_cfo_hz
         assert truth.noise_power[f] == truth_f.noise_power
@@ -120,14 +113,14 @@ def test_channel_rows_evaluate_as_single_frames_at_any_block_size():
     rng = np.random.default_rng(0)
     params = ChannelParams(rician_k=3.0, doppler_hz=5.0, noise_power_dbm=-20.0)
     mobility = MobilityState(1.0, stationary_end=1.8, mobile_end=2.0, speed=1.0)
-    many = ComplexWaveform(rng.standard_normal((20_000, 4)) + 0j, CFG.sample_rate)
+    many = rng.standard_normal((20_000, 4)) + 0j
     t0 = np.arange(20_000) * 1e-4  # 18,000 rows motionless: 1.15e6 terms
     _assert_block_matches_frames(
         many, params, mobility, 3, [3] * 20_000, t0, rows=[0, 17_999, 18_001, 19_999]
     )
 
     # 20,108 knots per row at 2 kHz: each row alone is past the switch
-    long_rows = ComplexWaveform(rng.standard_normal((2, 40_000)) + 0j, CFG.sample_rate)
+    long_rows = rng.standard_normal((2, 40_000)) + 0j
     seeds = [[1, 2], [1, 3]]
     _assert_block_matches_frames(
         long_rows,
@@ -142,20 +135,21 @@ def test_channel_rows_evaluate_as_single_frames_at_any_block_size():
 def test_receiver_stages_take_a_symbol_axis():
     tx = _tx_block(frames=1, seed=2)
     rx, _ = apply_channel(
-        ComplexWaveform(tx.samples[0], tx.sample_rate),
+        tx[0],
+        CFG.sample_rate,
         replace(REPLAY_PARAMS, noise_power_dbm=None, target_snr_db=12.0),
         MobilityState.always_moving(1.0),
         seed=3,
     )
     mask = pilot_mask(CFG)
     reference = composite_pilot_values(CFG, ALLOC, PILOT_SEED)
-    periods = rx.samples.reshape(CFG.symbols_per_frame, CFG.symbol_samples)
+    periods = rx.reshape(CFG.symbols_per_frame, CFG.symbol_samples)
     rows = disassemble_symbol(periods, CFG, CFG.cp_length)
     estimates = ls_estimate_channel(rows, mask, reference)
     equalized, erased = zf_equalize(rows, estimates)
     snrs = evm_snr(equalized[:, mask], reference)
     for s in range(CFG.symbols_per_frame):
-        row = disassemble_symbol(rx.samples, CFG, s * CFG.symbol_samples + CFG.cp_length)
+        row = disassemble_symbol(rx, CFG, s * CFG.symbol_samples + CFG.cp_length)
         estimate = ls_estimate_channel(row, mask, reference)
         eq, er = zf_equalize(row, estimate)
         assert np.array_equal(rows[s], row)
@@ -185,9 +179,11 @@ def _sweep_trial_by_trial(cfg, snr_db, min_bits, seed):
         )
         tx = build_downlink_frame(list(payloads), frame_cfg, alloc, cfg.pilot_seed)
         for k in range(1, k_users + 1):
-            rx, _ = apply_channel(tx, params, mobility, seed=[seed, 20, 0, trial, k])
+            rx, _ = apply_channel(
+                tx, frame_cfg.sample_rate, params, mobility, seed=[seed, 20, 0, trial, k]
+            )
             report = receive_user(
-                rx.samples, frame_cfg, alloc, k, cfg.pilot_seed, sync_threshold=cfg.sync_threshold
+                rx, frame_cfg, alloc, k, cfg.pilot_seed, sync_threshold=cfg.sync_threshold
             )
             if report.detected:
                 errors[k - 1] += np.count_nonzero(report.bits != payloads[k - 1])
@@ -253,10 +249,12 @@ def _replay_frame_by_frame(cfg):
         t0 = f * frame_cfg.frame_duration
         reports = []
         for k in range(1, k_users + 1):
-            rx, _ = apply_channel(tx, params, cfg.mobility(k), seed=[cfg.seed, 1, k], t0=t0)
+            rx, _ = apply_channel(
+                tx, frame_cfg.sample_rate, params, cfg.mobility(k), seed=[cfg.seed, 1, k], t0=t0
+            )
             reports.append(
                 receive_user(
-                    rx.samples,
+                    rx,
                     frame_cfg,
                     alloc,
                     k,

@@ -12,7 +12,6 @@ from nomalink.channel import (
     estimate_k_factor,
     generate_fading,
 )
-from nomalink.frame_codec import ComplexWaveform
 
 
 def rice_args(k):
@@ -90,6 +89,11 @@ class TestGenerateFading:
         with pytest.raises(ValueError):
             generate_fading(params, 10, 0.0, seed=1)
 
+    @pytest.mark.parametrize("sample_rate", [np.nan, np.inf])
+    def test_rejects_a_sample_rate_that_is_not_finite(self, sample_rate):
+        with pytest.raises(ValueError, match="^sample_rate"):
+            generate_fading(ChannelParams(), 10, sample_rate, seed=1)
+
 
 class TestMobilityState:
     def test_two_stage_profile(self):
@@ -142,10 +146,22 @@ class TestMobilityState:
             doppler_shift(speed, 2.34e9)
 
 
-def _unit_frame(n=1600, fs=5e5, seed=0):
+FS = 5e5
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fails the test if the channel draws its fading."""
+
+    def draw(*args):
+        raise AssertionError("fading drawn before the arguments were checked")
+
+    monkeypatch.setattr("nomalink.channel._sos_parameters", draw)
+
+
+def _unit_frame(n=1600, seed=0):
     rng = np.random.default_rng(seed)
-    samples = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
-    return ComplexWaveform(samples, fs)
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
 
 
 class TestChannelParams:
@@ -189,36 +205,36 @@ class TestChannelParams:
         tx = _unit_frame()
         for level in ({"target_snr_db": np.inf}, {"noise_power_dbm": -np.inf}):
             params = ChannelParams(rician_k=np.inf, **level)
-            rx, truth = apply_channel(tx, params, MobilityState.static(1.0), seed=5)
+            rx, truth = apply_channel(tx, FS, params, MobilityState.static(1.0), seed=5)
             assert truth.noise_power == 0.0
-            assert np.array_equal(rx.samples, tx.samples)
+            assert np.array_equal(rx, tx)
 
 
 class TestApplyChannel:
     def test_transparent_channel(self):
         tx = _unit_frame()
         params = ChannelParams(rician_k=np.inf)
-        rx, truth = apply_channel(tx, params, MobilityState.static(1.0), seed=5)
-        assert np.array_equal(rx.samples, tx.samples)
+        rx, truth = apply_channel(tx, FS, params, MobilityState.static(1.0), seed=5)
+        assert np.array_equal(rx, tx)
         assert truth.applied_cfo_hz == 0.0
         assert truth.applied_delay == 0
 
     def test_delay_shifts_samples(self):
         tx = _unit_frame()
         params = ChannelParams(rician_k=np.inf, delay_samples=50)
-        rx, truth = apply_channel(tx, params, MobilityState.static(1.0), seed=5)
+        rx, truth = apply_channel(tx, FS, params, MobilityState.static(1.0), seed=5)
         assert truth.applied_delay == 50
-        assert np.all(rx.samples[:50] == 0)
-        assert np.array_equal(rx.samples[50:], tx.samples)
+        assert np.all(rx[:50] == 0)
+        assert np.array_equal(rx[50:], tx)
 
     def test_inverse_square_path_loss(self):
         # doubling the distance drops received power by 6.02 dB
         tx = _unit_frame()
         params = ChannelParams(rician_k=np.inf)
-        rx1, _ = apply_channel(tx, params, MobilityState.static(2.0), seed=5)
-        rx2, _ = apply_channel(tx, params, MobilityState.static(4.0), seed=5)
+        rx1, _ = apply_channel(tx, FS, params, MobilityState.static(2.0), seed=5)
+        rx2, _ = apply_channel(tx, FS, params, MobilityState.static(4.0), seed=5)
         drop = 10 * np.log10(
-            np.mean(np.abs(rx1.samples) ** 2) / np.mean(np.abs(rx2.samples) ** 2)
+            np.mean(np.abs(rx1) ** 2) / np.mean(np.abs(rx2) ** 2)
         )
         assert drop == pytest.approx(6.02, abs=0.1)
 
@@ -226,27 +242,27 @@ class TestApplyChannel:
         # phase-unwrap oracle: the rx/tx phase advances 2 pi f / fs per sample
         tx = _unit_frame()
         params = ChannelParams(rician_k=np.inf, cfo_hz=100.0)
-        rx, truth = apply_channel(tx, params, MobilityState.static(1.0), seed=5)
+        rx, truth = apply_channel(tx, FS, params, MobilityState.static(1.0), seed=5)
         assert truth.applied_cfo_hz == pytest.approx(100.0)
-        phase = np.unwrap(np.angle(rx.samples / tx.samples))
+        phase = np.unwrap(np.angle(rx / tx))
         slopes = np.diff(phase)
-        assert np.allclose(slopes, 2 * np.pi * 100.0 / tx.sample_rate, atol=1e-9)
+        assert np.allclose(slopes, 2 * np.pi * 100.0 / FS, atol=1e-9)
 
     def test_deterministic(self):
         tx = _unit_frame()
         params = ChannelParams(rician_k=10.92, doppler_hz=6.84, target_snr_db=20.0)
         mob = MobilityState.always_moving(2.0)
-        rx1, _ = apply_channel(tx, params, mob, seed=9, t0=1.25)
-        rx2, _ = apply_channel(tx, params, mob, seed=9, t0=1.25)
-        assert np.array_equal(rx1.samples, rx2.samples)
+        rx1, _ = apply_channel(tx, FS, params, mob, seed=9, t0=1.25)
+        rx2, _ = apply_channel(tx, FS, params, mob, seed=9, t0=1.25)
+        assert np.array_equal(rx1, rx2)
 
     def test_noise_streams_differ_per_frame(self):
         tx = _unit_frame()
         params = ChannelParams(rician_k=10.92, target_snr_db=20.0)
         mob = MobilityState.static(1.0)
-        rx1, _ = apply_channel(tx, params, mob, seed=9, t0=0.0)
-        rx2, _ = apply_channel(tx, params, mob, seed=9, t0=1600 / tx.sample_rate)
-        assert not np.array_equal(rx1.samples, rx2.samples)
+        rx1, _ = apply_channel(tx, FS, params, mob, seed=9, t0=0.0)
+        rx2, _ = apply_channel(tx, FS, params, mob, seed=9, t0=1600 / FS)
+        assert not np.array_equal(rx1, rx2)
 
     def test_target_snr_calibration(self):
         # empirical SNR of rx against the noiseless channel output matches
@@ -255,37 +271,31 @@ class TestApplyChannel:
         mob = MobilityState.static(1.0)
         for target in (10.0, 20.0, 30.0):
             noisy, _ = apply_channel(
-                tx, ChannelParams(rician_k=10.92, target_snr_db=target), mob, seed=3
+                tx, FS, ChannelParams(rician_k=10.92, target_snr_db=target), mob, seed=3
             )
-            clean, _ = apply_channel(tx, ChannelParams(rician_k=10.92), mob, seed=3)
-            noise = noisy.samples - clean.samples
+            clean, _ = apply_channel(tx, FS, ChannelParams(rician_k=10.92), mob, seed=3)
+            noise = noisy - clean
             snr = 10 * np.log10(
-                np.mean(np.abs(clean.samples) ** 2) / np.mean(np.abs(noise) ** 2)
+                np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noise) ** 2)
             )
             assert snr == pytest.approx(target, abs=0.2)
 
     def test_fading_continues_across_calls(self):
         # same seed, consecutive t0: the mobile fading is one process
         fs = 1e3
-        tx = _unit_frame(n=1000, fs=fs)
         params = ChannelParams(rician_k=0.0, doppler_hz=40.0)
         mob = MobilityState.always_moving(1.0)
-        two, _ = apply_channel(
-            ComplexWaveform(np.ones(2000, dtype=complex), fs), params, mob, seed=4
-        )
-        first, _ = apply_channel(
-            ComplexWaveform(np.ones(1000, dtype=complex), fs), params, mob, seed=4, t0=0.0
-        )
-        second, _ = apply_channel(
-            ComplexWaveform(np.ones(1000, dtype=complex), fs), params, mob, seed=4, t0=1.0
-        )
-        stitched = np.concatenate([first.samples, second.samples])
-        assert np.allclose(stitched, two.samples, atol=1e-6)
+        two, _ = apply_channel(np.ones(2000, dtype=complex), fs, params, mob, seed=4)
+        first, _ = apply_channel(np.ones(1000, dtype=complex), fs, params, mob, seed=4, t0=0.0)
+        second, _ = apply_channel(np.ones(1000, dtype=complex), fs, params, mob, seed=4, t0=1.0)
+        stitched = np.concatenate([first, second])
+        assert np.allclose(stitched, two, atol=1e-6)
 
     def test_rejects_empty_waveform(self):
         with pytest.raises(ValueError):
             apply_channel(
-                ComplexWaveform(np.empty(0, dtype=complex), 1.0),
+                np.empty(0, dtype=complex),
+                1.0,
                 ChannelParams(),
                 MobilityState.static(1.0),
                 seed=1,
@@ -298,14 +308,14 @@ class TestApplyChannel:
         # without a delay the frame block itself is the channel input
         rng = np.random.default_rng(delay)
         shape = (400,) if frames is None else (frames, 400)
-        tx = ComplexWaveform(rng.normal(size=shape) + 1j * rng.normal(size=shape), 1e4)
-        before = tx.samples.tobytes()
+        tx = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = tx.tobytes()
         params = ChannelParams(doppler_hz=40.0, target_snr_db=snr_db, delay_samples=delay)
         t0 = 0.0 if frames is None else np.arange(frames) * 0.04
-        rx, _ = apply_channel(tx, params, MobilityState.always_moving(1.0), seed=5, t0=t0)
-        assert tx.samples.tobytes() == before
-        assert not np.shares_memory(rx.samples, tx.samples)
-        assert rx.samples.shape == shape[:-1] + (400 + delay,)
+        rx, _ = apply_channel(tx, 1e4, params, MobilityState.always_moving(1.0), seed=5, t0=t0)
+        assert tx.tobytes() == before
+        assert not np.shares_memory(rx, tx)
+        assert rx.shape == shape[:-1] + (400 + delay,)
 
     @pytest.mark.parametrize(
         "seed, t0, name",
@@ -317,15 +327,33 @@ class TestApplyChannel:
         ids=["3_seed_rows", "5_seed_rows", "3_start_times"],
     )
     def test_mismatched_block_arguments_are_rejected_before_any_draw(
-        self, monkeypatch, seed, t0, name
+        self, no_draw, seed, t0, name
     ):
-        def no_draw(*args):
-            raise AssertionError("fading drawn before the arguments were checked")
-
-        monkeypatch.setattr("nomalink.channel._sos_parameters", no_draw)
-        tx = ComplexWaveform(np.ones((4, 400), dtype=complex), 1e4)
+        tx = np.ones((4, 400), dtype=complex)
         with pytest.raises(ValueError, match=f"^{name} must"):
-            apply_channel(tx, ChannelParams(), MobilityState.static(1.0), seed=seed, t0=t0)
+            apply_channel(tx, 1e4, ChannelParams(), MobilityState.static(1.0), seed=seed, t0=t0)
+
+    @pytest.mark.parametrize(
+        "tx, sample_rate, name",
+        [
+            (np.empty(0, dtype=complex), 1e4, "tx"),
+            (np.empty((4, 0), dtype=complex), 1e4, "tx"),
+            (np.ones((2, 4, 400), dtype=complex), 1e4, "tx"),
+            (np.array([1.0, np.nan] * 200), 1e4, "tx"),
+            (np.array([[1.0, 1j * np.inf] * 200] * 4), 1e4, "tx"),
+            (np.ones(400, dtype=complex), 0.0, "sample_rate"),
+            (np.ones(400, dtype=complex), -1e4, "sample_rate"),
+            (np.ones(400, dtype=complex), np.nan, "sample_rate"),
+            (np.ones(400, dtype=complex), np.inf, "sample_rate"),
+        ],
+        ids=[
+            "empty", "empty_rows", "3d", "nan_sample", "inf_sample",
+            "zero_rate", "negative_rate", "nan_rate", "inf_rate",
+        ],
+    )
+    def test_bad_input_is_rejected_before_any_draw(self, no_draw, tx, sample_rate, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            apply_channel(tx, sample_rate, ChannelParams(), MobilityState.static(1.0), seed=7)
 
 
 class TestKFactorEstimation:

@@ -335,8 +335,8 @@ def _sync_offsets(cfg, frames=8):
         tx = build_downlink_frame(
             list(payloads), cfg.frame, resolve_allocation(cfg), cfg.pilot_seed
         )
-        rx, _ = apply_channel(tx, los, MobilityState.static(1.0), seed=seed)
-        offsets.add(cp_ml_sync(rx.samples, cfg.frame).timing_offset)
+        rx, _ = apply_channel(tx, cfg.frame.sample_rate, los, MobilityState.static(1.0), seed=seed)
+        offsets.add(cp_ml_sync(rx, cfg.frame).timing_offset)
     return offsets
 
 

@@ -28,7 +28,6 @@ from nomalink.channel import (
     apply_channel,
 )
 from nomalink.frame_codec import (
-    ComplexWaveform,
     FrameConfig,
     _levels_to_bits,
     assemble_frame,
@@ -177,7 +176,7 @@ def test_direct_bin_mapping_matches_the_grid_route(order, frames):
     cfg = FrameConfig(modulation_order=order)
     payload = np.random.default_rng(order).integers(0, 2, (*frames, cfg.payload_bits))
     wave = assemble_frame(payload, cfg, (295, 2))
-    assert _same_bytes(wave.samples, _reference_assemble_frame(payload, cfg, (295, 2)))
+    assert _same_bytes(wave, _reference_assemble_frame(payload, cfg, (295, 2)))
 
 
 def _reference_cp_ml_sync(r, cfg, detection_threshold=0.5):
@@ -214,10 +213,10 @@ def _sync_buffers():
         params = ChannelParams(
             rician_k=10.92, cfo_hz=310.0, delay_samples=delay, target_snr_db=snr_db
         )
-        rx, _ = apply_channel(tx, params, MobilityState.static(2.0), seed=delay)
-        yield rx.samples
+        rx, _ = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(2.0), seed=delay)
+        yield rx
     # fewer whole symbol periods than a frame, and a tail past the last one
-    yield rx.samples[: 3 * CFG.symbol_samples + 140]
+    yield rx[: 3 * CFG.symbol_samples + 140]
     # noise alone: the peak stays under the detection threshold
     yield rng.normal(size=4 * CFG.symbol_samples + 90) + 1j * rng.normal(
         size=4 * CFG.symbol_samples + 90
@@ -246,9 +245,11 @@ def _sync_edge_buffers():
     frames = {}
     for snr_db in (30.0, 10.0, 0.0):
         params = ChannelParams(rician_k=10.92, cfo_hz=310.0, target_snr_db=snr_db)
-        rx, _ = apply_channel(tx, params, MobilityState.static(2.0), seed=int(snr_db) + 1)
-        frames[snr_db] = rx.samples
-        yield pytest.param(CFG, rx.samples, id=f"one-frame-{snr_db:g}dB")
+        rx, _ = apply_channel(
+            tx, CFG.sample_rate, params, MobilityState.static(2.0), seed=int(snr_db) + 1
+        )
+        frames[snr_db] = rx
+        yield pytest.param(CFG, rx, id=f"one-frame-{snr_db:g}dB")
     yield pytest.param(CFG, np.zeros(CFG.frame_samples, dtype=complex), id="one-frame-silent")
     silence = np.zeros(CFG.frame_samples + 100, dtype=complex)
     yield pytest.param(CFG, np.concatenate([silence, frames[30.0]]), id="silence-first")
@@ -346,26 +347,24 @@ def test_zf_equalize_matches_masked_division_with_erasures(shape):
 def test_noisy_channel_block_matches_complex_noise_sum(params, per_frame_seeds):
     frames = 6
     rng = np.random.default_rng(8)
-    tx = ComplexWaveform(
-        rng.normal(size=(frames, 800)) + 1j * rng.normal(size=(frames, 800)), CFG.sample_rate
-    )
+    tx = rng.normal(size=(frames, 800)) + 1j * rng.normal(size=(frames, 800))
     mobility = MobilityState(2.0, 1.0, stationary_end=0.002, mobile_end=1.0, speed=0.876)
     t0 = np.arange(frames) * 800 / CFG.sample_rate
     seeds = [[4, t, 1] for t in range(frames)] if per_frame_seeds else [4, 1]
-    rx, truth = apply_channel(tx, params, mobility, seed=seeds, t0=t0)
+    rx, truth = apply_channel(tx, CFG.sample_rate, params, mobility, seed=seeds, t0=t0)
     quiet = replace(params, target_snr_db=None, noise_power_dbm=None)
-    noiseless, _ = apply_channel(tx, quiet, mobility, seed=seeds, t0=t0)
+    noiseless, _ = apply_channel(tx, CFG.sample_rate, quiet, mobility, seed=seeds, t0=t0)
 
     fs = CFG.sample_rate
-    n = noiseless.samples.shape[1]
+    n = noiseless.shape[1]
     for f in range(frames):
         seed = seeds[f] if per_frame_seeds else seeds
         draws = np.random.default_rng(_noise_seed(seed, int(round(t0[f] * fs))))
         step = max(1, int(round(params.cfo_jitter_tau_s * fs)))
         _block_wander(draws, n, params.cfo_jitter_hz, step)  # wander comes first
         w = draws.normal(0.0, np.sqrt(truth.noise_power[f] / 2.0), (n, 2))
-        expected = noiseless.samples[f] + w[:, 0] + 1j * w[:, 1]
-        assert _same_bytes(rx.samples[f], expected), f"frame {f}"
+        expected = noiseless[f] + w[:, 0] + 1j * w[:, 1]
+        assert _same_bytes(rx[f], expected), f"frame {f}"
 
 
 @pytest.mark.parametrize("n, spacing_s", [(4, 1e-4), (4, 2e-6), (40, 5e-4)])
@@ -398,10 +397,10 @@ def _channel_phases():
     params = ChannelParams(doppler_hz=6.8, cfo_hz=-350.0, cfo_jitter_hz=55.0, delay_samples=9)
     mobility = MobilityState(2.0, 1.0, stationary_end=0.001, mobile_end=1.0, speed=0.876)
     rng = np.random.default_rng(12)
-    tx = ComplexWaveform(rng.normal(size=(4, 1600)) + 0j, CFG.sample_rate)
+    tx = rng.normal(size=(4, 1600)) + 0j
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("nomalink.channel._phasor", recording)
-        apply_channel(tx, params, mobility, seed=[6, 2], t0=np.arange(4) * 0.0032)
+        apply_channel(tx, CFG.sample_rate, params, mobility, seed=[6, 2], t0=np.arange(4) * 0.0032)
     # the knots come in one call per knot count, the carrier ramp last
     assert len(seen) >= 2 and np.ptp(seen[-1]) > 1.0
     return seen
@@ -468,14 +467,13 @@ def test_phasor_matches_complex_exp_of_an_imaginary_phase():
 )
 def test_channel_output_equals_the_complex_exp_rotation(params, mobility):
     rng = np.random.default_rng(21)
-    samples = rng.normal(size=(3, 1600)) + 1j * rng.normal(size=(3, 1600))
-    tx = ComplexWaveform(samples, CFG.sample_rate)
+    tx = rng.normal(size=(3, 1600)) + 1j * rng.normal(size=(3, 1600))
     t0 = np.arange(3) * 0.0008
-    rx, truth = apply_channel(tx, params, mobility, seed=[6, 2], t0=t0)
+    rx, truth = apply_channel(tx, CFG.sample_rate, params, mobility, seed=[6, 2], t0=t0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("nomalink.channel._phasor", lambda theta: np.exp(1j * theta))
-        ref_rx, ref_truth = apply_channel(tx, params, mobility, seed=[6, 2], t0=t0)
-    assert _same_bytes(rx.samples, ref_rx.samples)
+        ref_rx, ref_truth = apply_channel(tx, CFG.sample_rate, params, mobility, seed=[6, 2], t0=t0)
+    assert _same_bytes(rx, ref_rx)
     assert _same_bytes(truth.tap_gain, ref_truth.tap_gain)
 
 

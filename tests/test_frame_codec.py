@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nomalink.frame_codec import (
-    ComplexWaveform,
     FrameConfig,
     assemble_frame,
     disassemble_symbol,
@@ -21,7 +20,7 @@ RT2 = np.sqrt(2.0)
 
 def _subcarriers(wave, cfg):
     """The occupied subcarriers of every symbol of a frame, read back from its waveform."""
-    symbols = wave.samples.reshape(cfg.symbols_per_frame, cfg.symbol_samples)
+    symbols = wave.reshape(cfg.symbols_per_frame, cfg.symbol_samples)
     return disassemble_symbol(symbols, cfg, cfg.cp_length)
 
 
@@ -56,9 +55,18 @@ class TestFrameConfig:
         with pytest.raises(ValueError):
             FrameConfig(modulation_order=8)
 
-    def test_waveform_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ComplexWaveform(np.array([1.0, np.nan]), 1.0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_rate", np.nan),
+            ("sample_rate", np.inf),
+            ("carrier_frequency", np.nan),
+            ("carrier_frequency", -1.0),
+        ],
+    )
+    def test_rejects_a_rate_that_is_not_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            FrameConfig(**{field: value})
 
 
 class TestQamMapping:
@@ -168,7 +176,7 @@ class TestAssembleFrame:
         bits = np.random.default_rng(6).integers(0, 2, cfg.payload_bits)
         wave = assemble_frame(bits, cfg, 7)
         for s in range(cfg.symbols_per_frame):
-            sym = wave.samples[s * cfg.symbol_samples : (s + 1) * cfg.symbol_samples]
+            sym = wave[s * cfg.symbol_samples : (s + 1) * cfg.symbol_samples]
             head, tail = sym[: cfg.cp_length], sym[cfg.fft_size :]
             corr = np.abs(np.vdot(head, tail)) / np.sqrt(
                 np.sum(np.abs(head) ** 2) * np.sum(np.abs(tail) ** 2)
@@ -195,7 +203,7 @@ class TestAssembleFrame:
         # tail segment, so whole-waveform power wiggles with the payload)
         bits = np.random.default_rng(9).integers(0, 2, cfg.payload_bits)
         wave = assemble_frame(bits, cfg, 7)
-        bodies = wave.samples.reshape(cfg.symbols_per_frame, -1)[:, cfg.cp_length :]
+        bodies = wave.reshape(cfg.symbols_per_frame, -1)[:, cfg.cp_length :]
         assert np.mean(np.abs(bodies) ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -206,7 +214,7 @@ class TestDisassembleSymbol:
         grid = _sent_grid(bits, cfg, 7)
         for s in range(cfg.symbols_per_frame):
             row = disassemble_symbol(
-                wave.samples, cfg, s * cfg.symbol_samples + cfg.cp_length
+                wave, cfg, s * cfg.symbol_samples + cfg.cp_length
             )
             assert np.allclose(row, grid[s], atol=1e-9)
 
@@ -217,7 +225,7 @@ class TestDisassembleSymbol:
         m = 3
         bits = np.random.default_rng(11).integers(0, 2, cfg.payload_bits)
         wave = assemble_frame(bits, cfg, 7)
-        row = disassemble_symbol(wave.samples, cfg, cfg.cp_length - m)
+        row = disassemble_symbol(wave, cfg, cfg.cp_length - m)
         bins = occupied_bins(cfg)
         ramp = np.exp(2j * np.pi * bins * m / cfg.fft_size)
         assert np.allclose(row * ramp, _sent_grid(bits, cfg, 7)[0], atol=1e-9)
@@ -233,7 +241,7 @@ class TestDisassembleSymbol:
         wave = assemble_frame(bits, cfg, 7)
         early = 130
         start = 2 * cfg.symbol_samples + cfg.cp_length - early
-        row = disassemble_symbol(wave.samples, cfg, start)
+        row = disassemble_symbol(wave, cfg, start)
         bins = occupied_bins(cfg)
         ramp = np.exp(2j * np.pi * bins * early / cfg.fft_size)
         recovered = qam_demodulate((row * ramp)[~pilot_mask(cfg)], 4)
@@ -252,7 +260,7 @@ class TestDisassembleSymbol:
             out = []
             for s in range(cfg.symbols_per_frame):
                 row = disassemble_symbol(
-                    wave.samples, cfg, s * cfg.symbol_samples + cfg.cp_length
+                    wave, cfg, s * cfg.symbol_samples + cfg.cp_length
                 )
                 out.append(qam_demodulate(row[~pilot_mask(cfg)], 4))
             assert np.array_equal(np.concatenate(out), bits)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nomalink.frame_codec import (
-    ComplexWaveform,
     FrameConfig,
     _levels_to_bits,
     disassemble_symbol,
@@ -43,6 +42,11 @@ class TestPowerAllocation:
         with pytest.raises(ValueError):
             PowerAllocation((1.2, -0.2))
 
+    @pytest.mark.parametrize("coefficients", [(np.nan,), (0.5, np.nan)])
+    def test_rejects_nan(self, coefficients):
+        with pytest.raises(ValueError, match="power coefficients"):
+            PowerAllocation(coefficients)
+
     def test_equal_coefficients_allowed(self):
         PowerAllocation((1 / 3, 1 / 3, 1 / 3))
 
@@ -70,46 +74,42 @@ class TestDistancePolicy:
             allocate_power_by_distance([4.0, -1.0])
 
 
-def _wave(samples):
-    return ComplexWaveform(np.asarray(samples, dtype=complex), 1.0)
-
-
 class TestSuperpose:
     def test_single_user_identity(self):
         x = np.random.default_rng(0).normal(size=8) + 0j
-        out = superpose([_wave(x)], PowerAllocation((1.0,)))
-        assert np.allclose(out.samples, x)
+        out = superpose([x], PowerAllocation((1.0,)))
+        assert np.allclose(out, x)
 
     def test_all_zero(self):
         alloc = PowerAllocation.testbed_default()
-        out = superpose([_wave(np.zeros(4))] * 3, alloc)
-        assert np.all(out.samples == 0)
+        out = superpose([np.zeros(4)] * 3, alloc)
+        assert np.all(out == 0)
 
     def test_common_symbol_amplitude_sum(self):
         # sqrt(0.761) + sqrt(0.191) + sqrt(0.048), computed independently
         expected = math.sqrt(0.761) + math.sqrt(0.191) + math.sqrt(0.048)
         s = (1 + 1j) / math.sqrt(2)
-        out = superpose([_wave([s])] * 3, PowerAllocation.testbed_default())
-        assert out.samples[0] == pytest.approx(expected * s, abs=1e-12)
+        out = superpose([[s]] * 3, PowerAllocation.testbed_default())
+        assert out[0] == pytest.approx(expected * s, abs=1e-12)
 
     def test_rejects_length_mismatch(self):
         alloc = PowerAllocation((0.8, 0.2))
         with pytest.raises(ValueError):
-            superpose([_wave(np.zeros(4)), _wave(np.zeros(5))], alloc)
+            superpose([np.zeros(4), np.zeros(5)], alloc)
 
     def test_rejects_user_count_mismatch(self):
         with pytest.raises(ValueError):
-            superpose([_wave(np.zeros(4))], PowerAllocation((0.8, 0.2)))
+            superpose([np.zeros(4)], PowerAllocation((0.8, 0.2)))
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
         alloc = PowerAllocation.testbed_default()
         a = [rng.normal(size=16) + 1j * rng.normal(size=16) for _ in range(3)]
         b = [rng.normal(size=16) + 1j * rng.normal(size=16) for _ in range(3)]
-        left = superpose([_wave(x + y) for x, y in zip(a, b)], alloc).samples
+        left = superpose([x + y for x, y in zip(a, b)], alloc)
         right = (
-            superpose([_wave(x) for x in a], alloc).samples
-            + superpose([_wave(y) for y in b], alloc).samples
+            superpose(a, alloc)
+            + superpose(b, alloc)
         )
         assert np.allclose(left, right)
 
@@ -118,8 +118,8 @@ class TestSuperpose:
         rng = np.random.default_rng(2)
         alloc = PowerAllocation.testbed_default()
         n = 10_000
-        waves = [_wave(qam_modulate(rng.integers(0, 2, 2 * n), 4)) for _ in range(3)]
-        power = np.mean(np.abs(superpose(waves, alloc).samples) ** 2)
+        waves = [qam_modulate(rng.integers(0, 2, 2 * n), 4) for _ in range(3)]
+        power = np.mean(np.abs(superpose(waves, alloc)) ** 2)
         assert power == pytest.approx(1.0, rel=1e-2)
 
 
@@ -195,7 +195,7 @@ class TestDownlinkFrame:
         rng = np.random.default_rng(4)
         payloads = [rng.integers(0, 2, cfg.payload_bits) for _ in range(3)]
         tx = build_downlink_frame(payloads, cfg, alloc, pilot_seed=21)
-        symbols = tx.samples.reshape(cfg.symbols_per_frame, cfg.symbol_samples)
+        symbols = tx.reshape(cfg.symbols_per_frame, cfg.symbol_samples)
         composite_grid = disassemble_symbol(symbols, cfg, cfg.cp_length)
         reference = composite_pilot_values(cfg, alloc, 21)
         assert np.allclose(composite_grid[:, pilot_mask(cfg)], reference)

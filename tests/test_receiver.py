@@ -55,7 +55,7 @@ def _bad_row(samples, bad):
 class TestCpMlSync:
     def test_null_offsets(self):
         _, tx = make_frame(0)
-        sync = cp_ml_sync(tx.samples, CFG)
+        sync = cp_ml_sync(tx, CFG)
         assert sync.timing_offset == 0
         assert abs(sync.fractional_cfo_hz) < 1e-6 * SCS
         assert sync.metric_peak == pytest.approx(1.0, abs=1e-9)
@@ -63,8 +63,8 @@ class TestCpMlSync:
     def test_integer_delay_recovered_exactly(self):
         _, tx = make_frame(1)
         params = ChannelParams(rician_k=np.inf, delay_samples=50)
-        rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=2)
-        assert cp_ml_sync(rx.samples, CFG).timing_offset == 50
+        rx, _ = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=2)
+        assert cp_ml_sync(rx, CFG).timing_offset == 50
 
     def test_fractional_cfo_at_30db(self):
         # truth comparison: injected 0.1 subcarrier-spacing offset comes
@@ -72,8 +72,8 @@ class TestCpMlSync:
         _, tx = make_frame(2)
         injected = 0.1 * SCS
         params = ChannelParams(rician_k=np.inf, cfo_hz=injected, target_snr_db=30.0)
-        rx, truth = apply_channel(tx, params, MobilityState.static(1.0), seed=3)
-        sync = cp_ml_sync(rx.samples, CFG)
+        rx, truth = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=3)
+        sync = cp_ml_sync(rx, CFG)
         assert truth.applied_cfo_hz == pytest.approx(injected)
         assert abs(sync.fractional_cfo_hz - injected) < 0.01 * injected
 
@@ -87,7 +87,7 @@ class TestCpMlSync:
     def test_rejects_a_row_that_is_not_finite_or_not_1d(self, bad):
         _, tx = make_frame(28)
         with pytest.raises(ValueError, match="one 1-D row of finite samples"):
-            cp_ml_sync(_bad_row(tx.samples, bad), CFG)
+            cp_ml_sync(_bad_row(tx, bad), CFG)
 
     def test_requires_two_symbol_periods(self):
         with pytest.raises(ValueError):
@@ -98,33 +98,33 @@ class TestCorrectCfo:
     def test_exact_inverse(self):
         _, tx = make_frame(5)
         params = ChannelParams(rician_k=np.inf, cfo_hz=123.0)
-        rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=6)
-        restored = correct_cfo(rx.samples, 123.0, CFG.sample_rate)
-        assert np.allclose(restored, tx.samples, atol=1e-9)
+        rx, _ = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=6)
+        restored = correct_cfo(rx, 123.0, CFG.sample_rate)
+        assert np.allclose(restored, tx, atol=1e-9)
 
     @pytest.mark.parametrize("cfo_hz", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_offset(self, cfo_hz):
         _, tx = make_frame(6)
         with pytest.raises(ValueError, match="cfo_hz"):
-            correct_cfo(tx.samples, cfo_hz, CFG.sample_rate)
+            correct_cfo(tx, cfo_hz, CFG.sample_rate)
 
     @pytest.mark.parametrize("sample_rate", [0.0, -5e5, np.nan, np.inf])
     def test_rejects_a_sample_rate_that_is_not_positive_and_finite(self, sample_rate):
         _, tx = make_frame(6)
         with pytest.raises(ValueError, match="sample_rate"):
-            correct_cfo(tx.samples, 10.0, sample_rate)
+            correct_cfo(tx, 10.0, sample_rate)
 
     def test_zero_is_identity(self):
         _, tx = make_frame(6)
-        assert correct_cfo(tx.samples, 0.0, CFG.sample_rate) is tx.samples
+        assert correct_cfo(tx, 0.0, CFG.sample_rate) is tx
 
     def test_residual_after_estimated_correction(self):
         _, tx = make_frame(7)
         injected = 0.2 * SCS
         params = ChannelParams(rician_k=np.inf, cfo_hz=injected, target_snr_db=30.0)
-        rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=8)
-        sync = cp_ml_sync(rx.samples, CFG)
-        corrected = correct_cfo(rx.samples, sync.fractional_cfo_hz, CFG.sample_rate)
+        rx, _ = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=8)
+        sync = cp_ml_sync(rx, CFG)
+        corrected = correct_cfo(rx, sync.fractional_cfo_hz, CFG.sample_rate)
         residual = cp_ml_sync(corrected, CFG).fractional_cfo_hz
         assert abs(residual) < 0.02 * SCS
 
@@ -242,9 +242,9 @@ class TestReceiveUser:
     def test_transparent_channel_all_users(self):
         payloads, tx = make_frame(12)
         params = ChannelParams(rician_k=np.inf)
-        rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=13)
+        rx, _ = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=13)
         for k in (1, 2, 3):
-            report = receive_user(rx.samples, CFG, ALLOC, k, PILOT_SEED)
+            report = receive_user(rx, CFG, ALLOC, k, PILOT_SEED)
             assert report.detected
             assert np.array_equal(report.bits, payloads[k - 1])
             assert abs(report.estimated_cfo_hz) < 1e-6 * SCS
@@ -258,9 +258,11 @@ class TestReceiveUser:
         n_frames = 80
         for f in range(n_frames):
             payloads, tx = make_frame(1000 + f)
-            rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[14, f])
+            rx, _ = apply_channel(
+                tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=[14, f]
+            )
             for k in (1, 2, 3):
-                report = receive_user(rx.samples, CFG, ALLOC, k, PILOT_SEED)
+                report = receive_user(rx, CFG, ALLOC, k, PILOT_SEED)
                 assert report.detected
                 errors[k - 1] += np.count_nonzero(report.bits != payloads[k - 1])
         total = n_frames * CFG.payload_bits
@@ -275,9 +277,11 @@ class TestReceiveUser:
         n_frames = 20
         for f in range(n_frames):
             payloads, tx = make_frame(2000 + f)
-            rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[15, f])
+            rx, _ = apply_channel(
+                tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=[15, f]
+            )
             report = receive_user(
-                rx.samples, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.2 * SCS
+                rx, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.2 * SCS
             )
             errors += np.count_nonzero(report.bits != payloads[0])
         assert errors / (n_frames * CFG.payload_bits) > 1e-2
@@ -308,7 +312,24 @@ class TestReceiveUser:
 
         monkeypatch.setattr(receiver, "cp_ml_sync", sync)
         with pytest.raises(ValueError, match=f"user index {user} outside 1..3"):
-            receive_user(tx.samples, CFG, ALLOC, user, PILOT_SEED)
+            receive_user(tx, CFG, ALLOC, user, PILOT_SEED)
+
+    def test_nan_sync_threshold_is_rejected_before_sync(self, monkeypatch):
+        # a NaN threshold would pass pure noise as a detected frame
+        noise = np.random.default_rng(4).normal(size=(CFG.frame_samples, 2)) @ [1, 1j]
+
+        def sync(*args, **kwargs):
+            raise AssertionError("sync ran")
+
+        monkeypatch.setattr(receiver, "cp_ml_sync", sync)
+        with pytest.raises(ValueError, match="^sync_threshold"):
+            receive_user(noise, CFG, ALLOC, 2, PILOT_SEED, sync_threshold=np.nan)
+
+    def test_threshold_above_one_loses_every_frame(self):
+        _, tx = make_frame(0)
+        report = receive_user(tx, CFG, ALLOC, 1, PILOT_SEED, sync_threshold=1.5)
+        assert not report.detected
+        assert report.sync_metric == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "2-D"])
     def test_row_that_is_not_finite_or_not_1d_is_rejected_before_any_work(
@@ -321,18 +342,18 @@ class TestReceiveUser:
 
         monkeypatch.setattr(receiver, "correct_cfo", stage)
         with pytest.raises(ValueError, match="one 1-D row of finite samples"):
-            receive_user(_bad_row(tx.samples, bad), CFG, ALLOC, 2, PILOT_SEED, sync_threshold=0.0)
+            receive_user(_bad_row(tx, bad), CFG, ALLOC, 2, PILOT_SEED, sync_threshold=0.0)
 
     def test_buffer_shorter_than_a_frame_is_rejected(self):
         payloads, tx = make_frame(25)
         params = ChannelParams(rician_k=np.inf)
-        rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=26)
+        rx, _ = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=26)
         assert len(rx) == CFG.frame_samples
         for k in (1, 2, 3):
-            report = receive_user(rx.samples, CFG, ALLOC, k, PILOT_SEED)
+            report = receive_user(rx, CFG, ALLOC, k, PILOT_SEED)
             assert report.detected
             assert np.count_nonzero(report.bits != payloads[k - 1]) == 0
-        short = rx.samples[:-1]
+        short = rx[:-1]
         need = f"{CFG.frame_samples - 1} samples.*{CFG.frame_samples}"
         with pytest.raises(ValueError, match=need):
             receive_user(short, CFG, ALLOC, 1, PILOT_SEED, sync_threshold=0.0)
@@ -349,8 +370,8 @@ class TestReceiveUser:
     def test_stage_levels_count_no_errors_on_a_clean_channel(self):
         payloads, tx = make_frame(17)
         params = ChannelParams(rician_k=np.inf)
-        rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=18)
-        report = receive_user(rx.samples, CFG, ALLOC, 3, PILOT_SEED)
+        rx, _ = apply_channel(tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=18)
+        report = receive_user(rx, CFG, ALLOC, 3, PILOT_SEED)
         assert [levels.shape for levels in report.stage_levels] == [(625, 2), (625, 2)]
         assert stage_errors(report, payloads[:2]) == (0, 0)
 
@@ -363,9 +384,9 @@ class TestReceiveUser:
         errors = []
         for f in range(1000):
             rx, truth = apply_channel(
-                tx, params, MobilityState.static(1.0), seed=[20, f]
+                tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=[20, f]
             )
-            sync = cp_ml_sync(rx.samples, CFG)
+            sync = cp_ml_sync(rx, CFG)
             errors.append(sync.fractional_cfo_hz - truth.applied_cfo_hz)
         assert abs(np.mean(errors)) < 0.01 * SCS
 
@@ -375,14 +396,16 @@ class TestReceiveUser:
         clean, degraded = [], []
         for f in range(25):
             _, tx = make_frame(3000 + f)
-            rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[21, f])
+            rx, _ = apply_channel(
+                tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=[21, f]
+            )
             clean.append(
-                np.mean(receive_user(rx.samples, CFG, ALLOC, 1, PILOT_SEED).estimated_snr_db)
+                np.mean(receive_user(rx, CFG, ALLOC, 1, PILOT_SEED).estimated_snr_db)
             )
             degraded.append(
                 np.mean(
                     receive_user(
-                        rx.samples, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.05 * SCS
+                        rx, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.05 * SCS
                     ).estimated_snr_db
                 )
             )
@@ -395,8 +418,10 @@ class TestReceiveUser:
         extra = []
         for f in range(40):
             payloads, tx = make_frame(4000 + f)
-            rx, _ = apply_channel(tx, params, MobilityState.static(1.0), seed=[22, f])
-            report = receive_user(rx.samples, CFG, ALLOC, 3, PILOT_SEED)
+            rx, _ = apply_channel(
+                tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=[22, f]
+            )
+            report = receive_user(rx, CFG, ALLOC, 3, PILOT_SEED)
             if not report.detected or stage_errors(report, payloads[:2]) == (0, 0):
                 continue
             extra.append(np.count_nonzero(report.bits != payloads[2]))

@@ -103,6 +103,19 @@ class TestSnrHistogram:
         with pytest.raises(ValueError):
             snr_histogram([0.0], [1.0], 0.0, 1.0, total_duration_s=2.0)
 
+    @pytest.mark.parametrize(
+        "bin_width_db, stage_split_s, name",
+        [
+            (np.nan, 1.0, "bin_width_db"),
+            (np.inf, 1.0, "bin_width_db"),
+            (1.0, np.nan, "stage_split_s"),
+            (1.0, np.inf, "stage_split_s"),
+        ],
+    )
+    def test_rejects_a_non_finite_argument(self, bin_width_db, stage_split_s, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            snr_histogram([0.0], [1.0], bin_width_db, stage_split_s, total_duration_s=2.0)
+
 
 class TestScenarioConfig:
     def test_default_is_three_user_testbed(self):
@@ -126,6 +139,11 @@ class TestScenarioConfig:
     def test_rejects_receding_vehicle(self):
         with pytest.raises(ValueError):
             UserPath(1.0, 2.0)
+
+    @pytest.mark.parametrize("start, end", [(np.nan, 1.0), (4.0, np.nan), (np.inf, 1.0)])
+    def test_rejects_a_distance_that_is_not_finite(self, start, end):
+        with pytest.raises(ValueError, match="^distances"):
+            UserPath(start, end)
 
     def test_rejects_coefficient_count_mismatch(self):
         with pytest.raises(ValueError):
