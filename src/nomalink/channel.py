@@ -15,6 +15,8 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
+from .frame_codec import _BlockBuffers
+
 __all__ = [
     "SPEED_OF_LIGHT",
     "ChannelParams",
@@ -131,19 +133,29 @@ class MobilityState:
     def motion_time(self, t) -> np.ndarray:
         """Seconds spent moving up to time t (the clock driving the fading)."""
         t = np.asarray(t, dtype=float)
+        return self._motion_time(t, np.empty(t.shape))
+
+    def _motion_time(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
         upper = self.travel_time if np.isfinite(self.travel_time) else np.inf
-        return np.clip(t - self.stationary_end, 0.0, upper)
+        np.subtract(t, self.stationary_end, out=out)
+        return np.clip(out, 0.0, upper, out=out)
 
     def is_moving(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return (t >= self.stationary_end) & (t < self.mobile_end) & (self.speed > 0)
 
     def distance(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+        return self._distance(self.motion_time(t))
+
+    def _distance(self, moved: np.ndarray) -> np.ndarray:
+        """Distance after ``moved`` seconds of motion, written over ``moved``."""
         if not np.isfinite(self.travel_time) or self.travel_time <= 0:
-            return np.full(t.shape, float(self.start_distance))
-        frac = self.motion_time(t) / self.travel_time
-        return self.start_distance + (self.end_distance - self.start_distance) * frac
+            moved.fill(float(self.start_distance))
+            return moved
+        moved /= self.travel_time
+        moved *= self.end_distance - self.start_distance
+        moved += self.start_distance
+        return moved
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,7 @@ def _sos_parameters(rng: np.random.Generator, n_sinusoids: int):
     return angles, phases
 
 
-def _phasor(theta) -> np.ndarray:
+def _phasor(theta, out=None) -> np.ndarray:
     """exp(1j * theta) for real theta, from one cosine and one sine pass.
 
     On the pinned numpy this is byte for byte ``np.exp(1j * theta)``,
@@ -186,8 +198,10 @@ def _phasor(theta) -> np.ndarray:
     imaginary part, so np.exp gives 1+0j where this gives 1-0j. The
     fading arguments add a draw in [0, 2 pi), and apply_channel adds
     +0.0 to the carrier phase, so no channel phase reaching here is -0.0.
+    The phasors are written to ``out`` if given.
     """
-    out = np.empty(np.shape(theta), dtype=np.complex128)
+    if out is None:
+        out = np.empty(np.shape(theta), dtype=np.complex128)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
@@ -218,7 +232,7 @@ def _diffuse_gain(angles, phases, doppler_hz: float, tau) -> np.ndarray:
 _KNOT_PHASE_STEP = 0.05
 
 
-def _diffuse_gain_sampled(angles, phases, doppler_hz: float, tau) -> np.ndarray:
+def _diffuse_gain_sampled(angles, phases, doppler_hz: float, tau, out=None) -> np.ndarray:
     """Diffuse gain over rows of slowly-varying times via knot interpolation.
 
     ``tau`` holds one row of times per frame; ``angles`` and ``phases``
@@ -227,7 +241,7 @@ def _diffuse_gain_sampled(angles, phases, doppler_hz: float, tau) -> np.ndarray:
     phase angle; evaluating the sinusoid sum on a few knots and
     interpolating is exact to well below the noise floor while avoiding a
     per-sample triple product. Every row gets exactly the knots it would
-    get on its own.
+    get on its own. The gain is written to ``out`` if given.
     """
     rows, n = tau.shape
     angles = np.broadcast_to(angles, (rows, angles.shape[-1]))
@@ -237,7 +251,8 @@ def _diffuse_gain_sampled(angles, phases, doppler_hz: float, tau) -> np.ndarray:
     n_knots = np.minimum(
         np.ceil(2.0 * np.pi * doppler_hz * span / _KNOT_PHASE_STEP).astype(int) + 2, n
     )
-    out = np.empty(tau.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(tau.shape, dtype=np.complex128)
 
     flat = (span == 0.0) | (doppler_hz == 0.0)
     if flat.any():
@@ -304,6 +319,8 @@ def apply_channel(
     mobility: MobilityState,
     seed,
     t0=0.0,
+    *,
+    _work: _BlockBuffers | None = None,
 ) -> tuple[np.ndarray, ChannelRealization]:
     """Propagate transmit samples at ``sample_rate`` through the mobile
     fading channel.
@@ -324,8 +341,12 @@ def apply_channel(
     per frame. The realization's fields then hold one row or value per
     frame. An empty ``tx``, one that is not 1-D or 2-D or holds a
     non-finite sample, a ``sample_rate`` that is not positive and finite,
-    another seed row count, or a ``t0`` that is neither one time nor one
-    per frame is a ValueError before any draw.
+    another seed row count, or a ``t0`` that is neither one finite time
+    nor one per frame is a ValueError before any draw.
+
+    The received samples and the tap gain are new arrays. With ``_work``,
+    a block driver's buffer set, they are views into that set instead,
+    valid until the next call with the same set; the values are the same.
     """
     tx = np.asarray(tx, dtype=np.complex128)
     if tx.ndim not in (1, 2) or tx.size == 0:
@@ -346,14 +367,20 @@ def apply_channel(
         raise ValueError(
             f"t0 must be one start time or one per frame ({frames}), got shape {t0.shape}"
         )
+    if not np.isfinite(t0).all():
+        raise ValueError(f"t0 must be finite, got {t0}")
+    work = _BlockBuffers() if _work is None else _work
     delay = params.delay_samples
     n = tx.shape[-1] + delay
+    shape = (frames, n)
     if delay:
         x = np.concatenate([np.zeros((frames, delay), dtype=np.complex128), block], axis=1)
     else:
         x = block
     t0 = np.broadcast_to(t0, (frames,))
-    t = t0[:, None] + np.arange(n) / sample_rate
+    # Each block array below is written in place, into one buffer per
+    # role, with the operands and order of the named expression beside it.
+    t = np.add(t0[:, None], np.arange(n) / sample_rate, out=work.get("t", shape, float))
     seeds = list(seed) if per_frame else [seed] * frames
 
     drawn = [
@@ -362,50 +389,50 @@ def apply_channel(
     ]
     angles, phases = (np.stack(v) for v in zip(*drawn))
     los, diff = _rician_weights(params.rician_k)
-    h = _diffuse_gain_sampled(angles, phases, params.doppler_hz, mobility.motion_time(t))
-    # in place, with the bytes of los + diff * h: the same scalar multiply
-    # and add on the same operands, without two block temporaries
+    # amp holds the motion time, then the distance, then the path loss
+    amp = mobility._motion_time(t, work.get("amp", shape, float))
+    h = _diffuse_gain_sampled(angles, phases, params.doppler_hz, amp, out=work.get("h", shape))
+    # los + diff * h
     h *= diff
     h += los
-    amp = (params.reference_distance / mobility.distance(t)) ** (params.path_loss_exponent / 2.0)
+    # (reference_distance / distance(t)) ** (exponent / 2)
+    amp = np.divide(params.reference_distance, mobility._distance(amp), out=amp)
+    amp **= params.path_loss_exponent / 2.0
+    # amp * h * x, then times the rotation below: on the pinned numpy an
+    # in-place complex multiply has the bytes of a new array for two or
+    # more samples (pinned in tests/test_exactness.py), not always for one
+    rx = np.multiply(amp, h, out=work.get("rx", shape))
+    rx *= x
 
     draw_rngs = [
         np.random.default_rng(_noise_seed(s, int(round(start * sample_rate))))
         for s, start in zip(seeds, t0)
     ]
     moving = mobility.is_moving(t)
-    del t
-    f_inst = np.full((frames, n), params.cfo_hz, dtype=float)
-    f_inst += params.doppler_hz * moving
+    # f_inst = cfo_hz + doppler_hz * moving, with t's buffer for the product
+    f_inst = amp
+    f_inst.fill(params.cfo_hz)
+    f_inst += np.multiply(params.doppler_hz, moving, out=t)
     if params.cfo_jitter_hz > 0:
         step = max(1, int(round(params.cfo_jitter_tau_s * sample_rate)))
         for row, rng, row_moving in zip(f_inst, draw_rngs, moving):
             row += _block_wander(rng, n, params.cfo_jitter_hz, step) * row_moving
-    del moving
     applied_cfo = np.mean(f_inst, axis=1)
     f_inst *= 2.0 * np.pi
     f_inst /= sample_rate
-    phase = np.zeros((frames, n), dtype=float)
+    phase = t
+    phase[:, 0] = 0.0
     np.cumsum(f_inst[:, :-1], axis=1, out=phase[:, 1:])
-    del f_inst
     # a negative CFO that underflows leaves -0.0 phases, where _phasor's
     # sine keeps the sign that np.exp(1j * phase) drops
     phase += 0.0
-    rotation = _phasor(phase)
-    del phase
-    # One block buffer for the products: on the pinned numpy an in-place
-    # complex multiply has the bytes of a new array for two or more
-    # samples (pinned in tests/test_exactness.py), not always for one.
-    # Each input is freed once used: a lower peak keeps the block's memory
-    # from going back to the system, and faulting in, on every call.
-    rx = amp * h
-    del amp
-    rx *= x
-    rx *= rotation
-    del rotation
+    rx *= _phasor(phase, out=work.get("rotation", shape))
 
     if params.target_snr_db is not None:
-        signal_power = np.mean(np.abs(rx) ** 2, axis=1)
+        # np.abs(rx) ** 2, in phase's buffer
+        power = np.abs(rx, out=phase)
+        power **= 2
+        signal_power = np.mean(power, axis=1)
         noise_power = signal_power / 10.0 ** (params.target_snr_db / 10.0)
     elif params.noise_power_dbm is not None:
         noise_power = np.full(frames, 10.0 ** ((params.noise_power_dbm - 30.0) / 10.0))

@@ -226,6 +226,53 @@ def _spectrum_scale(cfg: FrameConfig) -> float:
     return cfg.fft_size / np.sqrt(cfg.total_subcarriers)
 
 
+class _BlockBuffers:
+    """One reusable array per role, for the arrays a block of frames needs.
+
+    ``get`` returns a C-contiguous view, along the leading axis, of the
+    role's array, so a block of fewer frames reuses the array of a longer
+    one. A role's array is made zero-filled, and made anew only when the
+    trailing axes or the dtype change or the leading axis outgrows it. A
+    view is valid until the next call that gets the same role. A set is
+    private to one run, which passes it to every block.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, role: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        arr = self._arrays.get(role)
+        if arr is None or arr.dtype != dtype or arr.shape[1:] != shape[1:] or len(arr) < shape[0]:
+            arr = self._arrays[role] = np.zeros(shape, dtype)
+        return arr[: shape[0]]
+
+
+def _assemble(payload, cfg: FrameConfig, pilot_seed, work: _BlockBuffers) -> np.ndarray:
+    """assemble_frame's samples, written to the ``symbols`` array of ``work``."""
+    payload = np.asarray(payload, dtype=np.int64)
+    if payload.ndim not in (1, 2) or payload.shape[-1] != cfg.payload_bits:
+        raise ValueError(
+            f"payload must be {cfg.payload_bits} bits per frame, got shape {payload.shape}"
+        )
+    frames = payload.shape[:-1]
+    rows = (len(payload) if payload.ndim == 2 else 1, cfg.symbols_per_frame)
+    bins = occupied_bins(cfg)
+    mask = pilot_mask(cfg)
+    data_syms = qam_modulate(payload.reshape(-1), cfg.modulation_order)
+
+    # zero when made; every call writes the same occupied bins, so the
+    # others stay zero
+    spectra = work.get("spectra", (*rows, cfg.fft_size))
+    spectra[..., bins[mask]] = pilot_values(cfg, pilot_seed)
+    spectra[..., bins[~mask]] = data_syms.reshape(*rows, cfg.data_subcarriers)
+    symbols = work.get("symbols", (*rows, cfg.symbol_samples))
+    bodies = symbols[..., cfg.cp_length :]
+    np.fft.ifft(spectra, axis=-1, out=bodies)
+    bodies *= _spectrum_scale(cfg)
+    symbols[..., : cfg.cp_length] = symbols[..., cfg.fft_size :]
+    return symbols.reshape(*frames, -1)
+
+
 def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> np.ndarray:
     """Build one frame: modulate, interleave pilots, IFFT, prepend prefixes.
 
@@ -234,24 +281,7 @@ def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> np.ndarray:
     (frames, payload_bits) builds one frame per row, and the samples
     carry the same leading frame axis.
     """
-    payload = np.asarray(payload, dtype=np.int64)
-    if payload.ndim not in (1, 2) or payload.shape[-1] != cfg.payload_bits:
-        raise ValueError(
-            f"payload must be {cfg.payload_bits} bits per frame, got shape {payload.shape}"
-        )
-    frames = payload.shape[:-1]
-    bins = occupied_bins(cfg)
-    mask = pilot_mask(cfg)
-    data_syms = qam_modulate(payload.reshape(-1), cfg.modulation_order)
-
-    spectra = np.zeros((*frames, cfg.symbols_per_frame, cfg.fft_size), dtype=np.complex128)
-    spectra[..., bins[mask]] = pilot_values(cfg, pilot_seed)
-    spectra[..., bins[~mask]] = data_syms.reshape(
-        *frames, cfg.symbols_per_frame, cfg.data_subcarriers
-    )
-    bodies = np.fft.ifft(spectra, axis=-1) * _spectrum_scale(cfg)
-    with_cp = np.concatenate([bodies[..., cfg.fft_size - cfg.cp_length :], bodies], axis=-1)
-    return with_cp.reshape(*frames, -1)
+    return _assemble(payload, cfg, pilot_seed, _BlockBuffers())
 
 
 def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.ndarray:

@@ -16,11 +16,12 @@ import numpy as np
 
 from .frame_codec import (
     FrameConfig,
+    _assemble,
     _axis_levels,
+    _BlockBuffers,
     _check_order,
     _decide_levels,
     _frozen,
-    assemble_frame,
     pilot_values,
 )
 
@@ -166,17 +167,30 @@ def build_downlink_frame(
     cfg: FrameConfig,
     alloc: PowerAllocation,
     pilot_seed: int,
+    *,
+    _work: _BlockBuffers | None = None,
 ) -> np.ndarray:
     """Assemble one frame per user and superpose them for transmission.
 
     Returns the samples at ``cfg.sample_rate``. Each payload may be a
     block of shape (frames, payload_bits); the samples then carry that
-    leading frame axis.
+    leading frame axis. The samples are those of ``superpose`` over
+    ``assemble_frame``'s frames. With ``_work``, a block driver's buffer
+    set, they are a view into that set, valid until the next call with
+    the same set; without it they are a new array.
     """
     if len(payloads) != alloc.n_users:
         raise ValueError(f"need {alloc.n_users} payloads, got {len(payloads)}")
-    waves = [
-        assemble_frame(payload, cfg, user_pilot_seed(pilot_seed, k))
-        for k, payload in enumerate(payloads, start=1)
-    ]
-    return superpose(waves, alloc)
+    work = _BlockBuffers() if _work is None else _work
+    out = None
+    for k, (amp, payload) in enumerate(zip(alloc.amplitudes, payloads), start=1):
+        wave = _assemble(payload, cfg, user_pilot_seed(pilot_seed, k), work)
+        if out is None:
+            out = work.get("tx", wave.shape)
+            out[...] = 0.0
+        elif wave.shape != out.shape:
+            raise ValueError("user waveforms must have equal length")
+        # superpose's sum, with the frame's buffer as the scaled term
+        wave *= amp
+        out += wave
+    return out

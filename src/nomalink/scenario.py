@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, MobilityState, apply_channel, doppler_shift
-from .frame_codec import FrameConfig
+from .frame_codec import FrameConfig, _BlockBuffers
 from .noma import (
     DEFAULT_POWER_COEFFICIENTS,
     PowerAllocation,
@@ -324,6 +324,8 @@ def snr_histogram(
         raise ValueError(f"bin_width_db must be positive and finite, got {bin_width_db}")
     if not np.isfinite(stage_split_s):
         raise ValueError(f"stage_split_s must be finite, got {stage_split_s}")
+    if not np.isfinite(total_duration_s):
+        raise ValueError(f"total_duration_s must be finite, got {total_duration_s}")
     t = np.asarray(times_s, dtype=float)
     v = np.asarray(snr_db, dtype=float)
     if t.size != v.size or t.size == 0:
@@ -391,14 +393,16 @@ class MetricsTimeSeries:
 _BLOCK_FRAMES = 8
 
 
-def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, t0):
+def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, t0, work):
     """Send one block of frames, decode every frame at every vehicle and
     count its bit errors against the payloads.
 
     ``payloads`` is (frames, users, payload_bits) and ``t0`` gives each
     frame's start time. ``channels`` holds one (params, mobility, seed)
     triple per user; the seed is shared by the block's frames or holds
-    one seed row per frame. Returns the block's decode record:
+    one seed row per frame. ``work`` is the run's buffer set: the
+    transmit and channel arrays of every block reuse its arrays. Returns
+    the block's decode record:
     ``detected`` and ``cfo`` per (frame, user), then bit ``errors`` and
     ``snr`` per (frame, OFDM symbol, user). Undetected frames hold 0
     errors and NaN estimates.
@@ -406,13 +410,17 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
     frame_cfg = cfg.frame
     n_frames, k_users, _ = payloads.shape
     n_sym = frame_cfg.symbols_per_frame
-    tx = build_downlink_frame(list(payloads.swapaxes(0, 1)), frame_cfg, alloc, cfg.pilot_seed)
+    tx = build_downlink_frame(
+        list(payloads.swapaxes(0, 1)), frame_cfg, alloc, cfg.pilot_seed, _work=work
+    )
     detected = np.zeros((n_frames, k_users), dtype=bool)
     cfo = np.full((n_frames, k_users), np.nan)
     errors = np.zeros((n_frames, n_sym, k_users), dtype=np.int64)
     snr = np.full((n_frames, n_sym, k_users), np.nan)
     for k, (params, mobility, seed) in enumerate(channels):
-        rx, _ = apply_channel(tx, frame_cfg.sample_rate, params, mobility, seed=seed, t0=t0)
+        rx, _ = apply_channel(
+            tx, frame_cfg.sample_rate, params, mobility, seed=seed, t0=t0, _work=work
+        )
         reports = [
             receive_user(
                 row,
@@ -474,12 +482,13 @@ def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
     snrs = np.empty(shape)
     frame_starts = np.arange(n_frames) * frame_cfg.frame_duration
 
+    work = _BlockBuffers()
     for first in range(0, n_frames, _BLOCK_FRAMES):
         block = slice(first, min(first + _BLOCK_FRAMES, n_frames))
         payloads = payload_rng.integers(
             0, 2, (block.stop - first, k_users, frame_cfg.payload_bits), dtype=np.int64
         )
-        decode = _run_block(cfg, alloc, payloads, channels, frame_starts[block])
+        decode = _run_block(cfg, alloc, payloads, channels, frame_starts[block], work)
         detected[block], cfos[block], errors[block], snrs[block] = decode
 
     symbol_times = frame_starts[:, None] + np.arange(n_sym) * (
@@ -556,6 +565,7 @@ def sweep_ber_vs_snr(
     needed_frames = -(-min_bits_per_point // frame_cfg.payload_bits)
     max_frames = 20 * needed_frames
 
+    work = _BlockBuffers()
     for i, snr in enumerate(grid):
         params = replace(
             cfg.channel,
@@ -584,7 +594,9 @@ def sweep_ber_vs_snr(
                 (params, mobility, [[seed, 20, i, t, k] for t in trials])
                 for k in range(1, k_users + 1)
             ]
-            detected, _, block_errors, _ = _run_block(cfg, alloc, payloads, channels, 0.0)
+            detected, _, block_errors, _ = _run_block(
+                cfg, alloc, payloads, channels, 0.0, work
+            )
             hits = np.count_nonzero(detected, axis=0)
             errors[i] += block_errors.sum(axis=(0, 1))
             bits[i] += hits * frame_cfg.payload_bits

@@ -2,7 +2,9 @@
 
 The replay and the sweep send, propagate and decode frames in blocks. A
 block must give exactly the bytes that one call per frame gives, so
-these tests compare with ``np.array_equal`` and no tolerance.
+these tests compare with ``np.array_equal`` and no tolerance. The
+driver writes every block into one buffer set per run; a block written
+there must give the bytes of a call that makes new arrays.
 """
 
 from dataclasses import replace
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from nomalink.channel import ChannelParams, MobilityState, apply_channel, doppler_shift
-from nomalink.frame_codec import FrameConfig, disassemble_symbol, pilot_mask
+from nomalink.frame_codec import FrameConfig, _BlockBuffers, disassemble_symbol, pilot_mask
 from nomalink.noma import PowerAllocation, build_downlink_frame, composite_pilot_values
 from nomalink.receiver import evm_snr, ls_estimate_channel, receive_user, zf_equalize
 from nomalink.scenario import (
@@ -301,3 +303,76 @@ def test_replay_blocks_keep_the_lost_frame_rows(anchor_snr_db):
     for name, expected in columns.items():
         assert np.array_equal(getattr(series, name), expected, equal_nan=True), name
     assert series.lost_frames == lost
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params, per_frame_seeds",
+    [
+        # the replay: one seed per user, a start time per frame
+        (REPLAY_PARAMS, False),
+        (replace(REPLAY_PARAMS, delay_samples=16), False),
+        # the sweep: a seed row per trial, every trial from t = 0
+        (replace(REPLAY_PARAMS, noise_power_dbm=None, target_snr_db=3.0), True),
+        (replace(REPLAY_PARAMS, noise_power_dbm=None, target_snr_db=3.0, delay_samples=16), True),
+    ],
+    ids=["replay", "replay_delay", "sweep", "sweep_delay"],
+)
+def test_a_carried_buffer_set_gives_the_bytes_of_new_arrays(params, per_frame_seeds):
+    # an 8-frame block, then a 3-frame tail as the replay and the sweep
+    # end, through one buffer set
+    if per_frame_seeds:
+        mobility = MobilityState.always_moving(1.0)
+    else:
+        mobility = ScenarioConfig().mobility(2)
+    work = _BlockBuffers()
+    first_rx = None
+    for first, frames in ((672, FRAMES), (680, 3)):
+        payloads = list(_payloads(frames, seed=first).swapaxes(0, 1))
+        tx = build_downlink_frame(payloads, CFG, ALLOC, PILOT_SEED, _work=work)
+        assert _same_bytes(tx, build_downlink_frame(payloads, CFG, ALLOC, PILOT_SEED))
+        if per_frame_seeds:
+            seed, t0 = [[7, 20, 1, trial, 2] for trial in range(first, first + frames)], 0.0
+        else:
+            seed, t0 = [10, 1, 2], (first + np.arange(frames)) * CFG.frame_duration
+        args = (CFG.sample_rate, params, mobility)
+        rx, truth = apply_channel(tx, *args, seed=seed, t0=t0, _work=work)
+        new_rx, new_truth = apply_channel(tx, *args, seed=seed, t0=t0)
+        assert _same_bytes(rx, new_rx)
+        assert _same_bytes(truth.tap_gain, new_truth.tap_gain)
+        assert _same_bytes(truth.applied_cfo_hz, new_truth.applied_cfo_hz)
+        assert _same_bytes(truth.noise_power, new_truth.noise_power)
+        first_rx = rx if first_rx is None else first_rx
+    # the tail block's samples are written over the first block's
+    assert np.shares_memory(rx, first_rx)
+
+
+def test_calls_without_a_buffer_set_return_new_arrays():
+    payloads = list(_payloads(3).swapaxes(0, 1))
+    tx = build_downlink_frame(payloads, CFG, ALLOC, PILOT_SEED)
+    assert not np.shares_memory(tx, build_downlink_frame(payloads, CFG, ALLOC, PILOT_SEED))
+    args = (CFG.sample_rate, REPLAY_PARAMS, MobilityState.always_moving(1.0))
+    outputs = [
+        array
+        for rx, truth in (apply_channel(tx, *args, seed=4), apply_channel(tx, *args, seed=4))
+        for array in (rx, truth.tap_gain)
+    ]
+    for i, array in enumerate(outputs):
+        assert not np.shares_memory(array, tx)
+        assert not any(np.shares_memory(array, other) for other in outputs[i + 1 :])
+
+
+def test_runs_in_one_process_leave_no_state_behind():
+    sweep_cfg = replace(ScenarioConfig(), seed=5)
+    replay_cfg = ScenarioConfig(
+        stationary_duration=0.05, travel_duration=0.06, total_duration=0.11
+    )
+    first = sweep_ber_vs_snr(sweep_cfg, [0.0], min_bits_per_point=100_000)
+    run_v2x_scenario(replay_cfg)
+    again = sweep_ber_vs_snr(sweep_cfg, [0.0], min_bits_per_point=100_000)
+    for name in ("ber", "ci_low", "ci_high", "bits", "lost_frames", "frames"):
+        assert _same_bytes(getattr(again, name), getattr(first, name)), name

@@ -323,8 +323,14 @@ class TestApplyChannel:
             ([[7, f] for f in range(3)], 0.0, "seed"),
             ([[7, f] for f in range(5)], 0.0, "seed"),
             (7, np.arange(3) * 0.04, "t0"),
+            (7, np.nan, "t0"),
+            (7, np.inf, "t0"),
+            (7, np.array([0.0, 0.04, np.nan, 0.12]), "t0"),
         ],
-        ids=["3_seed_rows", "5_seed_rows", "3_start_times"],
+        ids=[
+            "3_seed_rows", "5_seed_rows", "3_start_times",
+            "nan_start", "inf_start", "one_nan_start",
+        ],
     )
     def test_mismatched_block_arguments_are_rejected_before_any_draw(
         self, no_draw, seed, t0, name

@@ -390,9 +390,9 @@ def _channel_phases():
     carrier rotation's ramp."""
     seen = []
 
-    def recording(theta):
+    def recording(theta, out=None):
         seen.append(np.array(theta))
-        return _phasor(theta)
+        return _phasor(theta, out)
 
     params = ChannelParams(doppler_hz=6.8, cfo_hz=-350.0, cfo_jitter_hz=55.0, delay_samples=9)
     mobility = MobilityState(2.0, 1.0, stationary_end=0.001, mobile_end=1.0, speed=0.876)
@@ -471,7 +471,7 @@ def test_channel_output_equals_the_complex_exp_rotation(params, mobility):
     t0 = np.arange(3) * 0.0008
     rx, truth = apply_channel(tx, CFG.sample_rate, params, mobility, seed=[6, 2], t0=t0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("nomalink.channel._phasor", lambda theta: np.exp(1j * theta))
+        patch.setattr("nomalink.channel._phasor", lambda theta, out=None: np.exp(1j * theta))
         ref_rx, ref_truth = apply_channel(tx, CFG.sample_rate, params, mobility, seed=[6, 2], t0=t0)
     assert _same_bytes(rx, ref_rx)
     assert _same_bytes(truth.tap_gain, ref_truth.tap_gain)

@@ -116,6 +116,11 @@ class TestSnrHistogram:
         with pytest.raises(ValueError, match=f"^{name}"):
             snr_histogram([0.0], [1.0], bin_width_db, stage_split_s, total_duration_s=2.0)
 
+    @pytest.mark.parametrize("total_duration_s", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_total_duration(self, total_duration_s):
+        with pytest.raises(ValueError, match="^total_duration_s"):
+            snr_histogram([0.0, 2.0], [1.0, 2.0], 1.0, 1.0, total_duration_s)
+
 
 class TestScenarioConfig:
     def test_default_is_three_user_testbed(self):
