@@ -177,8 +177,10 @@ def _decide_levels(symbols: np.ndarray, order: int) -> np.ndarray:
     """Nearest level index on both axes of contiguous complex symbols, (n, 2)."""
     levels = int(np.sqrt(order))
     vals = symbols.view(np.float64).reshape(-1, 2)
-    idx = np.clip(np.round(((levels - 1) - vals * _axis_norm(order)) / 2.0), 0, levels - 1)
-    return idx.astype(np.intp)
+    idx = ((levels - 1) - vals * _axis_norm(order)) / 2.0
+    # rint is np.round at zero decimals: half to even
+    np.rint(idx, out=idx)
+    return np.clip(idx, 0, levels - 1, out=idx).astype(np.intp)
 
 
 def _levels_to_bits(idx: np.ndarray, order: int) -> np.ndarray:
@@ -218,6 +220,11 @@ def qam_demodulate(symbols, order: int = 4) -> np.ndarray:
     symbols = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(symbols.view(np.float64))):
         raise ValueError("symbols must be finite")
+    return _demodulate(symbols, order)
+
+
+def _demodulate(symbols: np.ndarray, order: int) -> np.ndarray:
+    """qam_demodulate's decisions on contiguous finite symbols, unchecked."""
     return _levels_to_bits(_decide_levels(symbols, order), order)
 
 
@@ -299,7 +306,13 @@ def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.n
             f"segment too short: need {cfg.fft_size} samples at offset {symbol_start}"
         )
     body = samples[..., symbol_start : symbol_start + cfg.fft_size]
-    spectrum = np.fft.fft(body, axis=-1) / _spectrum_scale(cfg)
-    # a gather on the last axis may lay the gathered axis out first in
-    # memory; later row sums must run over contiguous rows
-    return np.ascontiguousarray(spectrum[..., occupied_bins(cfg)])
+    return _demap(body, occupied_bins(cfg), _spectrum_scale(cfg))
+
+
+def _demap(body: np.ndarray, bins: np.ndarray, scale: float) -> np.ndarray:
+    """disassemble_symbol's subcarriers of fft_size-sample bodies, unchecked."""
+    # np.take lays the rows out contiguously, as later row sums need; the
+    # kept bins divided alone hold the values of the whole spectrum divided
+    occupied = np.fft.fft(body, axis=-1).take(bins, axis=-1)
+    occupied /= scale
+    return occupied

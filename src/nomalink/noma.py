@@ -136,7 +136,14 @@ def sic_decode(
     residual = np.array(symbols, dtype=np.complex128, order="C")
     if not np.all(np.isfinite(residual)):
         raise ValueError("symbols must be finite")
-    amps = alloc.amplitudes
+    return _sic(residual, alloc.amplitudes, user, order)
+
+
+def _sic(
+    residual: np.ndarray, amps: np.ndarray, user: int, order: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """sic_decode's stages on finite, C-contiguous symbols, unchecked; the
+    stages subtract from ``residual`` in place."""
     stage_levels: list[np.ndarray] = []
     for j in range(user - 1):
         idx = _decide_levels(residual / amps[j], order)

@@ -24,12 +24,14 @@ import numpy as np
 
 from .frame_codec import (
     FrameConfig,
+    _demap,
+    _demodulate,
     _frozen,
-    disassemble_symbol,
+    _spectrum_scale,
+    occupied_bins,
     pilot_mask,
-    qam_demodulate,
 )
-from .noma import PowerAllocation, composite_pilot_values, sic_decode
+from .noma import PowerAllocation, _sic, composite_pilot_values
 
 __all__ = [
     "SyncEstimate",
@@ -99,41 +101,56 @@ def cp_ml_sync(rx, cfg: FrameConfig) -> SyncEstimate:
     judging the peak is the caller's decision. ``rx`` must be one 1-D
     row of finite samples at ``cfg.sample_rate``.
     """
+    return SyncEstimate(*_sync(_sync_row(rx, cfg), cfg))
+
+
+def _sync_row(rx, cfg: FrameConfig) -> np.ndarray:
+    """``rx`` as a row that CP sync can take, or a ValueError."""
     r = np.asarray(rx, dtype=np.complex128)
     if r.ndim != 1 or not np.isfinite(r).all():
         raise ValueError(f"rx must be one 1-D row of finite samples, got shape {r.shape}")
-    n_fft, cp = cfg.fft_size, cfg.cp_length
-    block = cfg.symbol_samples
-    if len(r) < 2 * block:
-        raise ValueError(f"need at least {2 * block} samples, got {len(r)}")
-    if cp < 1:
+    if len(r) < 2 * cfg.symbol_samples:
+        raise ValueError(f"need at least {2 * cfg.symbol_samples} samples, got {len(r)}")
+    if cfg.cp_length < 1:
         raise ValueError("cp_ml_sync requires a cyclic prefix")
+    return r
 
-    n_sym = min(cfg.symbols_per_frame, len(r) // block)
-    span = n_sym * block
-    theta_max = len(r) - span
 
+@lru_cache(maxsize=16)
+def _sync_windows(cfg: FrameConfig, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of each prefix window in a row of ``length`` samples:
+    one row per symbol period, one column per timing candidate."""
+    block = cfg.symbol_samples
+    n_sym = min(cfg.symbols_per_frame, length // block)
+    theta_max = length - n_sym * block
+    lo = np.arange(0, n_sym * block, block)[:, None] + np.arange(theta_max + 1)
+    return _frozen(lo), _frozen(lo + cfg.cp_length)
+
+
+def _sync(r: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
+    """cp_ml_sync's timing, CFO and peak for a row that ``_sync_row`` passed."""
+    n_fft = cfg.fft_size
     prod = r[:-n_fft] * np.conj(r[n_fft:])
     sq = np.abs(r) ** 2
     power = 0.5 * (sq[:-n_fft] + sq[n_fft:])
     cum_prod = np.zeros(prod.size + 1, dtype=np.complex128)
-    np.cumsum(prod, out=cum_prod[1:])
+    prod.cumsum(out=cum_prod[1:])
     cum_power = np.zeros(power.size + 1)
-    np.cumsum(power, out=cum_power[1:])
+    power.cumsum(out=cum_power[1:])
 
     # one window per symbol period (rows) and timing candidate (columns),
     # summed row by row in order: a reduction over rows may round differently.
     # A cumulative sum adds in that order; adding +0 gives the sum from zero
     # its sign where every window holds -0.
-    lo = np.arange(0, n_sym * block, block)[:, None] + np.arange(theta_max + 1)
-    gamma = np.cumsum(cum_prod[lo + cp] - cum_prod[lo], axis=0)[-1] + 0.0
-    phi = np.cumsum(cum_power[lo + cp] - cum_power[lo], axis=0)[-1]
+    lo, hi = _sync_windows(cfg, len(r))
+    gamma = (cum_prod[hi] - cum_prod[lo]).cumsum(axis=0)[-1] + 0.0
+    phi = (cum_power[hi] - cum_power[lo]).cumsum(axis=0)[-1]
 
-    metric = np.divide(np.abs(gamma), phi, out=np.zeros_like(phi), where=phi > 0)
-    best = int(np.argmax(metric))
+    metric = np.divide(np.abs(gamma), phi, out=np.zeros(phi.shape), where=phi > 0)
+    best = int(metric.argmax())
     peak = float(min(metric[best], 1.0))
     cfo = -np.angle(gamma[best]) * cfg.sample_rate / (2.0 * np.pi * n_fft)
-    return SyncEstimate(timing_offset=best, fractional_cfo_hz=float(cfo), metric_peak=peak)
+    return best, float(cfo), peak
 
 
 def correct_cfo(rx, cfo_hz: float, sample_rate: float) -> np.ndarray:
@@ -145,13 +162,16 @@ def correct_cfo(rx, cfo_hz: float, sample_rate: float) -> np.ndarray:
     rx = np.asarray(rx, dtype=np.complex128)
     if cfo_hz == 0.0:
         return rx
-    n = np.arange(rx.shape[-1])
+    return _derotate(rx, cfo_hz, np.arange(rx.shape[-1]), sample_rate)
+
+
+def _derotate(samples: np.ndarray, cfo_hz: float, n: np.ndarray, sample_rate: float):
+    """correct_cfo's product for samples at integer sample indices ``n``, unchecked."""
     # np.exp stays (the channel's cos/sin phasor would not keep the bytes):
     # numpy divides this complex phase by the sample rate with a rounding
     # that neither b * n / fs nor (b * n) * (1 / fs) reproduces in floats,
     # and taking .imag of the complex phase matches but saves nothing
-    rotation = np.exp(-2j * np.pi * cfo_hz * n / sample_rate)
-    return rx * rotation
+    return samples * np.exp(-2j * np.pi * cfo_hz * n / sample_rate)
 
 
 class _PilotLine(NamedTuple):
@@ -206,11 +226,16 @@ def ls_estimate_channel(row, mask, pilot_reference) -> np.ndarray:
     row = np.asarray(row, dtype=np.complex128)
     mask = np.asarray(mask, dtype=bool)
     x = np.asarray(pilot_reference, dtype=np.complex128)
-    line = _pilot_line_cached(mask.tobytes(), x.tobytes())
-    # 2-parameter normal equations of min ||y - (a + b k) x||^2
-    y = np.ascontiguousarray(row[..., line.k_pilot])
-    r0 = np.sum(line.conj_x * y, axis=-1)
-    r1 = np.sum(line.conj_x_k * y, axis=-1)
+    return _ls_line(row, _pilot_line_cached(mask.tobytes(), x.tobytes()))
+
+
+def _ls_line(row: np.ndarray, line: _PilotLine) -> np.ndarray:
+    """ls_estimate_channel's line for complex rows, unchecked."""
+    # 2-parameter normal equations of min ||y - (a + b k) x||^2; np.take
+    # lays each symbol's pilots out contiguously for the sums
+    y = row.take(line.k_pilot, axis=-1)
+    r0 = (line.conj_x * y).sum(axis=-1)
+    r1 = (line.conj_x_k * y).sum(axis=-1)
     a = (line.g11 * r0 - line.g01 * r1) / line.det
     b = (line.g00 * r1 - line.g01 * r0) / line.det
     return np.asarray(a)[..., None] + np.asarray(b)[..., None] * line.k_all
@@ -228,8 +253,13 @@ def zf_equalize(row, estimate):
     estimate = np.asarray(estimate, dtype=np.complex128)
     if not np.all(np.isfinite(estimate.view(np.float64))):
         raise ValueError("channel estimate must be finite")
+    return _zf(row, estimate)
+
+
+def _zf(row: np.ndarray, estimate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zf_equalize's rows and erasures for a finite complex estimate, unchecked."""
     erased = np.abs(estimate) < ZF_SINGULARITY_THRESHOLD
-    out = np.divide(row, estimate, out=np.zeros_like(row), where=~erased)
+    out = np.divide(row, estimate, out=np.zeros(row.shape, np.complex128), where=~erased)
     return out, erased
 
 
@@ -254,20 +284,52 @@ def evm_snr(equalized_pilots, pilot_reference):
     x = np.asarray(pilot_reference, dtype=np.complex128)
     if y.size == 0 or y.shape[-1] != x.size:
         raise ValueError("need equal, non-empty pilot and reference vectors")
-    evm = np.sqrt(np.mean(np.abs(y - x) ** 2, axis=-1) / _reference_power(x.tobytes()))
-    # the logarithm runs only above the capped EVM, so it never sees a zero;
-    # the capped entries keep -SNR_CAP_DB / 20, and a NaN EVM stays NaN
-    log_evm = np.log10(
-        evm, out=np.full_like(evm, -SNR_CAP_DB / 20.0), where=~(evm <= _EVM_AT_CAP)
-    )
-    snr = np.minimum(-20.0 * log_evm, SNR_CAP_DB)
+    snr = _evm_snr(y, x, _reference_power(x.tobytes()))
     return float(snr) if snr.ndim == 0 else snr
 
 
+def _evm_snr(y: np.ndarray, x: np.ndarray, reference_power: float) -> np.ndarray:
+    """evm_snr's estimates for C-contiguous pilots, unchecked."""
+    evm = np.sqrt((np.abs(y - x) ** 2).mean(axis=-1) / reference_power)
+    # the logarithm runs only above the capped EVM, so it never sees a zero;
+    # the capped entries keep -SNR_CAP_DB / 20, and a NaN EVM stays NaN
+    log_evm = np.log10(
+        evm, out=np.full(evm.shape, -SNR_CAP_DB / 20.0), where=~(evm <= _EVM_AT_CAP)
+    )
+    return np.minimum(-20.0 * log_evm, SNR_CAP_DB)
+
+
+class _RxPlan(NamedTuple):
+    """What decoding a frame needs that depends only on the frame layout,
+    the power allocation and the pilot seed."""
+
+    reference: np.ndarray
+    line: _PilotLine
+    reference_power: float
+    data_columns: np.ndarray
+    bins: np.ndarray
+    scale: float
+    body_index: np.ndarray
+    amplitudes: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _data_columns(cfg: FrameConfig) -> np.ndarray:
-    """Indices of the data subcarriers among the occupied ones."""
-    return _frozen(np.flatnonzero(~pilot_mask(cfg)))
+def _rx_plan(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed) -> _RxPlan:
+    mask = pilot_mask(cfg)
+    reference = composite_pilot_values(cfg, alloc, pilot_seed)
+    line = _pilot_line_cached(mask.tobytes(), reference.tobytes())
+    # sample index of each symbol body within a frame, one row per symbol
+    starts = np.arange(cfg.symbols_per_frame)[:, None] * cfg.symbol_samples + cfg.cp_length
+    return _RxPlan(
+        reference=reference,
+        line=line,
+        reference_power=_reference_power(reference.tobytes()),
+        data_columns=_frozen(np.flatnonzero(~mask)),
+        bins=occupied_bins(cfg),
+        scale=_spectrum_scale(cfg),
+        body_index=_frozen(starts + np.arange(cfg.fft_size)),
+        amplitudes=_frozen(alloc.amplitudes),
+    )
 
 
 def receive_user(
@@ -284,53 +346,62 @@ def receive_user(
     Pipeline: cp_ml_sync -> correct_cfo -> one FFT of all symbol bodies
     -> ls_estimate_channel -> zf_equalize -> evm_snr -> sic_decode ->
     qam_demodulate; the stages from the FFT to the EVM take all of the
-    frame's symbols at once. A buffer under one frame or not finite is a
-    ValueError; sync never places a frame past the end of a longer one. A
-    sync peak below ``sync_threshold`` or a symbol that zero-forcing
-    erases on every subcarrier yields detected=False with empty bits; the
-    report keeps the sync peak; a NaN threshold is a ValueError, and one
-    above 1 loses every frame. ``cfo_error_hz`` adds a known error to the
-    applied correction (estimation-error injection for stress tests); the
-    reported CFO stays the estimator output.
+    frame's symbols at once. The arguments are checked once, before any
+    work: a buffer under one frame, not 1-D or not finite, a NaN
+    threshold, a non-finite ``cfo_error_hz`` or a user outside the
+    allocation is a ValueError. The stages then run unchecked on a plan
+    cached per (cfg, alloc, pilot_seed), with the bytes of the public stage
+    functions; only the symbol bodies at the chosen timing are corrected
+    for the CFO. Sync never places a frame past the end of a longer
+    buffer. A sync peak below ``sync_threshold`` or a symbol that
+    zero-forcing erases on every subcarrier yields detected=False with
+    empty bits; the report keeps the sync peak; a threshold above 1 loses
+    every frame. ``cfo_error_hz`` adds a known error to the applied
+    correction (estimation-error injection for stress tests); the reported
+    CFO stays the estimator output.
     """
     if not 1 <= user <= alloc.n_users:
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
     # a NaN threshold would pass every frame as detected
     if math.isnan(sync_threshold):
         raise ValueError("sync_threshold must be a number, got nan")
+    if not math.isfinite(cfo_error_hz):
+        raise ValueError(f"cfo_error_hz must be finite, got {cfo_error_hz}")
     rx = np.asarray(rx, dtype=np.complex128)
     if rx.size < cfg.frame_samples:
         raise ValueError(
             f"buffer of {rx.size} samples is shorter than one frame of {cfg.frame_samples}"
         )
-    sync = cp_ml_sync(rx, cfg)
-    if sync.metric_peak < sync_threshold:
-        return UserRxReport.lost(sync.metric_peak)
+    r = _sync_row(rx, cfg)
+    plan = _rx_plan(cfg, alloc, pilot_seed)
 
-    corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz, cfg.sample_rate)
-    frame = corrected[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
-    mask = pilot_mask(cfg)
-    reference = composite_pilot_values(cfg, alloc, pilot_seed)
+    timing, cfo, peak = _sync(r, cfg)
+    if peak < sync_threshold:
+        return UserRxReport.lost(peak)
+    frame = r[timing : timing + cfg.frame_samples].reshape(cfg.symbols_per_frame, -1)
+    bodies = frame[:, cfg.cp_length :]
+    correction = cfo + cfo_error_hz
+    if correction != 0.0:
+        bodies = _derotate(bodies, correction, plan.body_index + timing, cfg.sample_rate)
 
-    rows = disassemble_symbol(
-        frame.reshape(cfg.symbols_per_frame, cfg.symbol_samples), cfg, cfg.cp_length
+    rows = _demap(bodies, plan.bins, plan.scale)
+    estimate = _ls_line(rows, plan.line)
+    equalized, erased = _zf(rows, estimate)
+    if erased.all(axis=-1).any():
+        return UserRxReport.lost(peak)
+    snr_db = _evm_snr(
+        equalized.take(plan.line.k_pilot, axis=-1), plan.reference, plan.reference_power
     )
-    estimate = ls_estimate_channel(rows, mask, reference)
-    equalized, erased = zf_equalize(rows, estimate)
-    if np.any(np.all(erased, axis=-1)):
-        return UserRxReport.lost(sync.metric_peak)
-    snr_db = evm_snr(equalized[:, mask], reference)
     # erased subcarriers equalize to 0 and decide to a fixed bit pattern
-    data_symbols = equalized[:, _data_columns(cfg)].reshape(-1)
-
-    own_symbols, stage_levels = sic_decode(
-        data_symbols, alloc, user, cfg.modulation_order
+    data_symbols = equalized.take(plan.data_columns, axis=-1).reshape(-1)
+    own_symbols, stage_levels = _sic(
+        data_symbols, plan.amplitudes, user, cfg.modulation_order
     )
     return UserRxReport(
-        bits=qam_demodulate(own_symbols, cfg.modulation_order),
+        bits=_demodulate(own_symbols, cfg.modulation_order),
         estimated_snr_db=snr_db,
-        estimated_cfo_hz=sync.fractional_cfo_hz,
+        estimated_cfo_hz=cfo,
         detected=True,
         stage_levels=tuple(stage_levels),
-        sync_metric=sync.metric_peak,
+        sync_metric=peak,
     )

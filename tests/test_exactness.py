@@ -5,9 +5,11 @@ remodulation (a per-level lookup), the CP correlation and its
 accumulation over symbols, zero-forcing, the pilot EVM, the channel's
 noise addition, the sampled fading of short rows, the channel's unit
 phasors and the transmit chain's subcarrier mapping were rewritten to
-do less array work per frame. Each test keeps the replaced code here as
-the reference and compares raw bytes, so even a changed sign of zero
-fails.
+do less array work per frame. ``receive_user`` checks its row once and
+then runs unchecked stage kernels; it is compared with the composition
+of the public stage functions it once called. Each test keeps the
+replaced code here as the reference and compares raw bytes, so even a
+changed sign of zero fails.
 """
 
 import platform
@@ -31,6 +33,7 @@ from nomalink.frame_codec import (
     FrameConfig,
     _levels_to_bits,
     assemble_frame,
+    disassemble_symbol,
     occupied_bins,
     pilot_mask,
     pilot_values,
@@ -45,11 +48,15 @@ from nomalink.noma import (
 )
 from nomalink.receiver import (
     SYNC_DETECTION_THRESHOLD,
+    UserRxReport,
     correct_cfo,
     cp_ml_sync,
     evm_snr,
+    ls_estimate_channel,
+    receive_user,
     zf_equalize,
 )
+from nomalink.scenario import ScenarioConfig, run_v2x_scenario, sweep_ber_vs_snr
 
 CFG = FrameConfig()
 ALLOC = PowerAllocation.testbed_default()
@@ -494,3 +501,140 @@ def test_channel_products_in_place_equal_the_named_products(shape):
         got *= x
         got *= rotation
         assert _same_bytes(got, expected)
+
+
+def _staged_receive(rx, cfg, alloc, user, pilot_seed, sync_threshold, cfo_error_hz=0.0):
+    """receive_user as the composition of the public stage functions: the
+    whole buffer corrected for the CFO, every check run at every stage."""
+    sync = cp_ml_sync(rx, cfg)
+    if sync.metric_peak < sync_threshold:
+        return UserRxReport.lost(sync.metric_peak)
+    corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz, cfg.sample_rate)
+    frame = corrected[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
+    mask = pilot_mask(cfg)
+    reference = composite_pilot_values(cfg, alloc, pilot_seed)
+    rows = disassemble_symbol(
+        frame.reshape(cfg.symbols_per_frame, cfg.symbol_samples), cfg, cfg.cp_length
+    )
+    estimate = ls_estimate_channel(rows, mask, reference)
+    equalized, erased = zf_equalize(rows, estimate)
+    if np.any(np.all(erased, axis=-1)):
+        return UserRxReport.lost(sync.metric_peak)
+    snr_db = evm_snr(equalized[:, mask], reference)
+    data_symbols = equalized[:, ~mask].reshape(-1)
+    own, stage_levels = sic_decode(data_symbols, alloc, user, cfg.modulation_order)
+    return UserRxReport(
+        bits=qam_demodulate(own, cfg.modulation_order),
+        estimated_snr_db=snr_db,
+        estimated_cfo_hz=sync.fractional_cfo_hz,
+        detected=True,
+        stage_levels=tuple(stage_levels),
+        sync_metric=sync.metric_peak,
+    )
+
+
+def _report_bytes(report):
+    return (
+        report.detected,
+        report.bits.dtype.str,
+        report.bits.tobytes(),
+        np.asarray(report.estimated_snr_db).dtype.str,
+        np.asarray(report.estimated_snr_db).shape,
+        np.asarray(report.estimated_snr_db).tobytes(),
+        float(report.estimated_cfo_hz).hex(),
+        float(report.sync_metric).hex(),
+        tuple((levels.dtype.str, levels.shape, levels.tobytes()) for levels in report.stage_levels),
+    )
+
+
+def _assert_receive_matches_the_stages(rx, cfg, alloc, users, pilot_seed, sync_threshold, **kw):
+    for user in users:
+        got = receive_user(rx, cfg, alloc, user, pilot_seed, sync_threshold, **kw)
+        expected = _staged_receive(rx, cfg, alloc, user, pilot_seed, sync_threshold, **kw)
+        assert _report_bytes(got) == _report_bytes(expected), user
+
+
+def _pipeline_rows():
+    """The rows the replay and a 0 dB sweep point hand to receive_user, with
+    their arguments: detected rows and rows lost to a low sync peak."""
+    recorded = []
+
+    def record(rx, cfg, alloc, user, pilot_seed, sync_threshold):
+        recorded.append((np.array(rx), cfg, alloc, user, pilot_seed, sync_threshold))
+        return receive_user(rx, cfg, alloc, user, pilot_seed, sync_threshold=sync_threshold)
+
+    # the benchmark's short replay: 179 frames x 3 users, both stages
+    short = ScenarioConfig(stationary_duration=0.2165, travel_duration=0.358, total_duration=0.574)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nomalink.scenario.receive_user", record)
+        run_v2x_scenario(short)
+        replay_rows = len(recorded)
+        sweep_ber_vs_snr(ScenarioConfig(seed=7), [0.0], min_bits_per_point=100_000)
+    assert replay_rows == 179 * 3
+    return recorded
+
+
+def test_receive_user_matches_the_stages_on_pipeline_rows():
+    rows = _pipeline_rows()
+    lost = 0
+    for rx, cfg, alloc, user, pilot_seed, sync_threshold in rows:
+        _assert_receive_matches_the_stages(rx, cfg, alloc, [user], pilot_seed, sync_threshold)
+        lost += cp_ml_sync(rx, cfg).metric_peak < sync_threshold
+    assert 0 < lost < len(rows)
+
+
+def _constructed_rows():
+    """Rows the pipeline never builds: sync at a timing past 0, a delayed
+    frame, noiseless frames, one of them with a CFO estimate of -0.0, rows
+    lost to a low peak or to erasure, 16QAM, and an injected CFO error.
+    Each gives the row, the sync threshold, the CFO error, the expected
+    timing (None for a low peak) and whether the CFO estimate is zero."""
+    rng = np.random.default_rng(33)
+    qam16 = FrameConfig(modulation_order=16)
+    for cfg in (CFG, qam16):
+        payloads = [rng.integers(0, 2, cfg.payload_bits) for _ in range(ALLOC.n_users)]
+        tx = build_downlink_frame(payloads, cfg, ALLOC, 295)
+        params = ChannelParams(rician_k=10.92, cfo_hz=310.0, target_snr_db=30.0)
+        rx, _ = apply_channel(tx, cfg.sample_rate, params, MobilityState.static(2.0), seed=34)
+        name = f"{cfg.modulation_order}qam"
+        yield pytest.param(cfg, rx, 0.5, 0.0, 0, False, id=f"{name}-one-frame")
+        error = 0.05 * cfg.subcarrier_spacing
+        yield pytest.param(cfg, rx, 0.5, error, 0, False, id=f"{name}-cfo-error")
+        noise = 0.03 * (rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300)))
+        longer = np.concatenate([noise[0, :150], rx, noise[1, :90]])
+        yield pytest.param(cfg, longer, 0.5, 0.0, 150, False, id=f"{name}-longer-buffer")
+        delayed = replace(params, cfo_hz=-220.0, target_snr_db=25.0, delay_samples=17)
+        rx, _ = apply_channel(tx, cfg.sample_rate, delayed, MobilityState.static(2.0), seed=35)
+        yield pytest.param(cfg, rx, 0.5, 0.0, 17, False, id=f"{name}-delay-17")
+    payloads = [rng.integers(0, 2, CFG.payload_bits) for _ in range(ALLOC.n_users)]
+    tx = build_downlink_frame(payloads, CFG, ALLOC, 295)
+    yield pytest.param(CFG, tx, 0.5, 0.0, 0, False, id="noiseless")
+    # real samples make every product real: the estimate is -0.0, and a
+    # correction of -0.0 or +0.0 leaves the samples as they are, while an
+    # error added to it still rotates them
+    real = tx.real.astype(complex)
+    yield pytest.param(CFG, real, 0.5, 0.0, 0, True, id="noiseless-real-zero-cfo")
+    yield pytest.param(CFG, real, 0.5, -0.0, 0, True, id="noiseless-real-negative-zero-error")
+    yield pytest.param(CFG, real, 0.5, 40.0, 0, True, id="noiseless-real-cfo-error")
+    silent = np.zeros(CFG.frame_samples, dtype=complex)
+    yield pytest.param(CFG, silent, 0.0, 0.0, 0, True, id="all-erased")
+    noise = rng.normal(size=CFG.frame_samples + 40) + 1j * rng.normal(size=CFG.frame_samples + 40)
+    yield pytest.param(CFG, noise, 0.5, 0.0, None, False, id="low-sync-peak")
+
+
+@pytest.mark.parametrize(
+    "cfg, rx, sync_threshold, cfo_error_hz, timing, zero_cfo", list(_constructed_rows())
+)
+def test_receive_user_matches_the_stages_on_constructed_rows(
+    cfg, rx, sync_threshold, cfo_error_hz, timing, zero_cfo
+):
+    sync = cp_ml_sync(rx, cfg)
+    if timing is None:
+        assert sync.metric_peak < sync_threshold
+    else:
+        assert sync.timing_offset == timing and sync.metric_peak >= sync_threshold
+    assert (sync.fractional_cfo_hz == 0.0) == zero_cfo
+    users = range(1, ALLOC.n_users + 1)
+    _assert_receive_matches_the_stages(
+        rx, cfg, ALLOC, users, 295, sync_threshold, cfo_error_hz=cfo_error_hz
+    )

@@ -7,10 +7,17 @@ from nomalink.channel import ChannelParams, MobilityState, apply_channel
 from nomalink.frame_codec import (
     FrameConfig,
     _levels_to_bits,
+    disassemble_symbol,
     pilot_mask,
+    qam_demodulate,
 )
 from nomalink import receiver
-from nomalink.noma import PowerAllocation, build_downlink_frame, composite_pilot_values
+from nomalink.noma import (
+    PowerAllocation,
+    build_downlink_frame,
+    composite_pilot_values,
+    sic_decode,
+)
 from nomalink.receiver import (
     SYNC_DETECTION_THRESHOLD,
     correct_cfo,
@@ -50,6 +57,18 @@ def _bad_row(samples, bad):
     row = samples.copy()
     row[700] = np.nan if bad == "nan" else np.inf
     return row
+
+
+@pytest.fixture
+def no_decode_work(monkeypatch):
+    """Fail the test if receive_user builds its plan or runs a stage kernel,
+    so an argument check that raises is known to run before any work."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("decoding work ran before the argument check")
+
+    for name in ("_rx_plan", "_sync", "_derotate", "_demap", "_sic"):
+        monkeypatch.setattr(receiver, name, work)
 
 
 class TestCpMlSync:
@@ -304,24 +323,14 @@ class TestReceiveUser:
         assert report.sync_metric == cp_ml_sync(noise, CFG).metric_peak
 
     @pytest.mark.parametrize("user", [0, 4])
-    def test_user_outside_the_allocation_is_rejected_before_sync(self, monkeypatch, user):
+    def test_user_outside_the_allocation_is_rejected_before_sync(self, no_decode_work, user):
         _, tx = make_frame(27)
-
-        def sync(*args, **kwargs):
-            raise AssertionError("sync ran")
-
-        monkeypatch.setattr(receiver, "cp_ml_sync", sync)
         with pytest.raises(ValueError, match=f"user index {user} outside 1..3"):
             receive_user(tx, CFG, ALLOC, user, PILOT_SEED)
 
-    def test_nan_sync_threshold_is_rejected_before_sync(self, monkeypatch):
+    def test_nan_sync_threshold_is_rejected_before_sync(self, no_decode_work):
         # a NaN threshold would pass pure noise as a detected frame
         noise = np.random.default_rng(4).normal(size=(CFG.frame_samples, 2)) @ [1, 1j]
-
-        def sync(*args, **kwargs):
-            raise AssertionError("sync ran")
-
-        monkeypatch.setattr(receiver, "cp_ml_sync", sync)
         with pytest.raises(ValueError, match="^sync_threshold"):
             receive_user(noise, CFG, ALLOC, 2, PILOT_SEED, sync_threshold=np.nan)
 
@@ -333,14 +342,9 @@ class TestReceiveUser:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "2-D"])
     def test_row_that_is_not_finite_or_not_1d_is_rejected_before_any_work(
-        self, monkeypatch, bad
+        self, no_decode_work, bad
     ):
         _, tx = make_frame(29)
-
-        def stage(*args, **kwargs):
-            raise AssertionError("a stage after the row check ran")
-
-        monkeypatch.setattr(receiver, "correct_cfo", stage)
         with pytest.raises(ValueError, match="one 1-D row of finite samples"):
             receive_user(_bad_row(tx, bad), CFG, ALLOC, 2, PILOT_SEED, sync_threshold=0.0)
 
@@ -357,6 +361,25 @@ class TestReceiveUser:
         need = f"{CFG.frame_samples - 1} samples.*{CFG.frame_samples}"
         with pytest.raises(ValueError, match=need):
             receive_user(short, CFG, ALLOC, 1, PILOT_SEED, sync_threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("short", "^buffer of 1599 samples is shorter than one frame of 1600"),
+            ("nan-cfo-error", "^cfo_error_hz must be finite, got nan"),
+            ("inf-cfo-error", "^cfo_error_hz must be finite, got inf"),
+        ],
+    )
+    def test_a_short_buffer_or_a_bad_cfo_error_is_named_before_any_work(
+        self, no_decode_work, case, match
+    ):
+        _, tx = make_frame(30)
+        if case == "short":
+            rx, cfo_error_hz = tx[:-1], 0.0
+        else:
+            rx, cfo_error_hz = tx, np.nan if case.startswith("nan") else np.inf
+        with pytest.raises(ValueError, match=match):
+            receive_user(rx, CFG, ALLOC, 2, PILOT_SEED, 0.0, cfo_error_hz=cfo_error_hz)
 
     def test_all_erased_frame_is_reported_lost(self):
         # a silent frame passes a zero threshold, then every subcarrier erases
@@ -427,3 +450,38 @@ class TestReceiveUser:
             extra.append(np.count_nonzero(report.bits != payloads[2]))
         assert len(extra) > 0
         assert np.mean(extra) > 0
+
+
+def _stage_calls():
+    """One bad call per public stage function, each of which its own check
+    rejects: receive_user skips these checks, the stages keep them."""
+    _, tx = make_frame(31)
+    rows = np.ones((CFG.symbols_per_frame, CFG.total_subcarriers), dtype=complex)
+    reference = composite_pilot_values(CFG, ALLOC, PILOT_SEED)
+    nan_symbols = np.array([1.0 + 1.0j, np.nan])
+    yield "cp_ml_sync", lambda: cp_ml_sync(_bad_row(tx, "nan"), CFG), "finite samples"
+    yield "cp_ml_sync-short", lambda: cp_ml_sync(tx[:500], CFG), "need at least 640 samples"
+    yield "correct_cfo", lambda: correct_cfo(tx, np.nan, CFG.sample_rate), "^cfo_hz must be finite"
+    yield "disassemble_symbol", lambda: disassemble_symbol(tx[:255], CFG), "segment too short"
+    yield (
+        "ls_estimate_channel",
+        lambda: ls_estimate_channel(rows, pilot_mask(CFG), reference[:-1]),
+        "pilot reference length",
+    )
+    yield (
+        "zf_equalize",
+        lambda: zf_equalize(rows, np.where(rows.real > 0, np.nan, 1.0)),
+        "channel estimate must be finite",
+    )
+    yield "evm_snr", lambda: evm_snr(rows[:, :24], reference), "need equal, non-empty"
+    yield "sic_decode", lambda: sic_decode(nan_symbols, ALLOC, 2), "symbols must be finite"
+    yield "sic_decode-user", lambda: sic_decode(rows[0], ALLOC, 4), "user index 4"
+    yield "qam_demodulate", lambda: qam_demodulate(nan_symbols, 4), "symbols must be finite"
+
+
+@pytest.mark.parametrize(
+    "call, match", [pytest.param(c, m, id=i) for i, c, m in _stage_calls()]
+)
+def test_each_public_stage_keeps_its_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -17,11 +17,19 @@ two-parameter LS fit on the pilots. The checks cover the measured fixed
 allocation and the distance-squared allocation. For 16QAM each axis
 carries a Gray 4-PAM level of every user instead of a sign, and SIC
 decides and cancels levels; the same construction gives its exact BER.
+
+The mobile-stage error floor of acceptance criterion 2 has a different
+cause: the carrier wander draws a new offset for every OFDM symbol,
+while CP sync estimates one offset per frame. The residual offset of
+each symbol leaks into the other subcarriers. The last test pins that
+cause: without the wander, or with one wander draw per frame, the floor
+vanishes.
 """
 
 import itertools
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,3 +183,31 @@ def test_16qam_sweep_ber_lies_between_perfect_and_ls_limited_theory():
                 f"user {k} at {snr_db} dB: BER {ber:.4g} +- {half:.2g},"
                 f" theory {band[0]:.4g} to {band[1]:.4g}"
             )
+
+
+FLOOR_FRAME = FrameConfig()
+
+
+@pytest.mark.parametrize(
+    "channel_change, floor",
+    [
+        pytest.param({}, True, id="default"),
+        pytest.param({"cfo_jitter_hz": 0.0}, False, id="no-wander"),
+        pytest.param(
+            {"cfo_jitter_tau_s": FLOOR_FRAME.frame_duration}, False, id="one-wander-draw-per-frame"
+        ),
+    ],
+)
+def test_the_error_floor_comes_from_carrier_wander_inside_a_frame(channel_change, floor):
+    # criterion 2's config at its highest SNR point: the default gives
+    # about 4.5e-4, 1.1e-3 and 3.3e-3 per user over 3e5 bits each
+    cfg = ScenarioConfig(seed=7)
+    assert cfg.frame == FLOOR_FRAME
+    cfg = replace(cfg, channel=replace(cfg.channel, **channel_change))
+    curve = sweep_ber_vs_snr(cfg, [40.0], min_bits_per_point=300_000)
+    assert np.all(curve.bits >= 300_000)
+    assert np.all(curve.lost_frames == 0)
+    if floor:
+        assert np.all(curve.ber > 0.0), curve.ber
+    else:
+        assert np.all(curve.ber == 0.0), curve.ber
