@@ -276,12 +276,32 @@ def _rician_weights(k: float) -> tuple[float, float]:
     return float(np.sqrt(k / (k + 1.0))), float(np.sqrt(1.0 / (k + 1.0)))
 
 
+def _seed_words(seed) -> list[int]:
+    """The entries of ``seed`` as ints, or ``seed`` itself if it is one number."""
+    try:
+        entries = iter(seed)
+    except TypeError:
+        return [int(seed)]
+    return [int(s) for s in entries]
+
+
 def _fading_seed(seed):
-    return [int(s) for s in np.atleast_1d(seed)] + [0]
+    return _seed_words(seed) + [0]
 
 
 def _noise_seed(seed, start_sample: int):
-    return [int(s) for s in np.atleast_1d(seed)] + [1, int(start_sample)]
+    return _seed_words(seed) + [1, int(start_sample)]
+
+
+def _keyed_rng(words: list[int]) -> np.random.Generator:
+    """``np.random.default_rng(words)``: the same state and draws, seeded
+    from an array of uint32 words, which skips numpy's coercion of a list.
+    A word below 0 or above 2**32 - 1 leaves that coercion to decide."""
+    try:
+        key = np.array(words, dtype=np.uint32)
+    except OverflowError:
+        return np.random.default_rng(words)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def generate_fading(
@@ -296,7 +316,7 @@ def generate_fading(
         raise ValueError("n_samples must be positive")
     if not 0 < sample_rate < np.inf:
         raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
-    rng = np.random.default_rng(_fading_seed(seed))
+    rng = _keyed_rng(_fading_seed(seed))
     angles, phases = _sos_parameters(rng, params.n_sinusoids)
     tau = np.arange(n_samples) / sample_rate
     los, diff = _rician_weights(params.rician_k)
@@ -384,7 +404,7 @@ def apply_channel(
     seeds = list(seed) if per_frame else [seed] * frames
 
     drawn = [
-        _sos_parameters(np.random.default_rng(_fading_seed(s)), params.n_sinusoids)
+        _sos_parameters(_keyed_rng(_fading_seed(s)), params.n_sinusoids)
         for s in (seeds if per_frame else [seed])
     ]
     angles, phases = (np.stack(v) for v in zip(*drawn))
@@ -405,7 +425,7 @@ def apply_channel(
     rx *= x
 
     draw_rngs = [
-        np.random.default_rng(_noise_seed(s, int(round(start * sample_rate))))
+        _keyed_rng(_noise_seed(s, int(round(start * sample_rate))))
         for s, start in zip(seeds, t0)
     ]
     moving = mobility.is_moving(t)

@@ -10,7 +10,7 @@ are safe to call from concurrent Monte Carlo workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import log2
 
 import numpy as np
@@ -38,7 +38,9 @@ class FrameConfig:
     Defaults describe the 3-vehicle downlink testbed: 125 data + 25 pilot
     subcarriers per symbol, 5 symbols per frame, 4QAM, 64-sample cyclic
     prefix, 500 kS/s complex baseband at a 2.34 GHz carrier. All timing
-    derives from ``sample_rate``.
+    derives from ``sample_rate``. The derived dimensions are computed on
+    first use and kept on the instance, since the receiver reads them on
+    every frame.
     """
 
     data_subcarriers: int = 125
@@ -68,32 +70,32 @@ class FrameConfig:
             raise ValueError("cp_length must lie in [0, fft_size]")
         _check_order(self.modulation_order, "modulation_order")
 
-    @property
+    @cached_property
     def total_subcarriers(self) -> int:
         return self.data_subcarriers + self.pilot_subcarriers
 
-    @property
+    @cached_property
     def bits_per_symbol(self) -> int:
         return int(log2(self.modulation_order))
 
-    @property
+    @cached_property
     def payload_bits(self) -> int:
         """Data bits carried by one frame (1250 for the defaults)."""
         return self.data_subcarriers * self.symbols_per_frame * self.bits_per_symbol
 
-    @property
+    @cached_property
     def symbol_samples(self) -> int:
         return self.fft_size + self.cp_length
 
-    @property
+    @cached_property
     def frame_samples(self) -> int:
         return self.symbols_per_frame * self.symbol_samples
 
-    @property
+    @cached_property
     def subcarrier_spacing(self) -> float:
         return self.sample_rate / self.fft_size
 
-    @property
+    @cached_property
     def frame_duration(self) -> float:
         return self.frame_samples / self.sample_rate
 
@@ -142,10 +144,6 @@ def _axis_bits(order: int) -> int:
     return int(log2(order)) // 2
 
 
-def _gray_encode(n: np.ndarray) -> np.ndarray:
-    return n ^ (n >> 1)
-
-
 def _gray_decode(g: np.ndarray, width: int) -> np.ndarray:
     b = g.copy()
     shift = 1
@@ -155,6 +153,7 @@ def _gray_decode(g: np.ndarray, width: int) -> np.ndarray:
     return b
 
 
+@lru_cache(maxsize=8)
 def _axis_norm(order: int) -> float:
     # unit average energy for the square constellation
     return np.sqrt(2.0 * (order - 1) / 3.0)
@@ -175,20 +174,29 @@ def _axis_levels(order: int) -> np.ndarray:
 
 def _decide_levels(symbols: np.ndarray, order: int) -> np.ndarray:
     """Nearest level index on both axes of contiguous complex symbols, (n, 2)."""
-    levels = int(np.sqrt(order))
-    vals = symbols.view(np.float64).reshape(-1, 2)
-    idx = ((levels - 1) - vals * _axis_norm(order)) / 2.0
-    # rint is np.round at zero decimals: half to even
+    top = _axis_levels(order).size - 1
+    # ((levels - 1) - vals * norm) / 2, rounded half to even by rint (np.round
+    # at zero decimals) and clipped to the levels by the ufuncs np.clip runs
+    idx = symbols.view(np.float64).reshape(-1, 2) * _axis_norm(order)
+    np.subtract(top, idx, out=idx)
+    idx /= 2.0
     np.rint(idx, out=idx)
-    return np.clip(idx, 0, levels - 1, out=idx).astype(np.intp)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, top, out=idx)
+    return idx.astype(np.intp)
+
+
+@lru_cache(maxsize=8)
+def _bit_shifts(order: int) -> np.ndarray:
+    """Right shift of each bit of an axis level, most significant first."""
+    return _frozen(np.arange(_axis_bits(order) - 1, -1, -1))
 
 
 def _levels_to_bits(idx: np.ndarray, order: int) -> np.ndarray:
     """Gray bits of (n, 2) level indices: the in-phase bits, then the quadrature
     bits of each symbol, most significant first."""
-    p = _axis_bits(order)
-    v = _gray_encode(idx)
-    return ((v[..., None] >> np.arange(p - 1, -1, -1)) & 1).astype(np.uint8).reshape(-1)
+    gray = idx ^ (idx >> 1)
+    return ((gray[..., None] >> _bit_shifts(order)) & 1).astype(np.uint8).reshape(-1)
 
 
 def qam_modulate(bits, order: int = 4) -> np.ndarray:

@@ -145,12 +145,12 @@ def _sic(
     """sic_decode's stages on finite, C-contiguous symbols, unchecked; the
     stages subtract from ``residual`` in place."""
     stage_levels: list[np.ndarray] = []
+    # per-axis values looked up by level: the same bits as subtracting
+    # the remodulated complex symbols
+    axis_values = residual.view(np.float64).reshape(-1, 2)
     for j in range(user - 1):
         idx = _decide_levels(residual / amps[j], order)
         stage_levels.append(idx)
-        # per-axis values looked up by level: the same bits as subtracting
-        # the remodulated complex symbols
-        axis_values = residual.view(np.float64).reshape(-1, 2)
         axis_values -= (amps[j] * _axis_levels(order))[idx]
     return residual / amps[user - 1], stage_levels
 

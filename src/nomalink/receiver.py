@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import _phasor
 from .frame_codec import (
     FrameConfig,
     _demap,
@@ -99,16 +100,33 @@ def cp_ml_sync(rx, cfg: FrameConfig) -> SyncEstimate:
     -angle(gamma) * sample_rate / (2 pi fft_size), unambiguous up to half
     the subcarrier spacing. The estimate is returned whatever its peak:
     judging the peak is the caller's decision. ``rx`` must be one 1-D
-    row of finite samples at ``cfg.sample_rate``.
+    row of finite samples at ``cfg.sample_rate`` whose sum of squared
+    magnitudes stays under half the float range, so that the correlation
+    sums cannot overflow.
     """
     return SyncEstimate(*_sync(_sync_row(rx, cfg), cfg))
+
+
+# CP sync sums the squared magnitudes of a row; a row whose sum stays under
+# this limit never overflows in sync or in the stages after it
+_ROW_POWER_LIMIT = np.finfo(float).max / 2.0
 
 
 def _sync_row(rx, cfg: FrameConfig) -> np.ndarray:
     """``rx`` as a row that CP sync can take, or a ValueError."""
     r = np.asarray(rx, dtype=np.complex128)
-    if r.ndim != 1 or not np.isfinite(r).all():
-        raise ValueError(f"rx must be one 1-D row of finite samples, got shape {r.shape}")
+    # the sum of squared magnitudes is NaN or infinite for a NaN or infinite
+    # sample, so one pass checks both the samples and the power
+    power = np.vdot(r, r).real if r.ndim == 1 else np.nan
+    if not power < _ROW_POWER_LIMIT:
+        if r.ndim != 1 or not np.isfinite(r).all():
+            raise ValueError(f"rx must be one 1-D row of finite samples, got shape {r.shape}")
+        peak = np.abs(r).max()
+        log_power = 2.0 * np.log10(peak) + np.log10(np.vdot(r / peak, r / peak).real)
+        raise ValueError(
+            f"rx holds a power (sum of squared magnitudes) of 10^{log_power:.1f},"
+            f" above {_ROW_POWER_LIMIT:.3g} for cyclic-prefix sync"
+        )
     if len(r) < 2 * cfg.symbol_samples:
         raise ValueError(f"need at least {2 * cfg.symbol_samples} samples, got {len(r)}")
     if cfg.cp_length < 1:
@@ -149,7 +167,9 @@ def _sync(r: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
     metric = np.divide(np.abs(gamma), phi, out=np.zeros(phi.shape), where=phi > 0)
     best = int(metric.argmax())
     peak = float(min(metric[best], 1.0))
-    cfo = -np.angle(gamma[best]) * cfg.sample_rate / (2.0 * np.pi * n_fft)
+    # np.angle's ufunc, without its wrapper
+    g = gamma[best]
+    cfo = -np.arctan2(g.imag, g.real) * cfg.sample_rate / (2.0 * np.pi * n_fft)
     return best, float(cfo), peak
 
 
@@ -167,11 +187,15 @@ def correct_cfo(rx, cfo_hz: float, sample_rate: float) -> np.ndarray:
 
 def _derotate(samples: np.ndarray, cfo_hz: float, n: np.ndarray, sample_rate: float):
     """correct_cfo's product for samples at integer sample indices ``n``, unchecked."""
-    # np.exp stays (the channel's cos/sin phasor would not keep the bytes):
-    # numpy divides this complex phase by the sample rate with a rounding
-    # that neither b * n / fs nor (b * n) * (1 / fs) reproduces in floats,
-    # and taking .imag of the complex phase matches but saves nothing
-    return samples * np.exp(-2j * np.pi * cfo_hz * n / sample_rate)
+    # the bytes of samples * np.exp(-2j * np.pi * cfo_hz * n / sample_rate):
+    # numpy divides that purely imaginary phase by the rate as its imaginary
+    # part times 1 / sample_rate, and + 0.0 gives the phase at n = 0 the
+    # +0.0 it has there for either sign of the CFO. The samples stay the
+    # left operand: the vectorised complex product is not commutative bytewise
+    theta = n * (-2j * np.pi * cfo_hz).imag
+    theta += 0.0
+    theta *= 1.0 / sample_rate
+    return samples * _phasor(theta, np.empty(theta.shape, np.complex128))
 
 
 class _PilotLine(NamedTuple):
@@ -234,11 +258,11 @@ def _ls_line(row: np.ndarray, line: _PilotLine) -> np.ndarray:
     # 2-parameter normal equations of min ||y - (a + b k) x||^2; np.take
     # lays each symbol's pilots out contiguously for the sums
     y = row.take(line.k_pilot, axis=-1)
-    r0 = (line.conj_x * y).sum(axis=-1)
-    r1 = (line.conj_x_k * y).sum(axis=-1)
+    r0 = np.add.reduce(line.conj_x * y, axis=-1)
+    r1 = np.add.reduce(line.conj_x_k * y, axis=-1)
     a = (line.g11 * r0 - line.g01 * r1) / line.det
     b = (line.g00 * r1 - line.g01 * r0) / line.det
-    return np.asarray(a)[..., None] + np.asarray(b)[..., None] * line.k_all
+    return a[..., None] + b[..., None] * line.k_all
 
 
 def zf_equalize(row, estimate):
@@ -290,12 +314,13 @@ def evm_snr(equalized_pilots, pilot_reference):
 
 def _evm_snr(y: np.ndarray, x: np.ndarray, reference_power: float) -> np.ndarray:
     """evm_snr's estimates for C-contiguous pilots, unchecked."""
-    evm = np.sqrt((np.abs(y - x) ** 2).mean(axis=-1) / reference_power)
+    # the mean is the sum over the count, as ndarray.mean takes it
+    evm = np.sqrt(np.add.reduce(np.abs(y - x) ** 2, axis=-1) / y.shape[-1] / reference_power)
     # the logarithm runs only above the capped EVM, so it never sees a zero;
     # the capped entries keep -SNR_CAP_DB / 20, and a NaN EVM stays NaN
-    log_evm = np.log10(
-        evm, out=np.full(evm.shape, -SNR_CAP_DB / 20.0), where=~(evm <= _EVM_AT_CAP)
-    )
+    log_evm = np.empty(evm.shape)
+    log_evm.fill(-SNR_CAP_DB / 20.0)
+    np.log10(evm, out=log_evm, where=~(evm <= _EVM_AT_CAP))
     return np.minimum(-20.0 * log_evm, SNR_CAP_DB)
 
 
@@ -306,7 +331,7 @@ class _RxPlan(NamedTuple):
     reference: np.ndarray
     line: _PilotLine
     reference_power: float
-    data_columns: np.ndarray
+    data_index: np.ndarray
     bins: np.ndarray
     scale: float
     body_index: np.ndarray
@@ -320,11 +345,13 @@ def _rx_plan(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed) -> _RxPlan:
     line = _pilot_line_cached(mask.tobytes(), reference.tobytes())
     # sample index of each symbol body within a frame, one row per symbol
     starts = np.arange(cfg.symbols_per_frame)[:, None] * cfg.symbol_samples + cfg.cp_length
+    # flat index of each data subcarrier in the (symbols, occupied) rows
+    rows = np.arange(cfg.symbols_per_frame)[:, None] * cfg.total_subcarriers
     return _RxPlan(
         reference=reference,
         line=line,
         reference_power=_reference_power(reference.tobytes()),
-        data_columns=_frozen(np.flatnonzero(~mask)),
+        data_index=_frozen((rows + np.flatnonzero(~mask)).reshape(-1)),
         bins=occupied_bins(cfg),
         scale=_spectrum_scale(cfg),
         body_index=_frozen(starts + np.arange(cfg.fft_size)),
@@ -347,9 +374,9 @@ def receive_user(
     -> ls_estimate_channel -> zf_equalize -> evm_snr -> sic_decode ->
     qam_demodulate; the stages from the FFT to the EVM take all of the
     frame's symbols at once. The arguments are checked once, before any
-    work: a buffer under one frame, not 1-D or not finite, a NaN
-    threshold, a non-finite ``cfo_error_hz`` or a user outside the
-    allocation is a ValueError. The stages then run unchecked on a plan
+    work: a buffer under one frame, not 1-D, not finite or whose power
+    would overflow CP sync, a NaN threshold, a non-finite ``cfo_error_hz``
+    or a user outside the allocation is a ValueError. The stages then run unchecked on a plan
     cached per (cfg, alloc, pilot_seed), with the bytes of the public stage
     functions; only the symbol bodies at the chosen timing are corrected
     for the CFO. Sync never places a frame past the end of a longer
@@ -387,15 +414,15 @@ def receive_user(
     rows = _demap(bodies, plan.bins, plan.scale)
     estimate = _ls_line(rows, plan.line)
     equalized, erased = _zf(rows, estimate)
-    if erased.all(axis=-1).any():
+    # a symbol erased on every subcarrier
+    if np.logical_or.reduce(np.logical_and.reduce(erased, axis=-1)):
         return UserRxReport.lost(peak)
     snr_db = _evm_snr(
         equalized.take(plan.line.k_pilot, axis=-1), plan.reference, plan.reference_power
     )
     # erased subcarriers equalize to 0 and decide to a fixed bit pattern
-    data_symbols = equalized.take(plan.data_columns, axis=-1).reshape(-1)
     own_symbols, stage_levels = _sic(
-        data_symbols, plan.amplitudes, user, cfg.modulation_order
+        equalized.take(plan.data_index), plan.amplitudes, user, cfg.modulation_order
     )
     return UserRxReport(
         bits=_demodulate(own_symbols, cfg.modulation_order),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, MobilityState, apply_channel, doppler_shift
+from .channel import ChannelParams, MobilityState, _keyed_rng, apply_channel, doppler_shift
 from .frame_codec import FrameConfig, _BlockBuffers
 from .noma import (
     DEFAULT_POWER_COEFFICIENTS,
@@ -472,7 +472,7 @@ def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
     n_frames = int(np.floor(cfg.total_duration / frame_cfg.frame_duration))
     n_sym = frame_cfg.symbols_per_frame
     bits_per_ofdm_symbol = frame_cfg.data_subcarriers * frame_cfg.bits_per_symbol
-    payload_rng = np.random.default_rng([cfg.seed, 0])
+    payload_rng = _keyed_rng([cfg.seed, 0])
 
     # (frames, symbols, users) is the (time, user) row order of the output
     shape = (n_frames, n_sym, k_users)
@@ -584,7 +584,7 @@ def sweep_ber_vs_snr(
             trials = range(trial, trial + count)
             payloads = np.stack(
                 [
-                    np.random.default_rng([seed, 10, i, t]).integers(
+                    _keyed_rng([seed, 10, i, t]).integers(
                         0, 2, (k_users, frame_cfg.payload_bits), dtype=np.int64
                     )
                     for t in trials

@@ -1,18 +1,21 @@
 """Trimmed per-frame stages against the code they replaced, bit for bit.
 
 QAM decisions and modulation (now a level-table lookup), SIC
-remodulation (a per-level lookup), the CP correlation and its
-accumulation over symbols, zero-forcing, the pilot EVM, the channel's
-noise addition, the sampled fading of short rows, the channel's unit
-phasors and the transmit chain's subcarrier mapping were rewritten to
-do less array work per frame. ``receive_user`` checks its row once and
-then runs unchecked stage kernels; it is compared with the composition
-of the public stage functions it once called. Each test keeps the
-replaced code here as the reference and compares raw bytes, so even a
-changed sign of zero fails.
+remodulation (a per-level lookup), the level decision's clipping (now
+the ufuncs np.clip runs), the CP correlation and its accumulation over
+symbols, the CFO correction (a cosine and sine of a real phase),
+zero-forcing, the pilot EVM, the channel's noise addition, the sampled
+fading of short rows, the channel's unit phasors, the keyed random
+generators (seeded from uint32 words) and the transmit chain's
+subcarrier mapping were rewritten to do less work per frame.
+``receive_user`` checks its row once and then runs unchecked stage
+kernels; it is compared with the composition of the public stage
+functions it once called. Each test keeps the replaced code here as the
+reference and compares raw bytes, so even a changed sign of zero fails.
 """
 
 import platform
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +27,8 @@ from nomalink.channel import (
     _block_wander,
     _diffuse_gain,
     _diffuse_gain_sampled,
+    _fading_seed,
+    _keyed_rng,
     _noise_seed,
     _phasor,
     _sos_parameters,
@@ -31,6 +36,7 @@ from nomalink.channel import (
 )
 from nomalink.frame_codec import (
     FrameConfig,
+    _decide_levels,
     _levels_to_bits,
     assemble_frame,
     disassemble_symbol,
@@ -160,6 +166,31 @@ def test_qam_decisions_and_sic_match_the_bit_round_trip(order):
             )
 
 
+def _reference_decide_levels(symbols, order):
+    """The level decision with np.round and np.clip, as before the change."""
+    levels = int(np.sqrt(order))
+    vals = symbols.view(np.float64).reshape(-1, 2)
+    idx = ((levels - 1) - vals * _axis_norm(order)) / 2.0
+    return np.clip(np.round(idx), 0, levels - 1).astype(np.intp)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_level_decisions_match_the_clip_form(order):
+    levels = int(np.sqrt(order))
+    # axis values whose unrounded level index is a half-way tie, and the
+    # values one unit in the last place either side; ties between the
+    # levels, half a level outside them and far outside them
+    ties = ((levels - 1) - 2.0 * np.arange(-3.5, levels + 3.0)) / _axis_norm(order)
+    near = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+    axis = np.concatenate([near, [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324]])
+    symbols = (axis[:, None] + 1j * axis[None, :]).ravel()
+    idx = ((levels - 1) - symbols.view(np.float64) * _axis_norm(order)) / 2.0
+    assert np.count_nonzero(idx % 1.0 == 0.5) >= levels  # exact ties are present
+    got = _decide_levels(symbols, order)
+    assert _same_bytes(got, _reference_decide_levels(symbols, order))
+    assert got.min() == 0 and got.max() == levels - 1
+
+
 def _reference_assemble_frame(payload, cfg, pilot_seed):
     """Pilots and data laid out on a symbols x occupied subcarriers grid
     first, then the grid mapped onto the FFT bins, as before the change."""
@@ -278,14 +309,72 @@ def test_cp_sync_edge_cases_match_the_per_offset_loop(cfg, buffer):
     assert (got.metric_peak < SYNC_DETECTION_THRESHOLD) == lost
 
 
-@pytest.mark.parametrize("cfo_hz", [310.0, -977.0, 1e-3])
-def test_cfo_correction_of_a_row_matches_the_waveform_product(cfo_hz):
+@pytest.mark.parametrize(
+    "cfo_hz, samples",
+    [
+        pytest.param(310.0, "noise", id="310.0"),
+        pytest.param(-977.0, "noise", id="-977.0"),
+        pytest.param(1e-3, "noise", id="0.001"),
+        *(
+            pytest.param(cfo_hz, samples, id=f"{cfo_hz}-{samples}")
+            for cfo_hz in (-310.0, 977.0, 1e-300, -1e-300)
+            for samples in ("noise", "signed-zeros")
+        ),
+        pytest.param(310.0, "signed-zeros", id="310.0-signed-zeros"),
+        pytest.param(-977.0, "signed-zeros", id="-977.0-signed-zeros"),
+    ],
+)
+def test_cfo_correction_of_a_row_matches_the_waveform_product(cfo_hz, samples):
     # the correction once multiplied the waveform's samples by the rotation
     rng = np.random.default_rng(13)
     row = rng.normal(size=CFG.frame_samples) + 1j * rng.normal(size=CFG.frame_samples)
+    if samples == "signed-zeros":
+        # every sign of zero on both axes, -0-0j at n = 0: a rotation whose
+        # zero phase there had the wrong sign would change these bytes
+        row = np.copysign(0.0, row.view(np.float64)).view(np.complex128)
+        row[0] = complex(-0.0, -0.0)
     n = np.arange(row.size)
     expected = row * np.exp(-2j * np.pi * cfo_hz * n / CFG.sample_rate)
     assert _same_bytes(correct_cfo(row, cfo_hz, CFG.sample_rate), expected)
+
+
+@pytest.mark.parametrize(
+    "words, from_uint32",
+    [
+        ([0], True),
+        ([2**32 - 1], True),
+        ([10, 1, 3, 0], True),
+        ([7, 20, 0, 5, 2], True),
+        ([2**32], False),
+        ([7, 2**64, 1], False),
+    ],
+)
+def test_keyed_generators_equal_default_rng_of_the_words(words, from_uint32):
+    got, expected = _keyed_rng(words), np.random.default_rng(words)
+    # words of 2**32 and above split into several uint32 words in numpy's
+    # coercion of the list, which then builds the generator
+    assert isinstance(got.bit_generator.seed_seq.entropy, np.ndarray) == from_uint32
+    assert got.bit_generator.state == expected.bit_generator.state
+    assert _same_bytes(got.normal(size=64), expected.normal(size=64))
+    assert _same_bytes(got.integers(0, 2, 64), expected.integers(0, 2, 64))
+    assert _same_bytes(got.uniform(0.0, 2.0 * np.pi, 64), expected.uniform(0.0, 2.0 * np.pi, 64))
+
+
+def test_a_negative_key_word_raises_as_default_rng_does():
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng([3, -1])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        _keyed_rng([3, -1])
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [17, np.int64(3), np.array(9), [10, 1, 2], (4, 5), np.array([7, 20, 0, 5, 2]), [2**40]],
+)
+def test_key_words_are_those_of_atleast_1d(seed):
+    words = [int(s) for s in np.atleast_1d(seed)]
+    assert _fading_seed(seed) == words + [0]
+    assert _noise_seed(seed, 4800) == words + [1, 4800]
 
 
 def _reference_evm_snr(equalized_pilots, pilot_reference, cap_db=60.0):

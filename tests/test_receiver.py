@@ -112,6 +112,14 @@ class TestCpMlSync:
         with pytest.raises(ValueError):
             cp_ml_sync(np.ones(500, dtype=complex), CFG)
 
+    def test_rejects_a_row_whose_power_overflows(self):
+        # the squared magnitudes of samples near 1e154 pass the float range
+        _, tx = make_frame(28)
+        log_power = np.log10(np.vdot(tx, tx).real) + 2 * 154
+        match = rf"^rx holds a power .* of 10\^{log_power:.1f}, above"
+        with pytest.raises(ValueError, match=match):
+            cp_ml_sync(tx * 1e154, CFG)
+
 
 class TestCorrectCfo:
     def test_exact_inverse(self):
@@ -380,6 +388,24 @@ class TestReceiveUser:
             rx, cfo_error_hz = tx, np.nan if case.startswith("nan") else np.inf
         with pytest.raises(ValueError, match=match):
             receive_user(rx, CFG, ALLOC, 2, PILOT_SEED, 0.0, cfo_error_hz=cfo_error_hz)
+
+    @pytest.mark.parametrize("scale, log_power", [(1e154, "311.2"), (1e160, "323.2")])
+    def test_a_row_whose_power_overflows_cp_sync_is_named_before_any_work(
+        self, no_decode_work, scale, log_power
+    ):
+        _, tx = make_frame(30)
+        assert np.log10(np.vdot(tx, tx).real) == pytest.approx(3.2, abs=0.04)
+        match = rf"^rx holds a power \(sum of squared magnitudes\) of 10\^{log_power}, above"
+        with pytest.raises(ValueError, match=match):
+            receive_user(tx * scale, CFG, ALLOC, 2, PILOT_SEED)
+
+    def test_a_row_of_large_finite_power_decodes(self):
+        # any overflow warning would fail the test
+        payloads, tx = make_frame(30)
+        for k in (1, 2, 3):
+            report = receive_user(tx * 1e150, CFG, ALLOC, k, PILOT_SEED)
+            assert report.detected
+            assert np.count_nonzero(report.bits != payloads[k - 1]) == 0
 
     def test_all_erased_frame_is_reported_lost(self):
         # a silent frame passes a zero threshold, then every subcarrier erases
