@@ -15,7 +15,7 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .frame_codec import _BlockBuffers
+from .frame_codec import _BlockBuffers, _check_fields
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -59,30 +59,21 @@ class ChannelParams:
     n_sinusoids: int = 64
 
     def __post_init__(self) -> None:
-        # each comparison fails on NaN; only K and the noise level may be infinite
-        if not self.rician_k >= 0:
-            raise ValueError(f"rician_k must be >= 0, got {self.rician_k}")
-        if not 0 <= self.doppler_hz < np.inf:
-            raise ValueError(f"doppler_hz must be >= 0 and finite, got {self.doppler_hz}")
-        if not np.isfinite(self.cfo_hz):
-            raise ValueError(f"cfo_hz must be finite, got {self.cfo_hz}")
-        if not 0 <= self.cfo_jitter_hz < np.inf:
-            raise ValueError(f"cfo_jitter_hz must be >= 0 and finite, got {self.cfo_jitter_hz}")
-        if not 0 < self.cfo_jitter_tau_s < np.inf:
-            raise ValueError(f"cfo_jitter_tau_s must be > 0 and finite, got {self.cfo_jitter_tau_s}")
+        # +inf K is pure line of sight; +inf dB SNR and -inf dBm mean noiseless
+        _check_fields(self, infinite=("rician_k", "target_snr_db", "noise_power_dbm"))
+        for name in ("rician_k", "doppler_hz", "cfo_jitter_hz"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.cfo_jitter_tau_s > 0:
+            raise ValueError(f"cfo_jitter_tau_s must be > 0, got {self.cfo_jitter_tau_s}")
         if self.target_snr_db is not None and self.noise_power_dbm is not None:
             raise ValueError("target_snr_db and noise_power_dbm exclude each other: set one")
-        # a NaN level would draw no noise at all, and an infinite noise
-        # power cannot be drawn; +inf dB SNR and -inf dBm mean noiseless
-        snr, floor = self.target_snr_db, self.noise_power_dbm
-        if snr is not None and not snr > -np.inf:
-            raise ValueError(f"target_snr_db must be a number above -inf, got {snr}")
-        if floor is not None and not floor < np.inf:
-            raise ValueError(f"noise_power_dbm must be a number below inf, got {floor}")
-        if not np.isfinite(self.path_loss_exponent):
-            raise ValueError(f"path_loss_exponent must be finite, got {self.path_loss_exponent}")
-        if not 0 < self.reference_distance < np.inf:
-            raise ValueError("reference_distance must be > 0 and finite")
+        if self.target_snr_db == -np.inf:
+            raise ValueError("target_snr_db must be above -inf: no infinite noise can be drawn")
+        if self.noise_power_dbm == np.inf:
+            raise ValueError("noise_power_dbm must be below inf: no infinite noise can be drawn")
+        if not self.reference_distance > 0:
+            raise ValueError("reference_distance must be > 0")
         if not self.delay_samples >= 0:
             raise ValueError("delay_samples must be >= 0")
         if not self.n_sinusoids >= 1:

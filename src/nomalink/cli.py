@@ -24,7 +24,6 @@ import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .scenario import (
     MIN_BITS_PER_POINT,
     _CONFIG_BLOCKS,
     _CONFIG_PATHS,
+    _RUN_SET,
     BerCurve,
     MetricsTimeSeries,
     ScenarioConfig,
@@ -74,17 +74,6 @@ class RunManifest:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-# Channel fields that every run sets itself, from speed and anchor_snr_db or
-# from the SNR grid; a config neither sets nor records them.
-_RUN_SET = {ChannelParams: ("doppler_hz", "target_snr_db", "noise_power_dbm")}
-# JSON value types each field annotation takes; a bool is not a number
-_JSON_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
-
-
 def _settable(cls) -> list[str]:
     return [f.name for f in fields(cls) if f.name not in _RUN_SET.get(cls, ())]
 
@@ -111,48 +100,25 @@ def config_digest(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _expect(name: str, value, kinds: tuple, what: str):
-    if type(value) not in kinds:
-        raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
-    return value
-
-
-def _check(name: str, hint, value):
-    """A JSON value as the field annotated ``hint`` takes it; a ValueError
-    naming the field if its type does not fit."""
-    if get_origin(hint) is tuple:
-        items = _expect(name, value, (list,), "a list")
-        return tuple(_check(f"{name}[{i}]", get_args(hint)[0], v) for i, v in enumerate(items))
-    if is_dataclass(hint):  # a dataclass inside a list: a row of its field values
-        row, hints = _expect(name, value, (list,), "a list"), get_type_hints(hint)
-        if len(row) != len(hints):
-            raise ValueError(f"config field {name!r} must hold {len(hints)} values, got {len(row)}")
-        args = [_check(f"{name}[{i}]", h, v) for i, (h, v) in enumerate(zip(hints.values(), row))]
-        try:
-            return hint(*args)
-        except ValueError as exc:
-            raise ValueError(f"config field {name!r}: {exc}") from exc
-    _expect(name, value, *_JSON_TYPES[hint])
-    if hint is float and type(value) is int and abs(value) > sys.float_info.max:
-        raise ValueError(f"config field {name!r} is too large for a float")
+def _object(name: str, value) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"config field {name!r} must be an object, got {value!r}")
     return value
 
 
 def _load(default, entries, block: str = ""):
-    """``default`` with each (JSON name, field, value) entry checked against
-    the field's annotation and set; absent fields keep their default."""
-    hints, settable = get_type_hints(type(default)), _settable(type(default))
+    """``default`` with each (JSON name, field, value) entry set; absent
+    fields keep their default. The dataclass checks every value it is given."""
+    settable = _settable(type(default))
     changes = {}
     for name, key, value in entries:
         if key not in settable:
             raise ValueError(f"unknown config field {name!r}")
-        if is_dataclass(hints[key]):
-            sub = _expect(name, value, (dict,), "an object")
-            changes[key] = _load(
-                getattr(default, key), [(f"{name}.{k}", k, v) for k, v in sub.items()], name
-            )
-        else:
-            changes[key] = _check(name, hints[key], value)
+        current = getattr(default, key)
+        if is_dataclass(current):
+            sub = [(f"{name}.{k}", k, v) for k, v in _object(name, value).items()]
+            value = _load(current, sub, name)
+        changes[key] = value
     try:
         return replace(default, **changes)
     except ValueError as exc:
@@ -167,7 +133,7 @@ def _build_config(raw: dict) -> ScenarioConfig:
     entries = []  # (JSON name, field or None where unknown, value)
     for key, value in raw.items():
         if key in _CONFIG_BLOCKS:
-            sub = _expect(key, value, (dict,), "an object")
+            sub = _object(key, value)
             entries += [(f"{key}.{k}", _CONFIG_BLOCKS[key].get(k), v) for k, v in sub.items()]
         else:  # a field that sits in a block is unknown at the top level
             entries.append((key, None if key in _CONFIG_PATHS else key, value))
@@ -178,9 +144,10 @@ def load_config(path) -> ScenarioConfig:
     """Parse and validate a JSON scenario config; absent fields default.
 
     An empty file yields the full default (testbed) configuration. An
-    unknown key, a value of the wrong type (``int`` fields take integers
-    only, ``float`` fields any number but a bool) or an invariant
-    violation raises ValueError naming the field.
+    unknown key, a block that is not an object, or a value that the
+    config dataclasses reject (a wrong type or an invariant violation,
+    checked as for a config built in Python) raises ValueError naming the
+    field.
     """
     text = Path(path).read_text()
     if not text.strip():

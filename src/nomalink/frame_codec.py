@@ -9,9 +9,11 @@ are safe to call from concurrent Monte Carlo workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, is_dataclass
 from functools import cached_property, lru_cache
-from math import log2
+from math import isfinite, isnan, log2
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,6 +31,54 @@ __all__ = [
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
+
+
+@lru_cache(maxsize=None)
+def _field_hints(cls) -> tuple:
+    return tuple(get_type_hints(cls).items())
+
+
+def _check_fields(obj, infinite: tuple = (), names: dict | None = None) -> None:
+    """The config dataclasses' field rule on each field of ``obj``, named as ``names``
+    maps it; a numpy scalar is stored as the Python number, a list as a tuple."""
+    names = names or {}
+    for name, hint in _field_hints(type(obj)):
+        value = _field_value(names.get(name, name), hint, getattr(obj, name), name in infinite)
+        object.__setattr__(obj, name, value)
+
+
+def _field_value(name: str, hint, value, infinite: bool = False):
+    """``value`` as a field annotated ``hint`` holds it: ``int`` takes an
+    integer and ``float`` a finite number (±inf where ``infinite``), neither
+    a bool; ``tuple[X, ...]`` takes a tuple or list of X."""
+    if hint is int:
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            return int(value)
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if isinstance(value, (int, np.integer)):
+            value = int(value)
+            if abs(value) <= sys.float_info.max:
+                return value
+            raise ValueError(f"{name} must be finite, got an integer beyond the float range")
+        number = float(value)
+        if isfinite(number) or (infinite and not isnan(number)):
+            return number
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    if hint == float | None:
+        return None if value is None else _field_value(name, float, value, infinite)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        item = get_args(hint)[0]
+        return tuple(_field_value(f"{name}[{i}]", item, v, infinite) for i, v in enumerate(value))
+    if hint is str or is_dataclass(hint):
+        if isinstance(value, hint):
+            return value
+        raise ValueError(f"{name} must be a {hint.__name__}, got {value!r}")
+    raise TypeError(f"no field rule for {name}: {hint!r}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +103,11 @@ class FrameConfig:
     carrier_frequency: float = 2.34e9
 
     def __post_init__(self) -> None:
-        # the comparison fails on NaN too
+        _check_fields(self)
         counts = ("data_subcarriers", "pilot_subcarriers", "symbols_per_frame")
         for name in (*counts, "sample_rate", "carrier_frequency"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not _is_power_of_two(self.fft_size):
             raise ValueError("fft_size must be a power of two")
         # DC is nulled, so the occupied span needs fft_size > total.

@@ -104,7 +104,8 @@ def cp_ml_sync(rx, cfg: FrameConfig) -> SyncEstimate:
     magnitudes stays under half the float range, so that the correlation
     sums cannot overflow.
     """
-    return SyncEstimate(*_sync(_sync_row(rx, cfg), cfg))
+    r = _sync_row(rx, cfg)
+    return SyncEstimate(*_sync(r, cfg, *_sync_windows(cfg, len(r))))
 
 
 # CP sync sums the squared magnitudes of a row; a row whose sum stays under
@@ -134,7 +135,6 @@ def _sync_row(rx, cfg: FrameConfig) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=16)
 def _sync_windows(cfg: FrameConfig, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and end of each prefix window in a row of ``length`` samples:
     one row per symbol period, one column per timing candidate."""
@@ -145,8 +145,9 @@ def _sync_windows(cfg: FrameConfig, length: int) -> tuple[np.ndarray, np.ndarray
     return _frozen(lo), _frozen(lo + cfg.cp_length)
 
 
-def _sync(r: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
-    """cp_ml_sync's timing, CFO and peak for a row that ``_sync_row`` passed."""
+def _sync(r: np.ndarray, cfg: FrameConfig, lo, hi) -> tuple[int, float, float]:
+    """cp_ml_sync's timing, CFO and peak for a row that ``_sync_row`` passed,
+    with the row's prefix windows ``lo`` and ``hi`` from ``_sync_windows``."""
     n_fft = cfg.fft_size
     prod = r[:-n_fft] * np.conj(r[n_fft:])
     sq = np.abs(r) ** 2
@@ -160,7 +161,6 @@ def _sync(r: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
     # summed row by row in order: a reduction over rows may round differently.
     # A cumulative sum adds in that order; adding +0 gives the sum from zero
     # its sign where every window holds -0.
-    lo, hi = _sync_windows(cfg, len(r))
     gamma = (cum_prod[hi] - cum_prod[lo]).cumsum(axis=0)[-1] + 0.0
     phi = (cum_power[hi] - cum_power[lo]).cumsum(axis=0)[-1]
 
@@ -211,10 +211,8 @@ class _PilotLine(NamedTuple):
     det: float
 
 
-@lru_cache(maxsize=64)
-def _pilot_line_cached(mask_bytes: bytes, reference_bytes: bytes) -> _PilotLine:
-    mask = np.frombuffer(mask_bytes, dtype=bool)
-    x = np.frombuffer(reference_bytes, dtype=np.complex128)
+def _pilot_line(mask: np.ndarray, x: np.ndarray) -> _PilotLine:
+    """The regression terms of a 1-D pilot mask and its 1-D complex reference."""
     k_pilot = np.flatnonzero(mask)
     if k_pilot.size < 2:
         raise ValueError("need at least 2 pilots for the regression")
@@ -248,9 +246,9 @@ def ls_estimate_channel(row, mask, pilot_reference) -> np.ndarray:
     axis give one line per symbol.
     """
     row = np.asarray(row, dtype=np.complex128)
-    mask = np.asarray(mask, dtype=bool)
-    x = np.asarray(pilot_reference, dtype=np.complex128)
-    return _ls_line(row, _pilot_line_cached(mask.tobytes(), x.tobytes()))
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    x = np.asarray(pilot_reference, dtype=np.complex128).reshape(-1)
+    return _ls_line(row, _pilot_line(mask, x))
 
 
 def _ls_line(row: np.ndarray, line: _PilotLine) -> np.ndarray:
@@ -287,16 +285,6 @@ def _zf(row: np.ndarray, estimate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, erased
 
 
-@lru_cache(maxsize=64)
-def _reference_power(reference_bytes: bytes) -> float:
-    """Mean pilot power, a constant of the pilot layout."""
-    x = np.frombuffer(reference_bytes, dtype=np.complex128)
-    power = float(np.mean(np.abs(x) ** 2))
-    if power == 0.0:
-        raise ValueError("pilot reference has zero power")
-    return power
-
-
 def evm_snr(equalized_pilots, pilot_reference):
     """SNR estimate from the pilot error vector magnitude.
 
@@ -308,7 +296,10 @@ def evm_snr(equalized_pilots, pilot_reference):
     x = np.asarray(pilot_reference, dtype=np.complex128)
     if y.size == 0 or y.shape[-1] != x.size:
         raise ValueError("need equal, non-empty pilot and reference vectors")
-    snr = _evm_snr(y, x, _reference_power(x.tobytes()))
+    power = float(np.mean(np.abs(x) ** 2))
+    if power == 0.0:
+        raise ValueError("pilot reference has zero power")
+    snr = _evm_snr(y, x, power)
     return float(snr) if snr.ndim == 0 else snr
 
 
@@ -326,7 +317,7 @@ def _evm_snr(y: np.ndarray, x: np.ndarray, reference_power: float) -> np.ndarray
 
 class _RxPlan(NamedTuple):
     """What decoding a frame needs that depends only on the frame layout,
-    the power allocation and the pilot seed."""
+    the power allocation, the pilot seed and the row length."""
 
     reference: np.ndarray
     line: _PilotLine
@@ -336,26 +327,27 @@ class _RxPlan(NamedTuple):
     scale: float
     body_index: np.ndarray
     amplitudes: np.ndarray
+    windows: tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=64)
-def _rx_plan(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed) -> _RxPlan:
+def _rx_plan(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed, length: int) -> _RxPlan:
     mask = pilot_mask(cfg)
     reference = composite_pilot_values(cfg, alloc, pilot_seed)
-    line = _pilot_line_cached(mask.tobytes(), reference.tobytes())
     # sample index of each symbol body within a frame, one row per symbol
     starts = np.arange(cfg.symbols_per_frame)[:, None] * cfg.symbol_samples + cfg.cp_length
     # flat index of each data subcarrier in the (symbols, occupied) rows
     rows = np.arange(cfg.symbols_per_frame)[:, None] * cfg.total_subcarriers
     return _RxPlan(
         reference=reference,
-        line=line,
-        reference_power=_reference_power(reference.tobytes()),
+        line=_pilot_line(mask, reference),
+        reference_power=float(np.mean(np.abs(reference) ** 2)),
         data_index=_frozen((rows + np.flatnonzero(~mask)).reshape(-1)),
         bins=occupied_bins(cfg),
         scale=_spectrum_scale(cfg),
         body_index=_frozen(starts + np.arange(cfg.fft_size)),
         amplitudes=_frozen(alloc.amplitudes),
+        windows=_sync_windows(cfg, length),
     )
 
 
@@ -366,7 +358,6 @@ def receive_user(
     user: int,
     pilot_seed: int,
     sync_threshold: float = SYNC_DETECTION_THRESHOLD,
-    cfo_error_hz: float = 0.0,
 ) -> UserRxReport:
     """Full decode of one frame at one vehicle from one row of samples.
 
@@ -375,41 +366,37 @@ def receive_user(
     qam_demodulate; the stages from the FFT to the EVM take all of the
     frame's symbols at once. The arguments are checked once, before any
     work: a buffer under one frame, not 1-D, not finite or whose power
-    would overflow CP sync, a NaN threshold, a non-finite ``cfo_error_hz``
-    or a user outside the allocation is a ValueError. The stages then run unchecked on a plan
-    cached per (cfg, alloc, pilot_seed), with the bytes of the public stage
-    functions; only the symbol bodies at the chosen timing are corrected
-    for the CFO. Sync never places a frame past the end of a longer
-    buffer. A sync peak below ``sync_threshold`` or a symbol that
-    zero-forcing erases on every subcarrier yields detected=False with
-    empty bits; the report keeps the sync peak; a threshold above 1 loses
-    every frame. ``cfo_error_hz`` adds a known error to the applied
-    correction (estimation-error injection for stress tests); the reported
-    CFO stays the estimator output.
+    would overflow CP sync, a NaN threshold or a user outside the
+    allocation is a ValueError. The stages then run unchecked, with the
+    bytes of the public stage functions, on one plan cached per
+    (cfg, alloc, pilot_seed, row length): a single cache lookup per call
+    gives the pilot terms, the indices and the CP-sync windows. Only the
+    symbol bodies at the chosen timing are corrected for the CFO. Sync
+    never places a frame past the end of a longer buffer. A sync peak
+    below ``sync_threshold`` or a symbol that zero-forcing erases on every
+    subcarrier yields detected=False with empty bits; the report keeps the
+    sync peak; a threshold above 1 loses every frame.
     """
     if not 1 <= user <= alloc.n_users:
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
     # a NaN threshold would pass every frame as detected
     if math.isnan(sync_threshold):
         raise ValueError("sync_threshold must be a number, got nan")
-    if not math.isfinite(cfo_error_hz):
-        raise ValueError(f"cfo_error_hz must be finite, got {cfo_error_hz}")
     rx = np.asarray(rx, dtype=np.complex128)
     if rx.size < cfg.frame_samples:
         raise ValueError(
             f"buffer of {rx.size} samples is shorter than one frame of {cfg.frame_samples}"
         )
     r = _sync_row(rx, cfg)
-    plan = _rx_plan(cfg, alloc, pilot_seed)
+    plan = _rx_plan(cfg, alloc, pilot_seed, len(r))
 
-    timing, cfo, peak = _sync(r, cfg)
+    timing, cfo, peak = _sync(r, cfg, *plan.windows)
     if peak < sync_threshold:
         return UserRxReport.lost(peak)
     frame = r[timing : timing + cfg.frame_samples].reshape(cfg.symbols_per_frame, -1)
     bodies = frame[:, cfg.cp_length :]
-    correction = cfo + cfo_error_hz
-    if correction != 0.0:
-        bodies = _derotate(bodies, correction, plan.body_index + timing, cfg.sample_rate)
+    if cfo != 0.0:
+        bodies = _derotate(bodies, cfo, plan.body_index + timing, cfg.sample_rate)
 
     rows = _demap(bodies, plan.bins, plan.scale)
     estimate = _ls_line(rows, plan.line)

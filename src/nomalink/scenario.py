@@ -12,12 +12,12 @@ separately, outside the averaged statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import ChannelParams, MobilityState, _keyed_rng, apply_channel, doppler_shift
-from .frame_codec import FrameConfig, _BlockBuffers
+from .frame_codec import FrameConfig, _BlockBuffers, _check_fields
 from .noma import (
     DEFAULT_POWER_COEFFICIENTS,
     PowerAllocation,
@@ -57,9 +57,9 @@ class UserPath:
     end_distance: float
 
     def __post_init__(self) -> None:
-        # fails on NaN too
-        if not (0 < self.start_distance < np.inf and 0 < self.end_distance < np.inf):
-            raise ValueError("distances must be positive and finite")
+        _check_fields(self)
+        if not (self.start_distance > 0 and self.end_distance > 0):
+            raise ValueError("distances must be positive")
         if self.start_distance <= self.end_distance:
             raise ValueError("vehicles approach the base station: start > end")
 
@@ -72,21 +72,21 @@ _CONFIG_BLOCKS = {
 }
 _CONFIG_PATHS = {f: f"{b}.{k}" for b, keys in _CONFIG_BLOCKS.items() for k, f in keys.items()}
 
-# +inf has a meaning here: a noiseless receiver, a pure line-of-sight channel
-_INF_ALLOWED = ("anchor_snr_db", "channel.rician_k")
+# Channel fields that every run sets itself, from speed and anchor_snr_db or
+# from the SNR grid; a config neither sets nor records them.
+_RUN_SET = {ChannelParams: ("doppler_hz", "target_snr_db", "noise_power_dbm")}
 
 
-def _require_finite(name: str, value) -> None:
-    """Reject a NaN or infinite number anywhere in a config value, by field name."""
-    if is_dataclass(value):
-        for f in fields(value):
-            _require_finite(f"{name}.{f.name}", getattr(value, f.name))
-    elif isinstance(value, (tuple, list)):
-        for i, item in enumerate(value):
-            _require_finite(f"{name}[{i}]", item)
-    elif isinstance(value, float) and not np.isfinite(value):
-        if not (value == np.inf and name in _INF_ALLOWED):
-            raise ValueError(f"{name} must be finite, got {value}")
+def _user_path(i: int, row) -> UserPath:
+    """Row ``i`` of ``users`` as a UserPath; a ValueError names the row."""
+    if isinstance(row, UserPath):
+        return row
+    if not isinstance(row, (tuple, list)) or len(row) != 2:
+        raise ValueError(f"users[{i}] must hold a start and an end distance, got {row!r}")
+    try:
+        return UserPath(*row)
+    except ValueError as exc:
+        raise ValueError(f"users[{i}]: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,15 @@ class ScenarioConfig:
     seed: int = 10
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _require_finite(_CONFIG_PATHS.get(f.name, f.name), getattr(self, f.name))
+        if not isinstance(self.users, (tuple, list)):
+            raise ValueError(f"users must be a list of (start, end) rows, got {self.users!r}")
+        object.__setattr__(self, "users", tuple(_user_path(i, u) for i, u in enumerate(self.users)))
+        # +inf dB is a noiseless receiver
+        _check_fields(self, infinite=("anchor_snr_db",), names=_CONFIG_PATHS)
+        unset = ChannelParams()
+        for name in _RUN_SET[ChannelParams]:
+            if (value := getattr(self.channel, name)) != getattr(unset, name):
+                raise ValueError(f"channel.{name} is set by each run itself, got {value}")
         # the receiver's cyclic-prefix sync correlates over two symbol periods
         if self.frame.symbols_per_frame < 2:
             raise ValueError("frame.symbols_per_frame must be >= 2 for cyclic-prefix sync")
@@ -127,13 +134,10 @@ class ScenarioConfig:
             )
         if self.frame.pilot_subcarriers < 2:
             raise ValueError("frame.pilot_subcarriers must be >= 2 for the pilot regression")
-        users = tuple(
-            u if isinstance(u, UserPath) else UserPath(*u) for u in self.users
-        )
-        if not users:
+        if not self.users:
             raise ValueError("users must hold at least one vehicle")
-        starts = [u.start_distance for u in users]
-        ends = [u.end_distance for u in users]
+        starts = [u.start_distance for u in self.users]
+        ends = [u.end_distance for u in self.users]
         if any(a <= b for a, b in zip(starts, starts[1:])):
             raise ValueError("users must be ordered far to near at the start line")
         if any(a <= b for a, b in zip(ends, ends[1:])):
@@ -157,10 +161,10 @@ class ScenarioConfig:
         if self.power_policy not in ("fixed", "distance-squared"):
             raise ValueError(f"unknown power.policy {self.power_policy!r}")
         if self.power_policy == "fixed":
-            if len(self.power_coefficients) != len(users):
+            if len(self.power_coefficients) != len(self.users):
                 raise ValueError("power.coefficients must hold one value per user")
             try:
-                PowerAllocation(tuple(self.power_coefficients))
+                PowerAllocation(self.power_coefficients)
             except ValueError as exc:
                 raise ValueError(f"power.coefficients: {exc}") from exc
         if self.stationary_duration < 0:
@@ -193,7 +197,6 @@ class ScenarioConfig:
         for name in ("seed", "pilot_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        object.__setattr__(self, "users", users)
         # in the log domain, where a noise power beyond the float range stays a number
         signal, bin_ratio = _anchor_signal(self)
         with np.errstate(divide="ignore"):
@@ -227,7 +230,7 @@ class ScenarioConfig:
 def resolve_allocation(cfg: ScenarioConfig) -> PowerAllocation:
     if cfg.power_policy == "distance-squared":
         return allocate_power_by_distance([u.start_distance for u in cfg.users])
-    return PowerAllocation(tuple(cfg.power_coefficients))
+    return PowerAllocation(cfg.power_coefficients)
 
 
 def _anchor_signal(cfg: ScenarioConfig) -> tuple[float, float]:

@@ -592,13 +592,13 @@ def test_channel_products_in_place_equal_the_named_products(shape):
         assert _same_bytes(got, expected)
 
 
-def _staged_receive(rx, cfg, alloc, user, pilot_seed, sync_threshold, cfo_error_hz=0.0):
+def _staged_receive(rx, cfg, alloc, user, pilot_seed, sync_threshold):
     """receive_user as the composition of the public stage functions: the
     whole buffer corrected for the CFO, every check run at every stage."""
     sync = cp_ml_sync(rx, cfg)
     if sync.metric_peak < sync_threshold:
         return UserRxReport.lost(sync.metric_peak)
-    corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz, cfg.sample_rate)
+    corrected = correct_cfo(rx, sync.fractional_cfo_hz, cfg.sample_rate)
     frame = corrected[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
     mask = pilot_mask(cfg)
     reference = composite_pilot_values(cfg, alloc, pilot_seed)
@@ -636,10 +636,10 @@ def _report_bytes(report):
     )
 
 
-def _assert_receive_matches_the_stages(rx, cfg, alloc, users, pilot_seed, sync_threshold, **kw):
+def _assert_receive_matches_the_stages(rx, cfg, alloc, users, pilot_seed, sync_threshold):
     for user in users:
-        got = receive_user(rx, cfg, alloc, user, pilot_seed, sync_threshold, **kw)
-        expected = _staged_receive(rx, cfg, alloc, user, pilot_seed, sync_threshold, **kw)
+        got = receive_user(rx, cfg, alloc, user, pilot_seed, sync_threshold)
+        expected = _staged_receive(rx, cfg, alloc, user, pilot_seed, sync_threshold)
         assert _report_bytes(got) == _report_bytes(expected), user
 
 
@@ -675,9 +675,9 @@ def test_receive_user_matches_the_stages_on_pipeline_rows():
 def _constructed_rows():
     """Rows the pipeline never builds: sync at a timing past 0, a delayed
     frame, noiseless frames, one of them with a CFO estimate of -0.0, rows
-    lost to a low peak or to erasure, 16QAM, and an injected CFO error.
-    Each gives the row, the sync threshold, the CFO error, the expected
-    timing (None for a low peak) and whether the CFO estimate is zero."""
+    lost to a low peak or to erasure, and 16QAM. Each gives the row, the
+    sync threshold, the expected timing (None for a low peak) and whether
+    the CFO estimate is zero."""
     rng = np.random.default_rng(33)
     qam16 = FrameConfig(modulation_order=16)
     for cfg in (CFG, qam16):
@@ -686,36 +686,29 @@ def _constructed_rows():
         params = ChannelParams(rician_k=10.92, cfo_hz=310.0, target_snr_db=30.0)
         rx, _ = apply_channel(tx, cfg.sample_rate, params, MobilityState.static(2.0), seed=34)
         name = f"{cfg.modulation_order}qam"
-        yield pytest.param(cfg, rx, 0.5, 0.0, 0, False, id=f"{name}-one-frame")
-        error = 0.05 * cfg.subcarrier_spacing
-        yield pytest.param(cfg, rx, 0.5, error, 0, False, id=f"{name}-cfo-error")
+        yield pytest.param(cfg, rx, 0.5, 0, False, id=f"{name}-one-frame")
         noise = 0.03 * (rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300)))
         longer = np.concatenate([noise[0, :150], rx, noise[1, :90]])
-        yield pytest.param(cfg, longer, 0.5, 0.0, 150, False, id=f"{name}-longer-buffer")
+        yield pytest.param(cfg, longer, 0.5, 150, False, id=f"{name}-longer-buffer")
         delayed = replace(params, cfo_hz=-220.0, target_snr_db=25.0, delay_samples=17)
         rx, _ = apply_channel(tx, cfg.sample_rate, delayed, MobilityState.static(2.0), seed=35)
-        yield pytest.param(cfg, rx, 0.5, 0.0, 17, False, id=f"{name}-delay-17")
+        yield pytest.param(cfg, rx, 0.5, 17, False, id=f"{name}-delay-17")
     payloads = [rng.integers(0, 2, CFG.payload_bits) for _ in range(ALLOC.n_users)]
     tx = build_downlink_frame(payloads, CFG, ALLOC, 295)
-    yield pytest.param(CFG, tx, 0.5, 0.0, 0, False, id="noiseless")
+    yield pytest.param(CFG, tx, 0.5, 0, False, id="noiseless")
     # real samples make every product real: the estimate is -0.0, and a
-    # correction of -0.0 or +0.0 leaves the samples as they are, while an
-    # error added to it still rotates them
+    # correction of -0.0 leaves the samples as they are
     real = tx.real.astype(complex)
-    yield pytest.param(CFG, real, 0.5, 0.0, 0, True, id="noiseless-real-zero-cfo")
-    yield pytest.param(CFG, real, 0.5, -0.0, 0, True, id="noiseless-real-negative-zero-error")
-    yield pytest.param(CFG, real, 0.5, 40.0, 0, True, id="noiseless-real-cfo-error")
+    yield pytest.param(CFG, real, 0.5, 0, True, id="noiseless-real-zero-cfo")
     silent = np.zeros(CFG.frame_samples, dtype=complex)
-    yield pytest.param(CFG, silent, 0.0, 0.0, 0, True, id="all-erased")
+    yield pytest.param(CFG, silent, 0.0, 0, True, id="all-erased")
     noise = rng.normal(size=CFG.frame_samples + 40) + 1j * rng.normal(size=CFG.frame_samples + 40)
-    yield pytest.param(CFG, noise, 0.5, 0.0, None, False, id="low-sync-peak")
+    yield pytest.param(CFG, noise, 0.5, None, False, id="low-sync-peak")
 
 
-@pytest.mark.parametrize(
-    "cfg, rx, sync_threshold, cfo_error_hz, timing, zero_cfo", list(_constructed_rows())
-)
+@pytest.mark.parametrize("cfg, rx, sync_threshold, timing, zero_cfo", list(_constructed_rows()))
 def test_receive_user_matches_the_stages_on_constructed_rows(
-    cfg, rx, sync_threshold, cfo_error_hz, timing, zero_cfo
+    cfg, rx, sync_threshold, timing, zero_cfo
 ):
     sync = cp_ml_sync(rx, cfg)
     if timing is None:
@@ -724,6 +717,4 @@ def test_receive_user_matches_the_stages_on_constructed_rows(
         assert sync.timing_offset == timing and sync.metric_peak >= sync_threshold
     assert (sync.fractional_cfo_hz == 0.0) == zero_cfo
     users = range(1, ALLOC.n_users + 1)
-    _assert_receive_matches_the_stages(
-        rx, cfg, ALLOC, users, 295, sync_threshold, cfo_error_hz=cfo_error_hz
-    )
+    _assert_receive_matches_the_stages(rx, cfg, ALLOC, users, 295, sync_threshold)

@@ -50,6 +50,20 @@ def make_frame(seed, n_users=3):
     return payloads, tx
 
 
+def decode_with_cfo_error(rx, cfo_error_hz, user=1):
+    """receive_user's decode composed from the public stages, with a known
+    error added to the CFO correction: its bits and per-symbol SNR estimates."""
+    sync = cp_ml_sync(rx, CFG)
+    corrected = correct_cfo(rx, sync.fractional_cfo_hz + cfo_error_hz, CFG.sample_rate)
+    frame = corrected[sync.timing_offset : sync.timing_offset + CFG.frame_samples]
+    rows = disassemble_symbol(frame.reshape(CFG.symbols_per_frame, -1), CFG, CFG.cp_length)
+    mask = pilot_mask(CFG)
+    reference = composite_pilot_values(CFG, ALLOC, PILOT_SEED)
+    equalized, _ = zf_equalize(rows, ls_estimate_channel(rows, mask, reference))
+    own, _ = sic_decode(equalized[:, ~mask].reshape(-1), ALLOC, user)
+    return qam_demodulate(own), evm_snr(equalized[:, mask], reference)
+
+
 def _bad_row(samples, bad):
     """A frame's samples with a NaN or an infinite sample, or as a 2-D array."""
     if bad == "2-D":
@@ -307,10 +321,8 @@ class TestReceiveUser:
             rx, _ = apply_channel(
                 tx, CFG.sample_rate, params, MobilityState.static(1.0), seed=[15, f]
             )
-            report = receive_user(
-                rx, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.2 * SCS
-            )
-            errors += np.count_nonzero(report.bits != payloads[0])
+            bits, _ = decode_with_cfo_error(rx, 0.2 * SCS)
+            errors += np.count_nonzero(bits != payloads[0])
         assert errors / (n_frames * CFG.payload_bits) > 1e-2
 
     def test_sync_failure_reports_lost_frame(self):
@@ -370,24 +382,11 @@ class TestReceiveUser:
         with pytest.raises(ValueError, match=need):
             receive_user(short, CFG, ALLOC, 1, PILOT_SEED, sync_threshold=0.0)
 
-    @pytest.mark.parametrize(
-        "case, match",
-        [
-            ("short", "^buffer of 1599 samples is shorter than one frame of 1600"),
-            ("nan-cfo-error", "^cfo_error_hz must be finite, got nan"),
-            ("inf-cfo-error", "^cfo_error_hz must be finite, got inf"),
-        ],
-    )
-    def test_a_short_buffer_or_a_bad_cfo_error_is_named_before_any_work(
-        self, no_decode_work, case, match
-    ):
+    def test_a_short_buffer_or_a_bad_cfo_error_is_named_before_any_work(self, no_decode_work):
         _, tx = make_frame(30)
-        if case == "short":
-            rx, cfo_error_hz = tx[:-1], 0.0
-        else:
-            rx, cfo_error_hz = tx, np.nan if case.startswith("nan") else np.inf
+        match = "^buffer of 1599 samples is shorter than one frame of 1600"
         with pytest.raises(ValueError, match=match):
-            receive_user(rx, CFG, ALLOC, 2, PILOT_SEED, 0.0, cfo_error_hz=cfo_error_hz)
+            receive_user(tx[:-1], CFG, ALLOC, 2, PILOT_SEED, 0.0)
 
     @pytest.mark.parametrize("scale, log_power", [(1e154, "311.2"), (1e160, "323.2")])
     def test_a_row_whose_power_overflows_cp_sync_is_named_before_any_work(
@@ -451,13 +450,7 @@ class TestReceiveUser:
             clean.append(
                 np.mean(receive_user(rx, CFG, ALLOC, 1, PILOT_SEED).estimated_snr_db)
             )
-            degraded.append(
-                np.mean(
-                    receive_user(
-                        rx, CFG, ALLOC, 1, PILOT_SEED, cfo_error_hz=0.05 * SCS
-                    ).estimated_snr_db
-                )
-            )
+            degraded.append(np.mean(decode_with_cfo_error(rx, 0.05 * SCS)[1]))
         assert np.mean(degraded) < np.mean(clean)
 
     def test_sic_error_propagation_nonnegative(self):

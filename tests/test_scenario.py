@@ -5,6 +5,8 @@ import pytest
 from dataclasses import replace
 
 from nomalink.channel import ChannelParams
+from nomalink.cli import config_digest
+from nomalink.frame_codec import FrameConfig, _field_hints, _field_value
 from nomalink.scenario import (
     ScenarioConfig,
     UserPath,
@@ -147,7 +149,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("start, end", [(np.nan, 1.0), (4.0, np.nan), (np.inf, 1.0)])
     def test_rejects_a_distance_that_is_not_finite(self, start, end):
-        with pytest.raises(ValueError, match="^distances"):
+        with pytest.raises(ValueError, match="^(start|end)_distance must be finite"):
             UserPath(start, end)
 
     def test_rejects_coefficient_count_mismatch(self):
@@ -321,3 +323,79 @@ class TestSweep:
         # reported, while the averaged BER only covers detected frames
         curve = sweep_ber_vs_snr(ScenarioConfig(seed=4), [-10.0], min_bits_per_point=100_000)
         assert np.all(curve.lost_frames[0] > 0)
+
+
+_CHANNEL = ScenarioConfig().channel
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda: ScenarioConfig(seed=1.5), "seed", id="float-seed"),
+        pytest.param(lambda: ScenarioConfig(pilot_seed=True), "pilot_seed", id="bool-pilot-seed"),
+        pytest.param(lambda: FrameConfig(fft_size=256.0), "fft_size", id="float-fft-size"),
+        pytest.param(lambda: FrameConfig(cp_length=64.5), "cp_length", id="float-cp-length"),
+        pytest.param(lambda: ChannelParams(delay_samples=2.5), "delay_samples", id="float-delay"),
+        pytest.param(
+            lambda: ChannelParams(n_sinusoids=8.5), "n_sinusoids", id="float-sinusoids"
+        ),
+        pytest.param(lambda: UserPath("4", 1.0), "start_distance", id="string-distance"),
+        pytest.param(
+            lambda: ScenarioConfig(users=[(4.0, 1.0, 2.0)], power_coefficients=(1.0,)),
+            r"users\[0\]",
+            id="three-value-row",
+        ),
+        pytest.param(lambda: ScenarioConfig(users=5), "users", id="users-not-a-list"),
+        pytest.param(
+            lambda: ScenarioConfig(channel=replace(_CHANNEL, doppler_hz=50.0)),
+            r"channel\.doppler_hz",
+            id="run-set-doppler",
+        ),
+        pytest.param(
+            lambda: ScenarioConfig(channel=replace(_CHANNEL, target_snr_db=-30.0)),
+            r"channel\.target_snr_db",
+            id="run-set-snr",
+        ),
+        pytest.param(
+            lambda: ScenarioConfig(channel=replace(_CHANNEL, noise_power_dbm=100.0)),
+            r"channel\.noise_power_dbm",
+            id="run-set-noise",
+        ),
+    ],
+)
+def test_a_config_built_in_python_is_rejected_by_field(build, field):
+    # a TypeError, or a config that replays as another one, fails here
+    with pytest.raises(ValueError, match=f"^{field}"):
+        build()
+
+
+def test_numpy_scalars_and_lists_load_as_the_python_config():
+    cfg = ScenarioConfig(
+        seed=np.int64(3),
+        speed=np.float64(0.5),
+        users=[[4.27, 1.25], [4.02, 1.12], [3.90, 0.57]],
+        power_coefficients=[0.761, 0.191, 0.048],
+    )
+    expected = replace(ScenarioConfig(), seed=3, speed=0.5)
+    assert cfg == expected and hash(cfg) == hash(expected)
+    assert type(cfg.seed) is int and type(cfg.speed) is float
+    assert config_digest(cfg) == config_digest(expected)
+
+
+_CONFIG_CLASSES = [FrameConfig(), ChannelParams(), UserPath(4.27, 1.25), ScenarioConfig()]
+
+
+@pytest.mark.parametrize("default", _CONFIG_CLASSES, ids=lambda c: type(c).__name__)
+def test_the_field_rule_covers_every_config_field(default):
+    # a field whose annotation the rule does not know raises TypeError here
+    for name, hint in _field_hints(type(default)):
+        value = getattr(default, name)
+        assert _field_value(name, hint, value, infinite=True) == value, name
+        for wrong in (True, object()):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                _field_value(name, hint, wrong)
+
+
+def test_an_annotation_outside_the_rule_is_a_type_error():
+    with pytest.raises(TypeError, match="no field rule"):
+        _field_value("table", dict, {})
