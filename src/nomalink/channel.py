@@ -12,10 +12,11 @@ and the parameter driving them.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .frame_codec import _BlockBuffers, _check_fields
+from .frame_codec import INF, _BlockBuffers, _check_fields
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -46,38 +47,25 @@ class ChannelParams:
     (``target_snr_db``); leave both unset for a noiseless channel.
     """
 
-    rician_k: float = 10.92
-    doppler_hz: float = 0.0
+    # +inf K is pure line of sight; +inf dB SNR and -inf dBm mean noiseless,
+    # and no infinite noise can be drawn
+    rician_k: Annotated[float, INF, (">=", 0)] = 10.92
+    doppler_hz: Annotated[float, (">=", 0)] = 0.0
     cfo_hz: float = 0.0
-    cfo_jitter_hz: float = 0.0
-    cfo_jitter_tau_s: float = 6.4e-4
-    target_snr_db: float | None = None
-    noise_power_dbm: float | None = None
+    cfo_jitter_hz: Annotated[float, (">=", 0)] = 0.0
+    cfo_jitter_tau_s: Annotated[float, (">", 0)] = 6.4e-4
+    target_snr_db: Annotated[float | None, INF, (">", -np.inf)] = None
+    noise_power_dbm: Annotated[float | None, INF, ("<", np.inf)] = None
     path_loss_exponent: float = 2.0
-    reference_distance: float = 1.0
-    delay_samples: int = 0
-    n_sinusoids: int = 64
+    reference_distance: Annotated[float, (">", 0)] = 1.0
+    delay_samples: Annotated[int, (">=", 0)] = 0
+    # each fading call draws an angle and a phase per sinusoid
+    n_sinusoids: Annotated[int, (">=", 1), ("<=", 2**16)] = 64
 
     def __post_init__(self) -> None:
-        # +inf K is pure line of sight; +inf dB SNR and -inf dBm mean noiseless
-        _check_fields(self, infinite=("rician_k", "target_snr_db", "noise_power_dbm"))
-        for name in ("rician_k", "doppler_hz", "cfo_jitter_hz"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.cfo_jitter_tau_s > 0:
-            raise ValueError(f"cfo_jitter_tau_s must be > 0, got {self.cfo_jitter_tau_s}")
+        _check_fields(self)
         if self.target_snr_db is not None and self.noise_power_dbm is not None:
             raise ValueError("target_snr_db and noise_power_dbm exclude each other: set one")
-        if self.target_snr_db == -np.inf:
-            raise ValueError("target_snr_db must be above -inf: no infinite noise can be drawn")
-        if self.noise_power_dbm == np.inf:
-            raise ValueError("noise_power_dbm must be below inf: no infinite noise can be drawn")
-        if not self.reference_distance > 0:
-            raise ValueError("reference_distance must be > 0")
-        if not self.delay_samples >= 0:
-            raise ValueError("delay_samples must be >= 0")
-        if not self.n_sinusoids >= 1:
-            raise ValueError("n_sinusoids must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,22 +78,19 @@ class MobilityState:
     ``end_distance``, and is motionless again afterwards.
     """
 
-    start_distance: float
-    end_distance: float | None = None
+    start_distance: Annotated[float, (">", 0)]
+    end_distance: Annotated[float | None, (">", 0)] = None
     _: KW_ONLY
-    stationary_end: float
-    mobile_end: float
-    speed: float
+    stationary_end: Annotated[float, INF]
+    mobile_end: Annotated[float, INF]
+    speed: Annotated[float, (">=", 0)]
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.end_distance is None:
             object.__setattr__(self, "end_distance", self.start_distance)
-        if not (0 < self.start_distance < np.inf and 0 < self.end_distance < np.inf):
-            raise ValueError("start_distance and end_distance must be > 0 and finite")
         if not self.mobile_end >= self.stationary_end:
             raise ValueError("mobile_end must be a time not before stationary_end")
-        if not 0 <= self.speed < np.inf:
-            raise ValueError(f"speed must be >= 0 and finite, got {self.speed}")
 
     @classmethod
     def static(cls, distance: float) -> "MobilityState":

@@ -9,11 +9,12 @@ are safe to call from concurrent Monte Carlo workers.
 
 from __future__ import annotations
 
+import operator
 import sys
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from math import isfinite, isnan, log2
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,36 +29,57 @@ __all__ = [
     "pilot_values",
 ]
 
+# A field's bounds ride on its annotation, Annotated[type, *marks]: a mark
+# (op, limit) asks for value op limit, and INF lets a float field hold +-inf
+INF = "INF"
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def _shown(value) -> str:
+    """repr(value), or the size of an integer too long to print."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 @lru_cache(maxsize=None)
 def _field_hints(cls) -> tuple:
-    return tuple(get_type_hints(cls).items())
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
-def _check_fields(obj, infinite: tuple = (), names: dict | None = None) -> None:
+def _check_fields(obj, names: dict | None = None) -> None:
     """The config dataclasses' field rule on each field of ``obj``, named as ``names``
     maps it; a numpy scalar is stored as the Python number, a list as a tuple."""
     names = names or {}
     for name, hint in _field_hints(type(obj)):
-        value = _field_value(names.get(name, name), hint, getattr(obj, name), name in infinite)
+        value = _field_value(names.get(name, name), hint, getattr(obj, name))
         object.__setattr__(obj, name, value)
 
 
 def _field_value(name: str, hint, value, infinite: bool = False):
     """``value`` as a field annotated ``hint`` holds it: ``int`` takes an
-    integer and ``float`` a finite number (±inf where ``infinite``), neither
-    a bool; ``tuple[X, ...]`` takes a tuple or list of X."""
+    integer and ``float`` a finite number (±inf where marked ``INF``), neither
+    a bool; ``tuple[X, ...]`` takes a tuple or list of X; ``Literal`` one of
+    its choices; a value of an ``Annotated`` type meets each of its marks."""
+    if get_origin(hint) is Annotated:
+        hint, *marks = get_args(hint)
+        value = _field_value(name, hint, value, INF in marks)
+        for mark in marks:
+            if mark != INF and value is not None and not _OPS[mark[0]](value, mark[1]):
+                raise ValueError(f"{name} must be {mark[0]} {mark[1]}, got {_shown(value)}")
+        return value
     if hint is int:
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             return int(value)
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+            raise ValueError(f"{name} must be a number, got {_shown(value)}")
         if isinstance(value, (int, np.integer)):
             value = int(value)
             if abs(value) <= sys.float_info.max:
@@ -71,13 +93,18 @@ def _field_value(name: str, hint, value, infinite: bool = False):
         return None if value is None else _field_value(name, float, value, infinite)
     if get_origin(hint) is tuple:
         if not isinstance(value, (tuple, list)):
-            raise ValueError(f"{name} must be a list, got {value!r}")
+            raise ValueError(f"{name} must be a list, got {_shown(value)}")
         item = get_args(hint)[0]
-        return tuple(_field_value(f"{name}[{i}]", item, v, infinite) for i, v in enumerate(value))
-    if hint is str or is_dataclass(hint):
+        return tuple(_field_value(f"{name}[{i}]", item, v) for i, v in enumerate(value))
+    if get_origin(hint) is Literal:
+        if isinstance(value, str) and value in get_args(hint):
+            return value
+        choices = ", ".join(map(repr, get_args(hint)))
+        raise ValueError(f"{name} must be one of {choices}, got {_shown(value)}")
+    if is_dataclass(hint):
         if isinstance(value, hint):
             return value
-        raise ValueError(f"{name} must be a {hint.__name__}, got {value!r}")
+        raise ValueError(f"{name} must be a {hint.__name__}, got {_shown(value)}")
     raise TypeError(f"no field rule for {name}: {hint!r}")
 
 
@@ -93,31 +120,28 @@ class FrameConfig:
     every frame.
     """
 
-    data_subcarriers: int = 125
-    pilot_subcarriers: int = 25
-    symbols_per_frame: int = 5
-    fft_size: int = 256
-    cp_length: int = 64
+    data_subcarriers: Annotated[int, (">", 0)] = 125
+    pilot_subcarriers: Annotated[int, (">", 0)] = 25
+    symbols_per_frame: Annotated[int, (">", 0)] = 5
+    # one frame of 5 symbols at the limit replays; at 2**1100 its duration overflows
+    fft_size: Annotated[int, ("<=", 2**16)] = 256
+    cp_length: Annotated[int, (">=", 0)] = 64
     modulation_order: int = 4
-    sample_rate: float = 5.0e5
-    carrier_frequency: float = 2.34e9
+    sample_rate: Annotated[float, (">", 0)] = 5.0e5
+    carrier_frequency: Annotated[float, (">", 0)] = 2.34e9
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        counts = ("data_subcarriers", "pilot_subcarriers", "symbols_per_frame")
-        for name in (*counts, "sample_rate", "carrier_frequency"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not _is_power_of_two(self.fft_size):
-            raise ValueError("fft_size must be a power of two")
+            raise ValueError(f"fft_size must be a power of two, got {_shown(self.fft_size)}")
         # DC is nulled, so the occupied span needs fft_size > total.
         if self.total_subcarriers >= self.fft_size:
             raise ValueError(
                 f"fft_size {self.fft_size} too small for "
-                f"{self.total_subcarriers} occupied subcarriers plus DC"
+                f"{_shown(self.total_subcarriers)} occupied subcarriers plus DC"
             )
-        if not (0 <= self.cp_length <= self.fft_size):
-            raise ValueError("cp_length must lie in [0, fft_size]")
+        if self.cp_length > self.fft_size:
+            raise ValueError(f"cp_length must be <= fft_size, got {_shown(self.cp_length)}")
         _check_order(self.modulation_order, "modulation_order")
 
     @cached_property
@@ -210,8 +234,9 @@ def _axis_norm(order: int) -> float:
 
 
 def _check_order(order: int, name: str = "order") -> None:
-    if not _is_power_of_two(order) or int(log2(order)) % 2 != 0:
-        raise ValueError(f"{name} must be a power of 4 (square QAM)")
+    # square QAM: an axis holds sqrt(order) levels, up to 2**16 of them
+    if not _is_power_of_two(order) or int(log2(order)) % 2 != 0 or order > 4**16:
+        raise ValueError(f"{name} must be a power of 4 up to 4**16, got {_shown(order)}")
 
 
 @lru_cache(maxsize=8)

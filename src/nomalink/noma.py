@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .frame_codec import (
     _assemble,
     _axis_levels,
     _BlockBuffers,
+    _check_fields,
     _check_order,
     _decide_levels,
     _frozen,
@@ -47,20 +48,17 @@ _SUM_TOL = 1e-9
 class PowerAllocation:
     """Per-user power coefficients, ordered far/weak to near/strong."""
 
-    coefficients: tuple
+    coefficients: tuple[Annotated[float, (">", 0)], ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in np.atleast_1d(self.coefficients))
+        _check_fields(self)
+        coeffs = self.coefficients
         if len(coeffs) == 0:
             raise ValueError("allocation needs at least one coefficient")
-        # fails on NaN too
-        if not all(0 < c < np.inf for c in coeffs):
-            raise ValueError(f"power coefficients must be positive and finite, got {coeffs}")
         if abs(sum(coeffs) - 1.0) > _SUM_TOL:
             raise ValueError(f"power coefficients must sum to 1, got {sum(coeffs):.9f}")
         if any(a < b - _SUM_TOL for a, b in zip(coeffs, coeffs[1:])):
             raise ValueError("coefficients must be non-increasing (weak user first)")
-        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def n_users(self) -> int:

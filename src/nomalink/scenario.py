@@ -13,11 +13,12 @@ separately, outside the averaged statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .channel import ChannelParams, MobilityState, _keyed_rng, apply_channel, doppler_shift
-from .frame_codec import FrameConfig, _BlockBuffers, _check_fields
+from .frame_codec import INF, FrameConfig, _BlockBuffers, _check_fields, _shown
 from .noma import (
     DEFAULT_POWER_COEFFICIENTS,
     PowerAllocation,
@@ -53,13 +54,11 @@ DEFAULT_USER_PATHS = ((4.27, 1.25), (4.02, 1.12), (3.90, 0.57))
 class UserPath:
     """Start and end distance to the base station for one vehicle."""
 
-    start_distance: float
-    end_distance: float
+    start_distance: Annotated[float, (">", 0)]
+    end_distance: Annotated[float, (">", 0)]
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        if not (self.start_distance > 0 and self.end_distance > 0):
-            raise ValueError("distances must be positive")
         if self.start_distance <= self.end_distance:
             raise ValueError("vehicles approach the base station: start > end")
 
@@ -82,7 +81,7 @@ def _user_path(i: int, row) -> UserPath:
     if isinstance(row, UserPath):
         return row
     if not isinstance(row, (tuple, list)) or len(row) != 2:
-        raise ValueError(f"users[{i}] must hold a start and an end distance, got {row!r}")
+        raise ValueError(f"users[{i}] must hold a start and an end distance, got {_shown(row)}")
     try:
         return UserPath(*row)
     except ValueError as exc:
@@ -98,24 +97,24 @@ class ScenarioConfig:
         default_factory=lambda: ChannelParams(cfo_hz=100.0, cfo_jitter_hz=55.0)
     )
     users: tuple[UserPath, ...] = tuple(UserPath(*p) for p in DEFAULT_USER_PATHS)
-    power_policy: str = "fixed"
+    power_policy: Literal["fixed", "distance-squared"] = "fixed"
     power_coefficients: tuple[float, ...] = DEFAULT_POWER_COEFFICIENTS
-    stationary_duration: float = 2.165
-    travel_duration: float = 3.58
+    stationary_duration: Annotated[float, (">=", 0)] = 2.165
+    travel_duration: Annotated[float, (">", 0)] = 3.58
     total_duration: float = 5.74
-    speed: float = 0.876
-    anchor_snr_db: float = 23.5
+    speed: Annotated[float, (">=", 0)] = 0.876
+    # +inf dB is a noiseless receiver
+    anchor_snr_db: Annotated[float, INF] = 23.5
     outage_threshold_db: float = 10.0
     sync_threshold: float = SYNC_DETECTION_THRESHOLD
-    pilot_seed: int = 295
-    seed: int = 10
+    pilot_seed: Annotated[int, (">=", 0)] = 295
+    seed: Annotated[int, (">=", 0)] = 10
 
     def __post_init__(self) -> None:
         if not isinstance(self.users, (tuple, list)):
-            raise ValueError(f"users must be a list of (start, end) rows, got {self.users!r}")
+            raise ValueError(f"users must be a list of (start, end) rows, got {_shown(self.users)}")
         object.__setattr__(self, "users", tuple(_user_path(i, u) for i, u in enumerate(self.users)))
-        # +inf dB is a noiseless receiver
-        _check_fields(self, infinite=("anchor_snr_db",), names=_CONFIG_PATHS)
+        _check_fields(self, names=_CONFIG_PATHS)
         unset = ChannelParams()
         for name in _RUN_SET[ChannelParams]:
             if (value := getattr(self.channel, name)) != getattr(unset, name):
@@ -129,7 +128,7 @@ class ScenarioConfig:
         # windows over the previous symbol's prefix and can outscore the frame
         if self.channel.delay_samples > self.frame.fft_size:
             raise ValueError(
-                f"channel.delay_samples ({self.channel.delay_samples}) must be at most"
+                f"channel.delay_samples ({_shown(self.channel.delay_samples)}) must be at most"
                 f" frame.fft_size ({self.frame.fft_size})"
             )
         if self.frame.pilot_subcarriers < 2:
@@ -158,8 +157,6 @@ class ScenarioConfig:
                 f" {sync_limit:.3g} for cyclic-prefix sync over {samples} samples,"
                 " at some user's start or end distance"
             )
-        if self.power_policy not in ("fixed", "distance-squared"):
-            raise ValueError(f"unknown power.policy {self.power_policy!r}")
         if self.power_policy == "fixed":
             if len(self.power_coefficients) != len(self.users):
                 raise ValueError("power.coefficients must hold one value per user")
@@ -167,10 +164,6 @@ class ScenarioConfig:
                 PowerAllocation(self.power_coefficients)
             except ValueError as exc:
                 raise ValueError(f"power.coefficients: {exc}") from exc
-        if self.stationary_duration < 0:
-            raise ValueError("timing.stationary_duration must be >= 0")
-        if self.travel_duration <= 0:
-            raise ValueError("timing.travel_duration must be positive")
         if self.total_duration <= self.stationary_duration:
             raise ValueError("timing.total_duration must exceed timing.stationary_duration")
         if self.total_duration < self.frame.frame_duration:
@@ -194,9 +187,6 @@ class ScenarioConfig:
                 f" frame.carrier_frequency{wander} ({offset:.1f} Hz)"
                 f" must be below half the subcarrier spacing ({half_spacing:.1f} Hz)"
             )
-        for name in ("seed", "pilot_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # in the log domain, where a noise power beyond the float range stays a number
         signal, bin_ratio = _anchor_signal(self)
         with np.errstate(divide="ignore"):

@@ -127,9 +127,9 @@ class TestMobilityState:
         "change, field",
         [
             ({"start_distance": np.nan}, "start_distance"),
-            ({"end_distance": np.nan}, "start_distance and end_distance"),
+            ({"end_distance": np.nan}, "end_distance"),
             ({"start_distance": np.inf}, "start_distance"),
-            ({"stationary_end": np.nan}, "mobile_end"),
+            ({"stationary_end": np.nan}, "stationary_end"),
             ({"mobile_end": np.nan}, "mobile_end"),
             ({"speed": np.nan}, "speed"),
             ({"speed": np.inf}, "speed"),

@@ -82,7 +82,7 @@ class TestLoadConfig:
     def test_negative_distance_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"users": [[4.0, 1.0], [-3.0, 0.5], [2.0, 0.4]]}))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"users\[1\]: start_distance must be > 0"):
             load_config(path)
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -167,6 +167,16 @@ class TestLoadConfig:
             ({"users": [[4.27, 1.0], [4.02, 1.12], [3.9, 0.57]]}, "^users .* end line"),
             ({"speed": -1}, "^speed must be >= 0"),
             ([1], "must hold a JSON object"),
+            # sizes beyond their limits: 2**16 bins and sinusoids, order 4**16
+            ({"frame": {"fft_size": 2**1100}}, r"frame\.fft_size must be <= 65536"),
+            ({"frame": {"fft_size": 2**17}}, r"frame\.fft_size must be <= 65536"),
+            ({"frame": {"modulation_order": 4**17}}, r"frame\.modulation_order"),
+            ({"frame": {"modulation_order": 4**31}}, r"frame\.modulation_order"),
+            ({"frame": {"modulation_order": 4**32}}, r"frame\.modulation_order"),
+            ({"frame": {"modulation_order": 2**1100}}, r"frame\.modulation_order"),
+            ({"channel": {"n_sinusoids": 2**17}}, r"channel\.n_sinusoids must be <= 65536"),
+            ({"channel": {"n_sinusoids": 2**40}}, r"channel\.n_sinusoids must be <= 65536"),
+            ({"channel": {"n_sinusoids": 2**64}}, r"channel\.n_sinusoids must be <= 65536"),
         ],
     )
     def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):

@@ -44,7 +44,7 @@ class TestPowerAllocation:
 
     @pytest.mark.parametrize("coefficients", [(np.nan,), (0.5, np.nan)])
     def test_rejects_nan(self, coefficients):
-        with pytest.raises(ValueError, match="power coefficients"):
+        with pytest.raises(ValueError, match=r"coefficients\[\d\] must be finite"):
             PowerAllocation(coefficients)
 
     def test_equal_coefficients_allowed(self):

@@ -1,13 +1,18 @@
 """Experiment replay, metric computation, and Monte Carlo sweep checks."""
 
+import re
+from dataclasses import replace
+from typing import Annotated, get_args, get_origin
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
-from nomalink.channel import ChannelParams
+from nomalink.channel import ChannelParams, MobilityState
 from nomalink.cli import config_digest
-from nomalink.frame_codec import FrameConfig, _field_hints, _field_value
+from nomalink.frame_codec import _OPS, INF, FrameConfig, _field_hints, _field_value
+from nomalink.noma import PowerAllocation
 from nomalink.scenario import (
+    _CONFIG_PATHS,
     ScenarioConfig,
     UserPath,
     calibrate_noise_floor,
@@ -361,6 +366,53 @@ _CHANNEL = ScenarioConfig().channel
             r"channel\.noise_power_dbm",
             id="run-set-noise",
         ),
+        pytest.param(
+            lambda: FrameConfig(fft_size=2**1100),
+            "fft_size must be <= 65536, got an integer of 1101 bits",
+            id="fft-size-2**1100",
+        ),
+        # an integer past the 4300 digits that str() prints is named by its size
+        pytest.param(
+            lambda: FrameConfig(cp_length=10**5000),
+            "cp_length must be <= fft_size, got an integer of 16610 bits",
+            id="cp-length-10**5000",
+        ),
+        pytest.param(
+            lambda: ChannelParams(n_sinusoids=-(10**5000)),
+            "n_sinusoids must be >= 1, got a negative integer of 16610 bits",
+            id="sos-minus-10**5000",
+        ),
+        pytest.param(
+            lambda: FrameConfig(data_subcarriers=10**5000),
+            "fft_size 256 too small",
+            id="wide-10**5000",
+        ),
+        pytest.param(lambda: ScenarioConfig(users=10**5000), "users must be", id="users-10**5000"),
+        pytest.param(
+            lambda: ScenarioConfig(channel=replace(_CHANNEL, delay_samples=10**5000)),
+            r"channel\.delay_samples \(an integer of 16610 bits\)",
+            id="delay-10**5000",
+        ),
+        pytest.param(
+            lambda: FrameConfig(modulation_order=4**31), "modulation_order", id="order-4**31"
+        ),
+        pytest.param(
+            lambda: FrameConfig(modulation_order=4**32), "modulation_order", id="order-4**32"
+        ),
+        pytest.param(
+            lambda: FrameConfig(modulation_order=2**1100), "modulation_order", id="order-2**1100"
+        ),
+        pytest.param(
+            lambda: ChannelParams(n_sinusoids=2**40), "n_sinusoids must be <= 65536", id="sos-2**40"
+        ),
+        pytest.param(
+            lambda: ChannelParams(n_sinusoids=2**64), "n_sinusoids must be <= 65536", id="sos-2**64"
+        ),
+        pytest.param(
+            lambda: ScenarioConfig(power_policy="equal"),
+            "power.policy must be one of 'fixed', 'distance-squared', got 'equal'",
+            id="unknown-policy",
+        ),
     ],
 )
 def test_a_config_built_in_python_is_rejected_by_field(build, field):
@@ -382,7 +434,33 @@ def test_numpy_scalars_and_lists_load_as_the_python_config():
     assert config_digest(cfg) == config_digest(expected)
 
 
-_CONFIG_CLASSES = [FrameConfig(), ChannelParams(), UserPath(4.27, 1.25), ScenarioConfig()]
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # no carrier offset and no motion: a 2**16-bin FFT spaces subcarriers 7.6 Hz apart
+        pytest.param(
+            {"frame": FrameConfig(fft_size=2**16), "channel": ChannelParams(), "speed": 0.0},
+            id="fft_size",
+        ),
+        pytest.param({"frame": FrameConfig(modulation_order=4**16)}, id="modulation_order"),
+        pytest.param({"channel": replace(_CHANNEL, n_sinusoids=2**16)}, id="n_sinusoids"),
+    ],
+)
+def test_each_size_limit_replays_one_frame(changes):
+    cfg = replace(ScenarioConfig(), stationary_duration=0.0, **changes)
+    series = run_v2x_scenario(replace(cfg, total_duration=cfg.frame.frame_duration))
+    assert len(series.ber) == cfg.frame.symbols_per_frame * cfg.n_users
+    assert np.all(np.isfinite(series.est_snr_db[series.detected]))
+
+
+_CONFIG_CLASSES = [
+    FrameConfig(),
+    ChannelParams(),
+    UserPath(4.27, 1.25),
+    ScenarioConfig(),
+    MobilityState(4.02, 1.12, stationary_end=2.165, mobile_end=5.74, speed=0.876),
+    PowerAllocation.testbed_default(),
+]
 
 
 @pytest.mark.parametrize("default", _CONFIG_CLASSES, ids=lambda c: type(c).__name__)
@@ -390,7 +468,7 @@ def test_the_field_rule_covers_every_config_field(default):
     # a field whose annotation the rule does not know raises TypeError here
     for name, hint in _field_hints(type(default)):
         value = getattr(default, name)
-        assert _field_value(name, hint, value, infinite=True) == value, name
+        assert _field_value(name, hint, value) == value, name
         for wrong in (True, object()):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 _field_value(name, hint, wrong)
@@ -399,3 +477,50 @@ def test_the_field_rule_covers_every_config_field(default):
 def test_an_annotation_outside_the_rule_is_a_type_error():
     with pytest.raises(TypeError, match="no field rule"):
         _field_value("table", dict, {})
+
+
+def _bounds(default):
+    """(label, field, type, op, limit, on items) of each bound that the
+    annotations of ``default``'s class declare; label is the message's."""
+    for name, hint in _field_hints(type(default)):
+        label = _CONFIG_PATHS.get(name, name) if isinstance(default, ScenarioConfig) else name
+        items = get_origin(hint) is tuple
+        if items:
+            hint, label = get_args(hint)[0], f"{label}[0]"
+        if get_origin(hint) is Annotated:
+            kind, *marks = get_args(hint)
+            yield from ((label, name, kind, *mark, items) for mark in marks if mark != INF)
+
+
+@pytest.mark.parametrize("default", _CONFIG_CLASSES, ids=lambda c: type(c).__name__)
+def test_each_bound_on_an_annotation_holds_at_its_limit(default):
+    bounds = list(_bounds(default))
+    assert bounds
+    for label, name, kind, op, limit, items in bounds:
+
+        def field(value):
+            return {name: (value,) if items else value}
+
+        if op in (">=", "<="):  # a closed limit is a value the field takes
+            assert getattr(replace(default, **field(limit)), name) == field(limit)[name]
+        if op in (">", "<"):
+            past = limit
+        elif kind is int:
+            past = limit - 1 if op == ">=" else limit + 1
+        else:
+            past = np.nextafter(limit, -np.inf if op == ">=" else np.inf)
+        with pytest.raises(ValueError, match=f"^{re.escape(label)} must be {op} "):
+            replace(default, **field(past))
+
+
+@pytest.mark.parametrize("default", _CONFIG_CLASSES, ids=lambda c: type(c).__name__)
+def test_infinity_is_taken_only_where_marked(default):
+    for name, hint in _field_hints(type(default)):
+        marks = get_args(hint)[1:] if get_origin(hint) is Annotated else ()
+        bounds = [mark for mark in marks if mark != INF]
+        for inf in (np.inf, -np.inf):
+            if INF in marks and all(_OPS[op](inf, limit) for op, limit in bounds):
+                assert _field_value(name, hint, inf) == inf, name
+            else:
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    _field_value(name, hint, inf)
