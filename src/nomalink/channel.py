@@ -300,12 +300,14 @@ def generate_fading(
 
 
 def _block_wander(
-    rng: np.random.Generator, n: int, std_hz: float, block_samples: int
+    rng: np.random.Generator, n: int, std_hz: float, block_samples: float
 ) -> np.ndarray:
-    """Piecewise-constant frequency wander, one draw per block."""
-    n_blocks = -(-n // block_samples)
-    draws = rng.normal(0.0, std_hz, n_blocks)
-    return np.repeat(draws, block_samples)[:n]
+    """Piecewise-constant frequency wander over ``n`` samples, one draw per
+    block of ``block_samples`` samples rounded. A block that outlasts the row
+    is cut to the row first: one draw either way, and no array past the row."""
+    step = max(1, int(round(min(block_samples, n))))
+    draws = rng.normal(0.0, std_hz, -(-n // step))
+    return np.repeat(draws, step)[:n]
 
 
 def apply_channel(
@@ -410,9 +412,9 @@ def apply_channel(
     f_inst.fill(params.cfo_hz)
     f_inst += np.multiply(params.doppler_hz, moving, out=t)
     if params.cfo_jitter_hz > 0:
-        step = max(1, int(round(params.cfo_jitter_tau_s * sample_rate)))
+        block_samples = params.cfo_jitter_tau_s * sample_rate
         for row, rng, row_moving in zip(f_inst, draw_rngs, moving):
-            row += _block_wander(rng, n, params.cfo_jitter_hz, step) * row_moving
+            row += _block_wander(rng, n, params.cfo_jitter_hz, block_samples) * row_moving
     applied_cfo = np.mean(f_inst, axis=1)
     f_inst *= 2.0 * np.pi
     f_inst /= sample_rate

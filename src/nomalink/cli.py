@@ -140,6 +140,25 @@ def _build_config(raw: dict) -> ScenarioConfig:
     return _load(ScenarioConfig(), entries)
 
 
+class _LongInteger:
+    """A JSON integer with more digits than Python converts: not a number to
+    any field, and shown by its size in the message that names the field."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+    def __repr__(self) -> str:
+        limit = sys.get_int_max_str_digits()
+        return f"an integer of {self.digits} digits, more than the {limit} a config may hold"
+
+
+def _parse_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(len(text.lstrip("-")))
+
+
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a JSON scenario config; absent fields default.
 
@@ -153,7 +172,7 @@ def load_config(path) -> ScenarioConfig:
     if not text.strip():
         return ScenarioConfig()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -122,8 +122,9 @@ class FrameConfig:
 
     data_subcarriers: Annotated[int, (">", 0)] = 125
     pilot_subcarriers: Annotated[int, (">", 0)] = 25
-    symbols_per_frame: Annotated[int, (">", 0)] = 5
-    # one frame of 5 symbols at the limit replays; at 2**1100 its duration overflows
+    # one frame at either limit replays; at 2**1100 its duration overflows. A
+    # frame of 2**10 default symbols is as long as 5 symbols of 2**16 bins
+    symbols_per_frame: Annotated[int, (">", 0), ("<=", 2**10)] = 5
     fft_size: Annotated[int, ("<=", 2**16)] = 256
     cp_length: Annotated[int, (">=", 0)] = 64
     modulation_order: int = 4
@@ -234,9 +235,9 @@ def _axis_norm(order: int) -> float:
 
 
 def _check_order(order: int, name: str = "order") -> None:
-    # square QAM: an axis holds sqrt(order) levels, up to 2**16 of them
-    if not _is_power_of_two(order) or int(log2(order)) % 2 != 0 or order > 4**16:
-        raise ValueError(f"{name} must be a power of 4 up to 4**16, got {_shown(order)}")
+    # square QAM: an axis holds sqrt(order) levels, from 2 up to 2**16 of them
+    if not _is_power_of_two(order) or int(log2(order)) % 2 != 0 or not 4 <= order <= 4**16:
+        raise ValueError(f"{name} must be a power of 4 from 4 to 4**16, got {_shown(order)}")
 
 
 @lru_cache(maxsize=8)

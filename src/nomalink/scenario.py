@@ -46,6 +46,9 @@ __all__ = [
 # Smallest bit budget a sweep point may ask of each user
 MIN_BITS_PER_POINT = 100_000
 
+# Most frames a replay's timeline may hold
+_MAX_FRAMES = 2**18
+
 # Table of start/end base-station distances (m), far user first.
 DEFAULT_USER_PATHS = ((4.27, 1.25), (4.02, 1.12), (3.90, 0.57))
 
@@ -153,9 +156,9 @@ class ScenarioConfig:
         sync_limit = np.finfo(float).max / (100.0 * samples)
         if not np.all((gains > 0) & (gains < sync_limit)):
             raise ValueError(
-                "channel.path_loss_exponent gives a path gain that is zero, or above"
-                f" {sync_limit:.3g} for cyclic-prefix sync over {samples} samples,"
-                " at some user's start or end distance"
+                "channel.path_loss_exponent and channel.reference_distance give a path gain"
+                f" that is zero, or above {sync_limit:.3g} for cyclic-prefix sync over"
+                f" {samples} samples, at some user's start or end distance"
             )
         if self.power_policy == "fixed":
             if len(self.power_coefficients) != len(self.users):
@@ -166,10 +169,14 @@ class ScenarioConfig:
                 raise ValueError(f"power.coefficients: {exc}") from exc
         if self.total_duration <= self.stationary_duration:
             raise ValueError("timing.total_duration must exceed timing.stationary_duration")
-        if self.total_duration < self.frame.frame_duration:
+        # the replay's frame count; the run's record takes about 7 KB per frame
+        # of the default shape, so 2**18 frames stay under 2 GB
+        frames = np.floor(self.total_duration / self.frame.frame_duration)
+        if not 1 <= frames <= _MAX_FRAMES:
             raise ValueError(
-                f"timing.total_duration ({self.total_duration} s) must hold at least one"
-                f" frame of {self.frame.frame_duration} s"
+                f"timing.total_duration ({self.total_duration} s) must hold 1 to {_MAX_FRAMES}"
+                f" frames of {self.frame.frame_duration:.4g} s (frame.sample_rate"
+                f" {self.frame.sample_rate:.4g}), got {frames:.4g}"
             )
         # the CP sync resolves offsets within half a subcarrier spacing;
         # beyond it the offset aliases and every frame decodes as noise.

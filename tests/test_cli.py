@@ -1,8 +1,12 @@
 """Config ingestion, command execution, and output-file contracts."""
 
 import json
+import re
 import warnings
 from dataclasses import replace
+from functools import lru_cache
+from math import inf, nan, nextafter
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -19,10 +23,17 @@ from nomalink.cli import (
     load_config,
     main,
 )
-from nomalink.frame_codec import FrameConfig
+from nomalink.frame_codec import INF, FrameConfig, _field_hints
 from nomalink.noma import build_downlink_frame
 from nomalink.receiver import cp_ml_sync
-from nomalink.scenario import ScenarioConfig, resolve_allocation, run_v2x_scenario
+from nomalink.scenario import (
+    _CONFIG_PATHS,
+    _RUN_SET,
+    ScenarioConfig,
+    resolve_allocation,
+    run_v2x_scenario,
+)
+from rejected_inputs import FAR_USERS, HUGE, REJECTED, config_text
 
 
 SHORT = {
@@ -32,10 +43,6 @@ SHORT = {
         "total_duration": 0.11,
     }
 }
-# vehicles near 10 m: path-loss exponents near -300 give path gains near the
-# top of the float range
-_FAR_USERS = [[9.9, 9.5], [9.8, 9.4], [9.7, 9.3]]
-
 
 class TestLoadConfig:
     def test_empty_file_gives_testbed_defaults(self, tmp_path):
@@ -91,105 +98,21 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="bandwith"):
             load_config(path)
 
-    @pytest.mark.parametrize(
-        "raw, field",
-        [
-            ({"anchor_snr_db": float("nan")}, "anchor_snr_db"),
-            ({"speed": float("nan")}, "speed"),
-            ({"timing": {"total_duration": float("inf")}}, "total_duration"),
-            ({"channel": {"cfo_hz": float("nan")}}, "channel.cfo_hz"),
-            ({"users": [[4.27, 1.25], [4.02, float("nan")], [3.9, 0.57]]}, "users"),
-            ({"frame": {"symbols_per_frame": 1}}, "frame.symbols_per_frame"),
-            ({"frame": {"cp_length": 0}}, "frame.cp_length"),
-            ({"power": {"polcy": "fixed"}}, "power.polcy"),
-            ({"timing": {"total_duraton": 1.0}}, "timing.total_duraton"),
-            ({"power": 3}, "power"),
-            ({"channel": {"delay_samples": 2.5}}, "channel.delay_samples"),
-            ({"channel": {"n_sinusoids": 8.5}}, "channel.n_sinusoids"),
-            ({"seed": 1.5}, "seed"),
-            ({"pilot_seed": False}, "pilot_seed"),
-            ({"sync_threshold": "x"}, "sync_threshold"),
-            ({"anchor_snr_db": None}, "anchor_snr_db"),
-            ({"channel": {"cfo_hz": "1"}}, "channel.cfo_hz"),
-            ({"outage_threshold_db": True}, "outage_threshold_db"),
-            ({"frame": {"fft_size": 256.0}}, "frame.fft_size"),
-            ({"power": {"coefficients": [10**400, 0.191, 0.048]}}, "power.coefficients"),
-            ({"users": [[4.0, 1.0, 2.0]]}, "users"),
-            ({"users": 5}, "users"),
-            ({"users": [[4.27, True], [4.02, 1.12], [3.9, 0.57]]}, "users"),
-            ({"channel": {"doppler_hz": 50}}, "channel.doppler_hz"),
-            ({"channel": {"target_snr_db": 20.0}}, "channel.target_snr_db"),
-            ({"channel": {"noise_power_dbm": -60.0}}, "channel.noise_power_dbm"),
-            ({"frame": {"fft_size": 100}}, "config field 'frame'"),
-            ({"frame": {"fft_sise": 256}}, "frame.fft_sise"),
-            ({"channel": {"rician_k": -1.0}}, "config field 'channel'"),
-            ({"users": [[4.0, 1.0], [-3.0, 0.5], [2.0, 0.4]]}, r"users\[1\]"),
-            ({"seed": -1}, "seed must be >= 0"),
-            ({"pilot_seed": -5}, "pilot_seed must be >= 0"),
-            ({"channel": {"cfo_hz": 5000}}, "channel.cfo_hz"),
-            ({"channel": {"cfo_hz": -970.0}}, "channel.cfo_hz"),
-            ({"channel": {"cfo_hz": 960}}, "channel.cfo_jitter_hz"),
-            ({"channel": {"cfo_hz": 100, "cfo_jitter_hz": 250}}, "channel.cfo_jitter_hz"),
-            ({"frame": {"pilot_subcarriers": 1}}, "frame.pilot_subcarriers"),
-            ({"frame": {"carrier_frequency": 0.0}}, "frame.carrier_frequency"),
-            ({"frame": {"carrier_frequency": -2.34e9}}, "frame.carrier_frequency"),
-            ({"frame": {"carrier_frequency": 3e11}}, "frame.carrier_frequency"),
-            ({"channel": {"path_loss_exponent": 1e6}}, "channel.path_loss_exponent"),
-            ({"channel": {"path_loss_exponent": -1e6}}, "channel.path_loss_exponent"),
-            ({"channel": {"delay_samples": 320}}, "channel.delay_samples"),
-            ({"channel": {"delay_samples": 640}}, "channel.delay_samples"),
-            ({"timing": {"stationary_duration": 0.001, "travel_duration": 0.001,
-                         "total_duration": 0.002}}, "timing.total_duration"),
-            ({"channel": {"delay_samples": 257}}, "channel.delay_samples"),
-            ({"channel": {"delay_samples": 319}}, "channel.delay_samples"),
-            ({"frame": {"bandwidth": 8.0e5}}, "frame.bandwidth"),
-            ({"timing": {"travel_duration": 0.0}}, r"timing\.travel_duration"),
-            ({"timing": {"stationary_duration": -1.0}}, r"timing\.stationary_duration"),
-            ({"timing": {"stationary_duration": float("nan")}}, r"timing\.stationary_duration"),
-            ({"timing": {"total_duration": 2.0}}, r"timing\.total_duration"),
-            ({"channel": {"cfo_jitter_hz": -1.0}}, r"channel\.cfo_jitter_hz"),
-            ({"channel": {"cfo_jitter_tau_s": 0.0}}, r"channel\.cfo_jitter_tau_s"),
-            ({"users": []}, "^users"),
-            ({"power": {"policy": "equal"}}, r"power\.policy"),
-            ({"power": {"coefficients": [0.8, 0.2]}}, r"power\.coefficients"),
-            ({"power": {"coefficients": [0.7, 0.15, 0.05]}}, r"power\.coefficients"),
-            ({"power": {"coefficients": [float("nan"), 0.2, 0.1]}}, r"power\.coefficients\[0\]"),
-            ({"frame": {"data_subcarriers": 0}}, r"frame\.data_subcarriers"),
-            ({"frame": {"pilot_subcarriers": 0}}, r"frame\.pilot_subcarriers"),
-            ({"users": _FAR_USERS, "channel": {"path_loss_exponent": -307}},
-             r"channel\.path_loss_exponent"),
-            ({"anchor_snr_db": -3083}, "^anchor_snr_db"),
-            ({"anchor_snr_db": -3082}, "^anchor_snr_db"),
-            ({"channel": {"reference_distance": 0}}, r"channel\.reference_distance"),
-            ({"channel": {"delay_samples": -1}}, r"channel\.delay_samples"),
-            ({"channel": {"n_sinusoids": 0}}, r"channel\.n_sinusoids"),
-            ({"frame": {"cp_length": 300}}, r"frame\.cp_length"),
-            ({"users": [[4.27, 1.0], [4.02, 1.12], [3.9, 0.57]]}, "^users .* end line"),
-            ({"speed": -1}, "^speed must be >= 0"),
-            ([1], "must hold a JSON object"),
-            # sizes beyond their limits: 2**16 bins and sinusoids, order 4**16
-            ({"frame": {"fft_size": 2**1100}}, r"frame\.fft_size must be <= 65536"),
-            ({"frame": {"fft_size": 2**17}}, r"frame\.fft_size must be <= 65536"),
-            ({"frame": {"modulation_order": 4**17}}, r"frame\.modulation_order"),
-            ({"frame": {"modulation_order": 4**31}}, r"frame\.modulation_order"),
-            ({"frame": {"modulation_order": 4**32}}, r"frame\.modulation_order"),
-            ({"frame": {"modulation_order": 2**1100}}, r"frame\.modulation_order"),
-            ({"channel": {"n_sinusoids": 2**17}}, r"channel\.n_sinusoids must be <= 65536"),
-            ({"channel": {"n_sinusoids": 2**40}}, r"channel\.n_sinusoids must be <= 65536"),
-            ({"channel": {"n_sinusoids": 2**64}}, r"channel\.n_sinusoids must be <= 65536"),
-        ],
-    )
-    def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, raw, field):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match=field):
-            load_config(path)
+    # every row of the rejection table, which CI runs through the installed command
+    @pytest.mark.parametrize("raw, field", [(row, row.pattern) for row in REJECTED])
+    def test_config_that_cannot_run_is_rejected_by_field(self, tmp_path, capsys, raw, field):
+        code = main(raw.write(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert re.search(field, err.removeprefix("error: ")), err
+        assert not list((tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize("exponent", [-300, -304])
     def test_large_path_gain_loads_and_replays_without_warning(self, tmp_path, exponent):
         path = tmp_path / "far.json"
         path.write_text(json.dumps(_run_config(
-            **{"users": _FAR_USERS, "channel.path_loss_exponent": exponent}
+            **{"users": FAR_USERS, "channel.path_loss_exponent": exponent}
         )))
         cfg = load_config(path)
         with warnings.catch_warnings():
@@ -285,31 +208,47 @@ def test_load_returns_a_config_or_raises_value_error(tmp_path, raw):
     assert load_config(path) == cfg
 
 
-# Fields whose values can load and still fail a run, drawn on both sides of
-# what a run takes. Timelines are 0.01-0.02 s (3-6 frames) or 0.5-4 ms,
-# around one 3.2 ms frame.
-_RUN_FIELDS = {
-    "frame.pilot_subcarriers": st.integers(0, 140),
-    "frame.carrier_frequency": st.sampled_from([-2.34e9, 0.0, 2.34e9])
-    | st.floats(-1e10, 4e11),
-    "frame.modulation_order": st.sampled_from([2, 4, 8, 16, 64, 256]),
-    "channel.path_loss_exponent": st.sampled_from([0.0, 1e6, -1e6])
-    | st.floats(-60.0, 60.0),
-    "channel.delay_samples": st.integers(0, 700),
-    "timing.total_duration": st.floats(0.01, 0.02) | st.floats(0.0005, 0.004),
-    "sync_threshold": st.floats(-0.5, 1.5),
-    # six distinct distances, far to near: three vehicles that keep their order
-    "users": st.lists(st.floats(0.05, 10.0), min_size=6, max_size=6, unique=True)
+def _number_draws(hint) -> list:
+    """A number field's draws: each marked limit and its nearest neighbours on
+    both sides, then the extremes; none for a field that holds no number."""
+    base, *marks = get_args(hint) if get_origin(hint) is Annotated else (hint,)
+    if base not in (int, float):
+        return []
+    limits = [mark[1] for mark in marks if mark != INF]
+    if base is int:
+        near = [(x - 1, x, x + 1) for x in limits]
+    else:
+        near = [(nextafter(x, -inf), x, nextafter(x, inf)) for x in limits]
+    draws = [value for values in near for value in values] + [
+        0, 1, -1, 1e308, -1e308, 5e-324, 2**1100, HUGE, inf, -inf, nan
+    ]
+    # each once: 0 and 0.0 are different JSON numbers
+    return list({(type(value), value): value for value in draws}.values())
+
+
+# Every number field a config sets, by its path in the file, with its draws
+_FIELD_DRAWS = {
+    f"{block}.{name}" if block else _CONFIG_PATHS.get(name, name): draws
+    for cls, block in ((FrameConfig, "frame"), (ChannelParams, "channel"), (ScenarioConfig, ""))
+    for name, hint in _field_hints(cls)
+    if name not in _RUN_SET.get(cls, ()) and (draws := _number_draws(hint))
+}
+# and the draws no annotation implies: six distinct distances, far to near,
+# for three vehicles that keep their order, or any three rows
+_RUN_FIELDS = {name: st.sampled_from(draws) for name, draws in _FIELD_DRAWS.items()}
+_RUN_FIELDS["users"] = (
+    st.lists(st.floats(0.05, 10.0), min_size=6, max_size=6, unique=True)
     .map(lambda d: sorted(d, reverse=True))
     .map(lambda d: [[d[0], d[3]], [d[1], d[4]], [d[2], d[5]]])
-    | st.lists(st.lists(st.floats(0.05, 10.0), min_size=2, max_size=2), min_size=3, max_size=3),
-}
+    | st.lists(st.lists(st.floats(0.05, 10.0), min_size=2, max_size=2), min_size=3, max_size=3)
+)
+# timelines of 0.01-0.02 s (3-6 frames) or 0.5-4 ms, around one 3.2 ms frame
+_TIMELINES = st.floats(0.01, 0.02) | st.floats(0.0005, 0.004)
 
 
-def _run_config(**fields):
-    """A config file's mapping: the given fields, keyed by their dotted names,
-    on a timeline whose stages each take half of it."""
-    total = fields.pop("timing.total_duration", 0.015)
+def _run_config(total=0.015, **fields):
+    """A config file's mapping: a timeline of ``total`` seconds whose stages
+    each take half of it, then the given fields, keyed by their dotted names."""
     raw = {"timing": {"stationary_duration": total / 2, "travel_duration": total / 2,
                       "total_duration": total}}
     for name, value in fields.items():
@@ -321,7 +260,16 @@ def _run_config(**fields):
 @st.composite
 def _run_configs(draw):
     names = draw(st.lists(st.sampled_from(sorted(_RUN_FIELDS)), max_size=4, unique=True))
-    return _run_config(**{name: draw(_RUN_FIELDS[name]) for name in names})
+    return _run_config(draw(_TIMELINES), **{name: draw(_RUN_FIELDS[name]) for name in names})
+
+
+def _each_field_draw(test):
+    """``test`` with one example per field draw, each on its own on a
+    one-frame timeline."""
+    for name, draws in _FIELD_DRAWS.items():
+        for value in draws:
+            test = example(raw=_run_config(0.0035, **{name: value}))(test)
+    return test
 
 
 def _field_names(raw):
@@ -333,20 +281,17 @@ def _field_names(raw):
     return names
 
 
-def _sync_offsets(cfg, frames=8):
-    """CP sync's timing estimates on noiseless line-of-sight frames of the
-    config, delayed as its channel delays them."""
-    los = ChannelParams(rician_k=np.inf, delay_samples=cfg.channel.delay_samples)
+@lru_cache(maxsize=None)
+def _sync_offsets(frame, delay, alloc, pilot_seed, frames=8):
+    """CP sync's timing estimates on noiseless line-of-sight frames of a
+    config's frame, allocation and pilots, delayed by ``delay`` samples."""
+    los = ChannelParams(rician_k=np.inf, delay_samples=delay)
     offsets = set()
     for seed in range(frames):
-        payloads = np.random.default_rng(seed).integers(
-            0, 2, (cfg.n_users, cfg.frame.payload_bits)
-        )
-        tx = build_downlink_frame(
-            list(payloads), cfg.frame, resolve_allocation(cfg), cfg.pilot_seed
-        )
-        rx, _ = apply_channel(tx, cfg.frame.sample_rate, los, MobilityState.static(1.0), seed=seed)
-        offsets.add(cp_ml_sync(rx, cfg.frame).timing_offset)
+        payloads = np.random.default_rng(seed).integers(0, 2, (alloc.n_users, frame.payload_bits))
+        tx = build_downlink_frame(list(payloads), frame, alloc, pilot_seed)
+        rx, _ = apply_channel(tx, frame.sample_rate, los, MobilityState.static(1.0), seed=seed)
+        offsets.add(cp_ml_sync(rx, frame).timing_offset)
     return offsets
 
 
@@ -360,23 +305,25 @@ def _sync_offsets(cfg, frames=8):
 @given(raw=_run_configs())
 @example(raw=_run_config(**{"frame.pilot_subcarriers": 1}))
 @example(raw=_run_config(**{"frame.carrier_frequency": -2.34e9}))
-@example(raw=_run_config(**{"channel.path_loss_exponent": 1e6, "timing.total_duration": 0.02}))
+@example(raw=_run_config(0.02, **{"channel.path_loss_exponent": 1e6}))
 @example(raw=_run_config(**{"channel.path_loss_exponent": -1e6}))
 @example(raw=_run_config(**{"channel.delay_samples": 320}))
 @example(raw=_run_config(**{"channel.delay_samples": 319}))
-@example(raw=_run_config(**{"timing.total_duration": 0.002}))
-@example(raw=_run_config(**{"users": _FAR_USERS, "channel.path_loss_exponent": -304}))
-@example(raw=_run_config(**{"users": _FAR_USERS, "channel.path_loss_exponent": -307}))
+@example(raw=_run_config(0.002))
+@example(raw=_run_config(**{"users": FAR_USERS, "channel.path_loss_exponent": -304}))
+@example(raw=_run_config(**{"users": FAR_USERS, "channel.path_loss_exponent": -307}))
+@_each_field_draw
 def test_config_is_rejected_at_load_or_runs_to_the_end(tmp_path, raw):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(config_text(raw))
     try:
         cfg = load_config(path)
     except ValueError as exc:
         assert any(name in str(exc) for name in _field_names(raw)), str(exc)
         return
     # timing acquisition finds the frame start at every delay that loads
-    assert _sync_offsets(cfg) == {cfg.channel.delay_samples}
+    delay = cfg.channel.delay_samples
+    assert _sync_offsets(cfg.frame, delay, resolve_allocation(cfg), cfg.pilot_seed) == {delay}
     execute("run-scenario", cfg, tmp_path / "out")
     lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
     frames = int(np.floor(cfg.total_duration / cfg.frame.frame_duration))
@@ -559,51 +506,3 @@ class TestMainEntry:
         code = main(["sweep-ber", "--snr-grid", "-5,nan", "--out", str(tmp_path)])
         assert code == 1
         assert "snr_grid" in capsys.readouterr().err
-
-    def test_constant_envelope_exits_nonzero_with_one_error_line(self, tmp_path, capsys):
-        flat = tmp_path / "flat.npy"
-        np.save(flat, np.ones(5000))
-        code = main(["estimate-k", "--input", str(flat), "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == ["error: degenerate envelope: all samples equal"]
-        assert "Traceback" not in err
-
-    def test_path_gain_that_overflows_cp_sync_exits_with_one_error_line(self, tmp_path, capsys):
-        bad = tmp_path / "far.json"
-        bad.write_text(json.dumps({"users": _FAR_USERS, "channel": {"path_loss_exponent": -307}}))
-        code = main(["run-scenario", "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: channel.path_loss_exponent")
-        assert "Traceback" not in err
-
-    def test_anchor_snr_whose_noise_overflows_exits_with_one_error_line(self, tmp_path, capsys):
-        bad = tmp_path / "noisy.json"
-        bad.write_text(json.dumps({"anchor_snr_db": -3083}))
-        code = main(["run-scenario", "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: anchor_snr_db")
-        assert "Traceback" not in err
-
-    def test_complex_envelope_exits_nonzero_with_one_error_line(self, tmp_path, capsys):
-        gains = tmp_path / "gains.npy"
-        params = ChannelParams(rician_k=10.92, doppler_hz=0.4)
-        np.save(gains, generate_fading(params, 5000, 1.0, seed=17))
-        code = main(["estimate-k", "--input", str(gains), "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: envelope samples must be real magnitudes")
-        assert "Traceback" not in err
-
-    def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        for text in ("{not json", '{"users": [[4.0, 1.0, 2.0]]}', '{"users": 5}'):
-            bad.write_text(text)
-            code = main(["run-scenario", "--config", str(bad), "--out", str(tmp_path)])
-            assert code == 1
-            assert "error:" in capsys.readouterr().err

@@ -6,8 +6,9 @@ the ufuncs np.clip runs), the CP correlation and its accumulation over
 symbols, the CFO correction (a cosine and sine of a real phase),
 zero-forcing, the pilot EVM, the channel's noise addition, the sampled
 fading of short rows, the channel's unit phasors, the keyed random
-generators (seeded from uint32 words) and the transmit chain's
-subcarrier mapping were rewritten to do less work per frame.
+generators (seeded from uint32 words), the carrier wander (a block
+longer than its row cut to the row) and the transmit chain's subcarrier
+mapping were rewritten to do less work per frame.
 ``receive_user`` checks its row once and then runs unchecked stage
 kernels; it is compared with the composition of the public stage
 functions it once called. Each test keeps the replaced code here as the
@@ -456,11 +457,24 @@ def test_noisy_channel_block_matches_complex_noise_sum(params, per_frame_seeds):
     for f in range(frames):
         seed = seeds[f] if per_frame_seeds else seeds
         draws = np.random.default_rng(_noise_seed(seed, int(round(t0[f] * fs))))
-        step = max(1, int(round(params.cfo_jitter_tau_s * fs)))
-        _block_wander(draws, n, params.cfo_jitter_hz, step)  # wander comes first
+        # the wander comes first
+        _block_wander(draws, n, params.cfo_jitter_hz, params.cfo_jitter_tau_s * fs)
         w = draws.normal(0.0, np.sqrt(truth.noise_power[f] / 2.0), (n, 2))
         expected = noiseless[f] + w[:, 0] + 1j * w[:, 1]
         assert _same_bytes(rx[f], expected), f"frame {f}"
+
+
+# the row of a default frame; a wander block of 320 samples, one of the row's
+# length, one just short of and just past it, and one three rows long
+@pytest.mark.parametrize("block_samples", [320.0, 1599.4, 1599.5, 1600.0, 1600.7, 4800.0])
+def test_wander_blocks_match_the_unclamped_repeat(block_samples):
+    n = 1600
+    step = max(1, int(round(block_samples)))
+    old, new = np.random.default_rng(3), np.random.default_rng(3)
+    expected = np.repeat(old.normal(0.0, 55.0, -(-n // step)), step)[:n]
+    assert _same_bytes(_block_wander(new, n, 55.0, block_samples), expected)
+    # the noise draws that follow from the same generator are the same too
+    assert new.bit_generator.state == old.bit_generator.state
 
 
 @pytest.mark.parametrize("n, spacing_s", [(4, 1e-4), (4, 2e-6), (40, 5e-4)])

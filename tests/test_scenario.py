@@ -402,6 +402,17 @@ _CHANNEL = ScenarioConfig().channel
         pytest.param(
             lambda: FrameConfig(modulation_order=2**1100), "modulation_order", id="order-2**1100"
         ),
+        # 4**0: one point, no bits
+        pytest.param(
+            lambda: FrameConfig(modulation_order=1),
+            "modulation_order must be a power of 4 from 4 to 4\\*\\*16, got 1",
+            id="order-1",
+        ),
+        pytest.param(
+            lambda: FrameConfig(symbols_per_frame=2**1100),
+            "symbols_per_frame must be <= 1024, got an integer of 1101 bits",
+            id="symbols-2**1100",
+        ),
         pytest.param(
             lambda: ChannelParams(n_sinusoids=2**40), "n_sinusoids must be <= 65536", id="sos-2**40"
         ),
@@ -444,6 +455,7 @@ def test_numpy_scalars_and_lists_load_as_the_python_config():
         ),
         pytest.param({"frame": FrameConfig(modulation_order=4**16)}, id="modulation_order"),
         pytest.param({"channel": replace(_CHANNEL, n_sinusoids=2**16)}, id="n_sinusoids"),
+        pytest.param({"frame": FrameConfig(symbols_per_frame=2**10)}, id="symbols_per_frame"),
     ],
 )
 def test_each_size_limit_replays_one_frame(changes):
@@ -451,6 +463,13 @@ def test_each_size_limit_replays_one_frame(changes):
     series = run_v2x_scenario(replace(cfg, total_duration=cfg.frame.frame_duration))
     assert len(series.ber) == cfg.frame.symbols_per_frame * cfg.n_users
     assert np.all(np.isfinite(series.est_snr_db[series.detected]))
+
+
+def test_a_timeline_loads_up_to_the_frame_count_limit():
+    frame_duration = FrameConfig().frame_duration
+    ScenarioConfig(total_duration=2**18 * frame_duration)
+    with pytest.raises(ValueError, match=r"^timing\.total_duration .* 1 to 262144 frames"):
+        ScenarioConfig(total_duration=(2**18 + 1.5) * frame_duration)
 
 
 _CONFIG_CLASSES = [
