@@ -496,6 +496,16 @@ class TestMainEntry:
         assert code == 1
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    def test_anchor_snr_whose_noise_overflows_exits_with_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "noisy.json"
+        bad.write_text(json.dumps({"anchor_snr_db": -3083}))
+        code = main(["run-scenario", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: anchor_snr_db")
+        assert "Traceback" not in err
+
     def test_nan_snr_grid_exits_nonzero(self, tmp_path, capsys):
         code = main(["sweep-ber", "--snr-grid", "nan", "--out", str(tmp_path)])
         assert code == 1
