@@ -16,7 +16,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .frame_codec import INF, _BlockBuffers, _check_fields
+from .frame_codec import INF, _BlockBuffers, _check_fields, _field_value
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -152,8 +152,7 @@ class ChannelRealization:
 
 def doppler_shift(speed: float, carrier_frequency: float) -> float:
     """Doppler frequency v * f_c / c in Hz."""
-    if not 0 <= speed < np.inf:
-        raise ValueError(f"speed must be >= 0 and finite, got {speed}")
+    speed = _field_value("speed", Annotated[float, (">=", 0)], speed)
     return speed * carrier_frequency / SPEED_OF_LIGHT
 
 
@@ -288,10 +287,8 @@ def generate_fading(
     LOS power K/(K+1) at fixed zero phase plus a diffuse component of
     power 1/(K+1) whose spectrum is confined to +-doppler_hz.
     """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    if not 0 < sample_rate < np.inf:
-        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+    n_samples = _field_value("n_samples", Annotated[int, (">", 0)], n_samples)
+    sample_rate = _field_value("sample_rate", Annotated[float, (">", 0)], sample_rate)
     rng = _keyed_rng(_fading_seed(seed))
     angles, phases = _sos_parameters(rng, params.n_sinusoids)
     tau = np.arange(n_samples) / sample_rate
@@ -338,7 +335,7 @@ def apply_channel(
     either one seed shared by the rows or a 2-D array with one seed row
     per frame. The realization's fields then hold one row or value per
     frame. An empty ``tx``, one that is not 1-D or 2-D or holds a
-    non-finite sample, a ``sample_rate`` that is not positive and finite,
+    non-finite sample, a ``sample_rate`` that is not a finite number > 0,
     another seed row count, or a ``t0`` that is neither one finite time
     nor one per frame is a ValueError before any draw.
 
@@ -351,8 +348,7 @@ def apply_channel(
         raise ValueError(f"tx must be a non-empty 1-D or 2-D array, got shape {tx.shape}")
     if not np.isfinite(tx).all():
         raise ValueError("tx must hold finite samples")
-    if not 0 < sample_rate < np.inf:
-        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+    sample_rate = _field_value("sample_rate", Annotated[float, (">", 0)], sample_rate)
     block = tx.reshape(-1, tx.shape[-1])
     frames = block.shape[0]
     per_frame = np.ndim(seed) == 2

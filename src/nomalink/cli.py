@@ -24,12 +24,13 @@ import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Literal, get_args
 
 import numpy as np
 
 from . import __version__
 from .channel import ChannelParams, estimate_k_factor
-from .frame_codec import FrameConfig
+from .frame_codec import FrameConfig, _field_value
 from .scenario import (
     MIN_BITS_PER_POINT,
     _CONFIG_BLOCKS,
@@ -48,6 +49,14 @@ SCHEMA_VERSION = 1
 
 TIMESERIES_COLUMNS = ("time_s", "user", "est_snr_db", "est_cfo_hz", "ber", "outage", "detected")
 SWEEP_COLUMNS = ("snr_db", "user", "ber", "ci_low", "ci_high", "bits", "lost_frames")
+
+_COMMANDS = {
+    "run-scenario": "replay the two-stage vehicular experiment",
+    "sweep-ber": "Monte Carlo BER-vs-SNR curves",
+    "estimate-k": "ML Rician K-factor fit of an envelope file",
+    "selftest": "run quick invariant checks",
+}
+_FORMAT = Literal["text", "records"]
 
 
 @dataclass(frozen=True)
@@ -212,6 +221,7 @@ def write_outputs(result, fmt: str, path) -> Path:
     float, which JSON cannot hold, is null. Identical inputs produce
     byte-identical files.
     """
+    fmt = _field_value("fmt", _FORMAT, fmt)
     names, arrays = _columns(result)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -220,12 +230,10 @@ def write_outputs(result, fmt: str, path) -> Path:
         columns = [(a.view(np.uint8) if a.dtype == bool else a).tolist() for a in arrays]
         lines = [",".join(names)]
         lines += [",".join(map(repr, row)) for row in zip(*columns)]
-    elif fmt == "records":
+    else:
         nulled = [np.where(np.isfinite(a), a, None) if a.dtype == float else a for a in arrays]
         rows = zip(*(a.tolist() for a in nulled))
         lines = [json.dumps(dict(zip(names, r)), sort_keys=True, allow_nan=False) for r in rows]
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -292,6 +300,8 @@ def execute(
     input_path=None,
 ) -> RunManifest:
     """Run one command and emit its outputs plus a manifest; returns it."""
+    command = _field_value("command", Literal[tuple(_COMMANDS)], command)
+    fmt = _field_value("fmt", _FORMAT, fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
@@ -322,14 +332,12 @@ def execute(
         target = out / "k_estimate.json"
         target.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
         outputs.append(str(target))
-    elif command == "selftest":
+    else:
         checks = _selftest()
         for name, ok in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}")
         if not all(ok for _, ok in checks):
             raise RuntimeError("selftest failed")
-    else:
-        raise ValueError(f"unknown command {command!r}")
 
     config_path = out / "resolved_config.json"
     config_path.write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
@@ -361,19 +369,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, brief in (
-        ("run-scenario", "replay the two-stage vehicular experiment"),
-        ("sweep-ber", "Monte Carlo BER-vs-SNR curves"),
-        ("estimate-k", "ML Rician K-factor fit of an envelope file"),
-        ("selftest", "run quick invariant checks"),
-    ):
+    for name, brief in _COMMANDS.items():
         p = sub.add_parser(name, help=brief)
         p.add_argument("--config", type=Path, help="JSON scenario config")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument(
-            "--format", choices=("text", "records"), default="text", dest="fmt"
-        )
+        p.add_argument("--format", choices=get_args(_FORMAT), default="text", dest="fmt")
         if name == "sweep-ber":
             p.add_argument("--snr-grid", type=_parse_grid, help="comma-separated dB values")
             p.add_argument("--min-bits", type=int, default=MIN_BITS_PER_POINT)

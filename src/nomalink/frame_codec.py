@@ -138,8 +138,9 @@ class FrameConfig:
         # DC is nulled, so the occupied span needs fft_size > total.
         if self.total_subcarriers >= self.fft_size:
             raise ValueError(
-                f"fft_size {self.fft_size} too small for "
-                f"{_shown(self.total_subcarriers)} occupied subcarriers plus DC"
+                f"fft_size {self.fft_size} too small for {_shown(self.total_subcarriers)}"
+                f" occupied subcarriers (data_subcarriers {_shown(self.data_subcarriers)}"
+                f" + pilot_subcarriers {_shown(self.pilot_subcarriers)}) plus DC"
             )
         if self.cp_length > self.fft_size:
             raise ValueError(f"cp_length must be <= fft_size, got {_shown(self.cp_length)}")

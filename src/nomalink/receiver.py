@@ -15,18 +15,19 @@ layer assigns it BER 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from .channel import _phasor
 from .frame_codec import (
+    INF,
     FrameConfig,
     _demap,
     _demodulate,
+    _field_value,
     _frozen,
     _spectrum_scale,
     occupied_bins,
@@ -51,6 +52,7 @@ __all__ = [
 SNR_CAP_DB = 60.0
 ZF_SINGULARITY_THRESHOLD = 1e-8
 SYNC_DETECTION_THRESHOLD = 0.5
+_THRESHOLD = Annotated[float, INF]  # -inf detects every frame, +inf none, NaN would pass all
 _EVM_AT_CAP = 10.0 ** (-SNR_CAP_DB / 20.0)
 
 
@@ -175,10 +177,8 @@ def _sync(r: np.ndarray, cfg: FrameConfig, lo, hi) -> tuple[int, float, float]:
 
 def correct_cfo(rx, cfo_hz: float, sample_rate: float) -> np.ndarray:
     """Remove a frequency offset: rx[n] * exp(-j 2 pi f n / fs); samples pass unchecked."""
-    if not math.isfinite(cfo_hz):
-        raise ValueError(f"cfo_hz must be finite, got {cfo_hz}")
-    if not 0.0 < sample_rate < math.inf:
-        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+    cfo_hz = _field_value("cfo_hz", float, cfo_hz)
+    sample_rate = _field_value("sample_rate", Annotated[float, (">", 0)], sample_rate)
     rx = np.asarray(rx, dtype=np.complex128)
     if cfo_hz == 0.0:
         return rx
@@ -220,13 +220,14 @@ def _pilot_line(mask: np.ndarray, x: np.ndarray) -> _PilotLine:
         raise ValueError("pilot reference length does not match pilot mask")
     if np.any(np.abs(x) == 0):
         raise ValueError("pilot reference contains zero-power entries")
-    px = np.abs(x) ** 2
-    g00 = np.sum(px)
-    g01 = np.sum(px * k_pilot)
-    g11 = np.sum(px * k_pilot * k_pilot)
-    det = g00 * g11 - g01 * g01
-    if det <= 0 or not np.isfinite(det):
-        raise ValueError("degenerate pilot layout for the regression")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        px = np.abs(x) ** 2
+        g00 = np.sum(px)
+        g01 = np.sum(px * k_pilot)
+        g11 = np.sum(px * k_pilot * k_pilot)
+        det = g00 * g11 - g01 * g01
+    if not 0 < det < np.inf:
+        raise ValueError("degenerate pilot layout" if det <= 0 else "pilot power overflows")
     k_all = np.arange(mask.size)
     conj_x = np.conj(x)
     conj_x_k = conj_x * k_pilot
@@ -379,9 +380,7 @@ def receive_user(
     """
     if not 1 <= user <= alloc.n_users:
         raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
-    # a NaN threshold would pass every frame as detected
-    if math.isnan(sync_threshold):
-        raise ValueError("sync_threshold must be a number, got nan")
+    sync_threshold = _field_value("sync_threshold", _THRESHOLD, sync_threshold)
     rx = np.asarray(rx, dtype=np.complex128)
     if rx.size < cfg.frame_samples:
         raise ValueError(

@@ -18,7 +18,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .channel import ChannelParams, MobilityState, _keyed_rng, apply_channel, doppler_shift
-from .frame_codec import INF, FrameConfig, _BlockBuffers, _check_fields, _shown
+from .frame_codec import INF, FrameConfig, _BlockBuffers, _check_fields, _field_value, _shown
 from .noma import (
     DEFAULT_POWER_COEFFICIENTS,
     PowerAllocation,
@@ -45,6 +45,7 @@ __all__ = [
 
 # Smallest bit budget a sweep point may ask of each user
 MIN_BITS_PER_POINT = 100_000
+_BIT_BUDGET = Annotated[int, (">=", MIN_BITS_PER_POINT)]
 
 # Most frames a replay's timeline may hold
 _MAX_FRAMES = 2**18
@@ -122,11 +123,9 @@ class ScenarioConfig:
         for name in _RUN_SET[ChannelParams]:
             if (value := getattr(self.channel, name)) != getattr(unset, name):
                 raise ValueError(f"channel.{name} is set by each run itself, got {value}")
-        # the receiver's cyclic-prefix sync correlates over two symbol periods
-        if self.frame.symbols_per_frame < 2:
-            raise ValueError("frame.symbols_per_frame must be >= 2 for cyclic-prefix sync")
-        if self.frame.cp_length < 1:
-            raise ValueError("frame.cp_length must be >= 1 for cyclic-prefix sync")
+        # CP sync correlates a prefix over two symbol periods; the pilot regression fits 2 pilots
+        for name, least in (("symbols_per_frame", 2), ("cp_length", 1), ("pilot_subcarriers", 2)):
+            _field_value(f"frame.{name}", Annotated[int, (">=", least)], getattr(self.frame, name))
         # a timing candidate more than fft_size samples early lays its prefix
         # windows over the previous symbol's prefix and can outscore the frame
         if self.channel.delay_samples > self.frame.fft_size:
@@ -134,8 +133,6 @@ class ScenarioConfig:
                 f"channel.delay_samples ({_shown(self.channel.delay_samples)}) must be at most"
                 f" frame.fft_size ({self.frame.fft_size})"
             )
-        if self.frame.pilot_subcarriers < 2:
-            raise ValueError("frame.pilot_subcarriers must be >= 2 for the pilot regression")
         if not self.users:
             raise ValueError("users must hold at least one vehicle")
         starts = [u.start_distance for u in self.users]
@@ -193,6 +190,15 @@ class ScenarioConfig:
                 f"channel.cfo_hz plus the Doppler shift at speed and"
                 f" frame.carrier_frequency{wander} ({offset:.1f} Hz)"
                 f" must be below half the subcarrier spacing ({half_spacing:.1f} Hz)"
+            )
+        # equal power coefficients can cancel some composite pilots exactly
+        alloc = resolve_allocation(self)
+        pilots = composite_pilot_values(self.frame, alloc, self.pilot_seed)
+        if not pilots.all():
+            raise ValueError(
+                f"power.coefficients {alloc.coefficients} and pilot_seed {self.pilot_seed} give"
+                f" {pilots.size - np.count_nonzero(pilots)} of {pilots.size} composite pilots"
+                " of exactly 0, and the receiver's pilot regression needs every one nonzero"
             )
         # in the log domain, where a noise power beyond the float range stays a number
         signal, bin_ratio = _anchor_signal(self)
@@ -320,12 +326,9 @@ def snr_histogram(
     Bins are centred on integer multiples of the bin width, so the
     "23 dB" bin covers [22.5, 23.5) for a 1 dB width.
     """
-    if not 0 < bin_width_db < np.inf:
-        raise ValueError(f"bin_width_db must be positive and finite, got {bin_width_db}")
-    if not np.isfinite(stage_split_s):
-        raise ValueError(f"stage_split_s must be finite, got {stage_split_s}")
-    if not np.isfinite(total_duration_s):
-        raise ValueError(f"total_duration_s must be finite, got {total_duration_s}")
+    bin_width_db = _field_value("bin_width_db", Annotated[float, (">", 0)], bin_width_db)
+    stage_split_s = _field_value("stage_split_s", float, stage_split_s)
+    total_duration_s = _field_value("total_duration_s", float, total_duration_s)
     t = np.asarray(times_s, dtype=float)
     v = np.asarray(snr_db, dtype=float)
     if t.size != v.size or t.size == 0:
@@ -539,14 +542,13 @@ def sweep_ber_vs_snr(
     in blocks no longer than the trials still certain to be needed, so
     the blocks run exactly the trials that one trial at a time would.
     """
-    if min_bits_per_point < MIN_BITS_PER_POINT:
-        raise ValueError(f"min_bits_per_point must be at least {MIN_BITS_PER_POINT}")
-    grid = np.sort(np.asarray(snr_grid_db, dtype=float))
-    if grid.size == 0:
+    min_bits_per_point = _field_value("min_bits_per_point", _BIT_BUDGET, min_bits_per_point)
+    # bounded as ChannelParams.target_snr_db: +inf dB is noiseless, a NaN would draw no noise
+    points = np.asarray(snr_grid_db, dtype=object).tolist()
+    points = _field_value("snr_grid", tuple[Annotated[float, INF, (">", -np.inf)], ...], points)
+    if not points:
         raise ValueError("empty SNR grid")
-    # +inf dB is a noiseless point; NaN would also draw no noise, unnoticed
-    if not np.all(grid > -np.inf):
-        raise ValueError(f"snr_grid values must be numbers above -inf, got {grid.tolist()}")
+    grid = np.sort(np.array(points, dtype=float))
 
     frame_cfg = cfg.frame
     alloc = resolve_allocation(cfg)

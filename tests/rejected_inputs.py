@@ -179,6 +179,11 @@ REJECTED = [_config(raw, pattern) for raw, pattern in [
     _config({"timing": {"total_duration": 1e9}}, r"^timing\.total_duration .* 1 to 262144"),
     _config({"timing": {"total_duration": 1e308}}, r"^timing\.total_duration .* 1 to 262144"),
     _config({"frame": {"sample_rate": 1e308}}, r"^timing\.total_duration .*sample_rate 1e\+308"),
+    # equal coefficients cancel 15 of the 25 composite pilots exactly at pilot_seed 295
+    _config({"users": [[4.27, 1.25], [4.02, 1.12]], "power": {"coefficients": [0.5, 0.5]}},
+            r"^power\.coefficients \(0\.5, 0\.5\) and pilot_seed 295 give 15 of 25 composite"),
+    _config({"frame": {"data_subcarriers": 300}},
+            r"fft_size 256 too small .*\(data_subcarriers 300 \+ pilot_subcarriers 25\)"),
 ]
 
 if __name__ == "__main__":

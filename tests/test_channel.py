@@ -133,6 +133,7 @@ class TestMobilityState:
             ({"mobile_end": np.nan}, "mobile_end"),
             ({"speed": np.nan}, "speed"),
             ({"speed": np.inf}, "speed"),
+            ({"mobile_end": 2.0}, "mobile_end must be a time not before stationary_end"),
         ],
     )
     def test_rejects_nan_and_meaningless_infinity(self, change, field):
@@ -172,6 +173,7 @@ class TestChannelParams:
             {"target_snr_db": float("-inf")},
             {"noise_power_dbm": float("nan")},
             {"noise_power_dbm": float("inf")},
+            {"target_snr_db": 20.0, "noise_power_dbm": -60.0},
         ],
     )
     def test_rejects_nan_or_infinite_noise_power(self, level):

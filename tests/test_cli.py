@@ -512,6 +512,13 @@ class TestMainEntry:
         assert "snr_grid" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_a_grid_that_is_not_numbers_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["sweep-ber", "--snr-grid", "0,five", "--out", str(tmp_path / "out")])
+        assert stop.value.code == 2
+        assert "bad SNR grid '0,five'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_grid_with_a_leading_negative_value_is_read_as_the_grid(self, tmp_path, capsys):
         code = main(["sweep-ber", "--snr-grid", "-5,nan", "--out", str(tmp_path)])
         assert code == 1

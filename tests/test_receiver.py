@@ -3,20 +3,36 @@
 import numpy as np
 import pytest
 
-from nomalink.channel import ChannelParams, MobilityState, apply_channel
+from nomalink.channel import (
+    ChannelParams,
+    MobilityState,
+    apply_channel,
+    doppler_shift,
+    generate_fading,
+)
+from nomalink.cli import execute, write_outputs
 from nomalink.frame_codec import (
     FrameConfig,
     _levels_to_bits,
     disassemble_symbol,
     pilot_mask,
     qam_demodulate,
+    qam_modulate,
 )
 from nomalink import receiver
 from nomalink.noma import (
     PowerAllocation,
+    allocate_power_by_distance,
     build_downlink_frame,
     composite_pilot_values,
     sic_decode,
+)
+from nomalink.scenario import (
+    BerCurve,
+    ScenarioConfig,
+    compute_ber,
+    snr_histogram,
+    sweep_ber_vs_snr,
 )
 from nomalink.receiver import (
     SYNC_DETECTION_THRESHOLD,
@@ -471,13 +487,36 @@ class TestReceiveUser:
         assert np.mean(extra) > 0
 
 
+@pytest.fixture
+def no_work(monkeypatch, no_decode_work):
+    """Fail the test if a channel draws its fading, a sweep runs a block, a
+    histogram counts or a command runs, as no_decode_work does for decoding."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("work ran before the argument check")
+
+    for name in (
+        "channel._sos_parameters",
+        "scenario._run_block",
+        "scenario._stage_histogram",
+        "cli.run_v2x_scenario",
+        "cli.sweep_ber_vs_snr",
+        "cli.estimate_k_factor",
+        "cli._selftest",
+    ):
+        monkeypatch.setattr(f"nomalink.{name}", work)
+
+
 def _stage_calls():
-    """One bad call per public stage function, each of which its own check
-    rejects: receive_user skips these checks, the stages keep them."""
+    """One bad call per check of a public function's arguments, each of which
+    that function's own check rejects: receive_user skips the stages' checks,
+    the stages keep them."""
     _, tx = make_frame(31)
     rows = np.ones((CFG.symbols_per_frame, CFG.total_subcarriers), dtype=complex)
     reference = composite_pilot_values(CFG, ALLOC, PILOT_SEED)
     nan_symbols = np.array([1.0 + 1.0j, np.nan])
+    mask = pilot_mask(CFG)
+    payload = np.zeros((2, CFG.payload_bits), dtype=np.int64)
     yield "cp_ml_sync", lambda: cp_ml_sync(_bad_row(tx, "nan"), CFG), "finite samples"
     yield "cp_ml_sync-short", lambda: cp_ml_sync(tx[:500], CFG), "need at least 640 samples"
     yield "correct_cfo", lambda: correct_cfo(tx, np.nan, CFG.sample_rate), "^cfo_hz must be finite"
@@ -496,11 +535,189 @@ def _stage_calls():
     yield "sic_decode", lambda: sic_decode(nan_symbols, ALLOC, 2), "symbols must be finite"
     yield "sic_decode-user", lambda: sic_decode(rows[0], ALLOC, 4), "user index 4"
     yield "qam_demodulate", lambda: qam_demodulate(nan_symbols, 4), "symbols must be finite"
+    yield "qam_modulate-2-D", lambda: qam_modulate(np.zeros((2, 4))), "^bits must be one-dim"
+    yield (
+        "cp_ml_sync-no-prefix",
+        lambda: cp_ml_sync(tx, FrameConfig(cp_length=0)),
+        "^cp_ml_sync requires a cyclic prefix$",
+    )
+    yield (
+        "ls_estimate_channel-zero-reference",
+        lambda: ls_estimate_channel(rows, mask, np.where(np.arange(25) == 3, 0.0, 1.0)),
+        "^pilot reference contains zero-power entries$",
+    )
+    # 1e-200 is not zero, but its power underflows to 0
+    yield (
+        "ls_estimate_channel-degenerate",
+        lambda: ls_estimate_channel(rows, mask, np.full(25, 1e-200)),
+        "^degenerate pilot layout$",
+    )
+    yield (
+        "ls_estimate_channel-overflow",
+        lambda: ls_estimate_channel(rows, mask, np.full(25, 1e200)),
+        "^pilot power overflows$",
+    )
+    yield (
+        "PowerAllocation-empty",
+        lambda: PowerAllocation(()),
+        "^allocation needs at least one coefficient$",
+    )
+    yield (
+        "allocate_power_by_distance-empty",
+        lambda: allocate_power_by_distance([]),
+        "^distances must be a non-empty 1-D sequence$",
+    )
+    yield (
+        "build_downlink_frame-unequal-blocks",
+        lambda: build_downlink_frame([payload, payload, payload[:1]], CFG, ALLOC, PILOT_SEED),
+        "^user waveforms must have equal length$",
+    )
+    yield (
+        "compute_ber-empty",
+        lambda: compute_ber([], [], True),
+        "^cannot compute BER of empty blocks$",
+    )
+    yield (
+        "snr_histogram-unequal",
+        lambda: snr_histogram([0.0, 1.0], [20.0], 1.0, 1.0, 2.0),
+        "^times and values must be equal-length, non-empty$",
+    )
+    yield from _argument_calls(tx)
+
+
+def _argument_calls(tx):
+    """Per number or choice argument that the config field rule checks: one
+    call with a bool or a string and one past the argument's bound."""
+    params, static = ChannelParams(), MobilityState.static(1.0)
+    cfg, curve = ScenarioConfig(), BerCurve(*[np.zeros((1, 1))] * 7)
+    yield (
+        "doppler_shift-speed-bool",
+        lambda: doppler_shift(True, 2.34e9),
+        "^speed must be a number, got True$",
+    )
+    yield (
+        "doppler_shift-speed",
+        lambda: doppler_shift(-1.0, 2.34e9),
+        "^speed must be >= 0, got -1.0$",
+    )
+    yield (
+        "generate_fading-n_samples-string",
+        lambda: generate_fading(params, "10", 1.0, seed=1),
+        "^n_samples must be an integer, got '10'$",
+    )
+    yield (
+        "generate_fading-n_samples",
+        lambda: generate_fading(params, 0, 1.0, seed=1),
+        "^n_samples must be > 0, got 0$",
+    )
+    yield (
+        "generate_fading-sample_rate-bool",
+        lambda: generate_fading(params, 10, True, seed=1),
+        "^sample_rate must be a number, got True$",
+    )
+    yield (
+        "generate_fading-sample_rate",
+        lambda: generate_fading(params, 10, 0.0, seed=1),
+        "^sample_rate must be > 0, got 0.0$",
+    )
+    yield (
+        "apply_channel-sample_rate-string",
+        lambda: apply_channel(tx, "5e5", params, static, seed=1),
+        "^sample_rate must be a number, got '5e5'$",
+    )
+    yield (
+        "apply_channel-sample_rate",
+        lambda: apply_channel(tx, -5e5, params, static, seed=1),
+        "^sample_rate must be > 0, got -500000.0$",
+    )
+    yield (
+        "correct_cfo-cfo_hz-bool",
+        lambda: correct_cfo(tx, True, CFG.sample_rate),
+        "^cfo_hz must be a number, got True$",
+    )
+    yield (
+        "correct_cfo-sample_rate-string",
+        lambda: correct_cfo(tx, 10.0, "5e5"),
+        "^sample_rate must be a number, got '5e5'$",
+    )
+    yield (
+        "correct_cfo-sample_rate",
+        lambda: correct_cfo(tx, 10.0, 0),
+        "^sample_rate must be > 0, got 0$",
+    )
+    yield (
+        "receive_user-sync_threshold-string",
+        lambda: receive_user(tx, CFG, ALLOC, 2, PILOT_SEED, "0.5"),
+        "^sync_threshold must be a number, got '0.5'$",
+    )
+    yield (
+        "receive_user-sync_threshold",
+        lambda: receive_user(tx, CFG, ALLOC, 2, PILOT_SEED, np.nan),
+        "^sync_threshold must be finite, got nan$",
+    )
+    for name, args, match in [
+        ("bin_width_db-bool", (True, 1.0, 2.0), "bin_width_db must be a number, got True"),
+        ("bin_width_db", (0.0, 1.0, 2.0), "bin_width_db must be > 0, got 0.0"),
+        ("stage_split_s-string", (1.0, "1", 2.0), "stage_split_s must be a number, got '1'"),
+        ("stage_split_s", (1.0, np.inf, 2.0), "stage_split_s must be finite, got inf"),
+        ("total_duration_s-bool", (1.0, 1.0, True), "total_duration_s must be a number, got True"),
+        ("total_duration_s", (1.0, 1.0, np.nan), "total_duration_s must be finite, got nan"),
+    ]:
+        yield f"snr_histogram-{name}", lambda a=args: snr_histogram([0.0], [1.0], *a), f"^{match}$"
+    yield (
+        "sweep_ber_vs_snr-min_bits_per_point-bool",
+        lambda: sweep_ber_vs_snr(cfg, [10.0], min_bits_per_point=True),
+        "^min_bits_per_point must be an integer, got True$",
+    )
+    yield (
+        "sweep_ber_vs_snr-min_bits_per_point",
+        lambda: sweep_ber_vs_snr(cfg, [10.0], min_bits_per_point=99_999),
+        "^min_bits_per_point must be >= 100000, got 99999$",
+    )
+    yield (
+        "sweep_ber_vs_snr-snr_grid-string",
+        lambda: sweep_ber_vs_snr(cfg, np.array([10.0, "x"], dtype=object)),
+        r"^snr_grid\[1\] must be a number, got 'x'$",
+    )
+    yield (
+        "sweep_ber_vs_snr-snr_grid",
+        lambda: sweep_ber_vs_snr(cfg, np.array([10.0, np.nan])),
+        r"^snr_grid\[1\] must be finite, got nan$",
+    )
+    choices = "'run-scenario', 'sweep-ber', 'estimate-k', 'selftest'"
+    yield (
+        "execute-command-bool",
+        lambda: execute(True, cfg, "out"),
+        f"^command must be one of {choices}, got True$",
+    )
+    yield (
+        "execute-command",
+        lambda: execute("run_scenario", cfg, "out"),
+        f"^command must be one of {choices}, got 'run_scenario'$",
+    )
+    yield (
+        "execute-fmt-bool",
+        lambda: execute("run-scenario", cfg, "out", fmt=False),
+        "^fmt must be one of 'text', 'records', got False$",
+    )
+    yield (
+        "execute-fmt",
+        lambda: execute("run-scenario", cfg, "out", fmt="csv"),
+        "^fmt must be one of 'text', 'records', got 'csv'$",
+    )
+    yield (
+        "write_outputs-fmt",
+        lambda: write_outputs(curve, "csv", "out/sweep.csv"),
+        "^fmt must be one of 'text', 'records', got 'csv'$",
+    )
 
 
 @pytest.mark.parametrize(
     "call, match", [pytest.param(c, m, id=i) for i, c, m in _stage_calls()]
 )
-def test_each_public_stage_keeps_its_checks(call, match):
+def test_each_public_stage_keeps_its_checks(no_work, tmp_path, monkeypatch, call, match):
+    # a rejected call does no work: execute and write_outputs make no "out"
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match=match):
         call()
+    assert not (tmp_path / "out").exists()
