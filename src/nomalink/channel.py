@@ -314,8 +314,6 @@ def apply_channel(
     mobility: MobilityState,
     seed,
     t0=0.0,
-    *,
-    _work: _BlockBuffers | None = None,
 ) -> tuple[np.ndarray, ChannelRealization]:
     """Propagate transmit samples at ``sample_rate`` through the mobile
     fading channel.
@@ -337,11 +335,8 @@ def apply_channel(
     frame. An empty ``tx``, one that is not 1-D or 2-D or holds a
     non-finite sample, a ``sample_rate`` that is not a finite number > 0,
     another seed row count, or a ``t0`` that is neither one finite time
-    nor one per frame is a ValueError before any draw.
-
-    The received samples and the tap gain are new arrays. With ``_work``,
-    a block driver's buffer set, they are views into that set instead,
-    valid until the next call with the same set; the values are the same.
+    nor one per frame is a ValueError before any draw. The received
+    samples and the tap gain are new arrays.
     """
     tx = np.asarray(tx, dtype=np.complex128)
     if tx.ndim not in (1, 2) or tx.size == 0:
@@ -351,8 +346,7 @@ def apply_channel(
     sample_rate = _field_value("sample_rate", Annotated[float, (">", 0)], sample_rate)
     block = tx.reshape(-1, tx.shape[-1])
     frames = block.shape[0]
-    per_frame = np.ndim(seed) == 2
-    if per_frame and len(seed) != frames:
+    if np.ndim(seed) == 2 and len(seed) != frames:
         raise ValueError(
             f"seed must hold one row per frame: {len(seed)} rows for {frames} frames"
         )
@@ -363,9 +357,20 @@ def apply_channel(
         )
     if not np.isfinite(t0).all():
         raise ValueError(f"t0 must be finite, got {t0}")
-    work = _BlockBuffers() if _work is None else _work
+    rx, h, cfo, noise = _propagate(block, sample_rate, params, mobility, seed, t0, _BlockBuffers())
+    if tx.ndim == 1:
+        rx, h, cfo, noise = rx[0], h[0], float(cfo[0]), float(noise[0])
+    return rx, ChannelRealization(h, cfo, params.delay_samples, noise)
+
+
+def _propagate(block, sample_rate, params, mobility, seed, t0, work: _BlockBuffers):
+    """apply_channel on a (frames, samples) block, unchecked: the received
+    samples and the tap gain, in arrays of ``work``, then per frame the
+    mean applied offset and the noise power."""
+    frames = block.shape[0]
+    per_frame = np.ndim(seed) == 2
     delay = params.delay_samples
-    n = tx.shape[-1] + delay
+    n = block.shape[1] + delay
     shape = (frames, n)
     if delay:
         x = np.concatenate([np.zeros((frames, delay), dtype=np.complex128), block], axis=1)
@@ -438,16 +443,7 @@ def apply_channel(
     for f in np.flatnonzero(noise_power > 0):
         interleaved[f] += draw_rngs[f].normal(0.0, np.sqrt(noise_power[f] / 2.0), (n, 2))
 
-    if tx.ndim == 1:
-        rx, h = rx[0], h[0]
-        applied_cfo, noise_power = float(applied_cfo[0]), float(noise_power[0])
-    truth = ChannelRealization(
-        tap_gain=h,
-        applied_cfo_hz=applied_cfo,
-        applied_delay=delay,
-        noise_power=noise_power,
-    )
-    return rx, truth
+    return rx, h, applied_cfo, noise_power
 
 
 def _rician_moment_start(m2: float, m4: float) -> tuple[float, float]:

@@ -299,11 +299,11 @@ def execute(
     min_bits: int = MIN_BITS_PER_POINT,
     input_path=None,
 ) -> RunManifest:
-    """Run one command and emit its outputs plus a manifest; returns it."""
+    """Run one command and emit its outputs plus a manifest; returns it.
+    A rejected command writes nothing, not even ``out_dir``."""
     command = _field_value("command", Literal[tuple(_COMMANDS)], command)
     fmt = _field_value("fmt", _FORMAT, fmt)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     outputs: list[str] = []
     under_budget: list[float] = []
@@ -330,6 +330,7 @@ def execute(
             "samples": int(envelopes.size),
         }
         target = out / "k_estimate.json"
+        out.mkdir(parents=True, exist_ok=True)
         target.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
         outputs.append(str(target))
     else:
@@ -339,6 +340,8 @@ def execute(
         if not all(ok for _, ok in checks):
             raise RuntimeError("selftest failed")
 
+    # the directory comes with the first file written, so a rejected command leaves none
+    out.mkdir(parents=True, exist_ok=True)
     config_path = out / "resolved_config.json"
     config_path.write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
     manifest = RunManifest(

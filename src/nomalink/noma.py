@@ -22,6 +22,7 @@ from .frame_codec import (
     _check_fields,
     _check_order,
     _decide_levels,
+    _field_value,
     _frozen,
     pilot_values,
 )
@@ -42,6 +43,7 @@ __all__ = [
 DEFAULT_POWER_COEFFICIENTS = (0.761, 0.191, 0.048)
 
 _SUM_TOL = 1e-9
+_DISTANCES = tuple[Annotated[float, (">", 0)], ...]
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,10 @@ def allocate_power_by_distance(distances) -> PowerAllocation:
     alpha_k = d_k^2 / sum_j d_j^2, ordered so the farthest user holds the
     largest coefficient.
     """
-    d = np.asarray(distances, dtype=float)
+    d = np.asarray(distances, dtype=object)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("distances must be a non-empty 1-D sequence")
-    if np.any(d <= 0):
-        raise ValueError("distances must be positive")
+    d = np.array(_field_value("distances", _DISTANCES, d.tolist()), dtype=float)
     alpha = d**2 / np.sum(d**2)
     alpha = np.sort(alpha)[::-1]
     # renormalise away float rounding so the invariant holds exactly
@@ -172,21 +173,21 @@ def build_downlink_frame(
     cfg: FrameConfig,
     alloc: PowerAllocation,
     pilot_seed: int,
-    *,
-    _work: _BlockBuffers | None = None,
 ) -> np.ndarray:
     """Assemble one frame per user and superpose them for transmission.
 
-    Returns the samples at ``cfg.sample_rate``. Each payload may be a
-    block of shape (frames, payload_bits); the samples then carry that
-    leading frame axis. The samples are those of ``superpose`` over
-    ``assemble_frame``'s frames. With ``_work``, a block driver's buffer
-    set, they are a view into that set, valid until the next call with
-    the same set; without it they are a new array.
+    Returns the samples at ``cfg.sample_rate``, a new array. Each payload
+    may be a block of shape (frames, payload_bits); the samples then carry
+    that leading frame axis. The samples are those of ``superpose`` over
+    ``assemble_frame``'s frames.
     """
     if len(payloads) != alloc.n_users:
         raise ValueError(f"need {alloc.n_users} payloads, got {len(payloads)}")
-    work = _BlockBuffers() if _work is None else _work
+    return _downlink(payloads, cfg, alloc, pilot_seed, _BlockBuffers())
+
+
+def _downlink(payloads, cfg: FrameConfig, alloc: PowerAllocation, pilot_seed, work: _BlockBuffers):
+    """build_downlink_frame's samples, unchecked, written to the ``tx`` array of ``work``."""
     out = None
     for k, (amp, payload) in enumerate(zip(alloc.amplitudes, payloads), start=1):
         wave = _assemble(payload, cfg, user_pilot_seed(pilot_seed, k), work)

@@ -17,13 +17,13 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .channel import ChannelParams, MobilityState, _keyed_rng, apply_channel, doppler_shift
+from .channel import ChannelParams, MobilityState, _keyed_rng, _propagate, doppler_shift
 from .frame_codec import INF, FrameConfig, _BlockBuffers, _check_fields, _field_value, _shown
 from .noma import (
     DEFAULT_POWER_COEFFICIENTS,
     PowerAllocation,
+    _downlink,
     allocate_power_by_distance,
-    build_downlink_frame,
     composite_pilot_values,
 )
 from .receiver import SYNC_DETECTION_THRESHOLD, receive_user
@@ -413,17 +413,13 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
     frame_cfg = cfg.frame
     n_frames, k_users, _ = payloads.shape
     n_sym = frame_cfg.symbols_per_frame
-    tx = build_downlink_frame(
-        list(payloads.swapaxes(0, 1)), frame_cfg, alloc, cfg.pilot_seed, _work=work
-    )
+    tx = _downlink(list(payloads.swapaxes(0, 1)), frame_cfg, alloc, cfg.pilot_seed, work)
     detected = np.zeros((n_frames, k_users), dtype=bool)
     cfo = np.full((n_frames, k_users), np.nan)
     errors = np.zeros((n_frames, n_sym, k_users), dtype=np.int64)
     snr = np.full((n_frames, n_sym, k_users), np.nan)
     for k, (params, mobility, seed) in enumerate(channels):
-        rx, _ = apply_channel(
-            tx, frame_cfg.sample_rate, params, mobility, seed=seed, t0=t0, _work=work
-        )
+        rx, *_ = _propagate(tx, frame_cfg.sample_rate, params, mobility, seed, t0, work)
         reports = [
             receive_user(
                 row,

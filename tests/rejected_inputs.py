@@ -1,9 +1,9 @@
 """Inputs that every nomalink command must reject, and the check each one gets.
 
 A rejected input ends the command with exit status 1 and one line on
-stderr, ``error: <message>``, with no traceback and no output file. Each
-row is an argv, the files it names and a pattern that the message (after
-``error: ``) must match. The patterns are regular expressions that
+stderr, ``error: <message>``, with no traceback and no output directory.
+Each row is an argv, the files it names and a pattern that the message
+(after ``error: ``) must match. The patterns are regular expressions that
 Python's ``re.search`` and ``grep -E`` read alike.
 
 tests/test_cli.py runs every row through ``nomalink.cli.main`` in-process.
@@ -184,6 +184,8 @@ REJECTED = [_config(raw, pattern) for raw, pattern in [
             r"^power\.coefficients \(0\.5, 0\.5\) and pilot_seed 295 give 15 of 25 composite"),
     _config({"frame": {"data_subcarriers": 300}},
             r"fft_size 256 too small .*\(data_subcarriers 300 \+ pilot_subcarriers 25\)"),
+    # the sweep's own argument check, run after the config loads
+    Rejection(("sweep-ber", "--snr-grid", "nan"), {}, r"^snr_grid\[0\] must be finite, got nan$"),
 ]
 
 if __name__ == "__main__":

@@ -3,18 +3,32 @@
 The replay and the sweep send, propagate and decode frames in blocks. A
 block must give exactly the bytes that one call per frame gives, so
 these tests compare with ``np.array_equal`` and no tolerance. The
-driver writes every block into one buffer set per run; a block written
-there must give the bytes of a call that makes new arrays.
+driver calls the transmit and channel kernels with one buffer set per
+run; a block written there must give the bytes of the public functions,
+which make new arrays.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nomalink.channel import ChannelParams, MobilityState, apply_channel, doppler_shift
+from nomalink import scenario
+from nomalink.channel import (
+    ChannelParams,
+    MobilityState,
+    _propagate,
+    apply_channel,
+    doppler_shift,
+)
 from nomalink.frame_codec import FrameConfig, _BlockBuffers, disassemble_symbol, pilot_mask
-from nomalink.noma import PowerAllocation, build_downlink_frame, composite_pilot_values
+from nomalink.noma import (
+    PowerAllocation,
+    _downlink,
+    build_downlink_frame,
+    composite_pilot_values,
+)
 from nomalink.receiver import evm_snr, ls_estimate_channel, receive_user, zf_equalize
 from nomalink.scenario import (
     ScenarioConfig,
@@ -333,19 +347,19 @@ def test_a_carried_buffer_set_gives_the_bytes_of_new_arrays(params, per_frame_se
     first_rx = None
     for first, frames in ((672, FRAMES), (680, 3)):
         payloads = list(_payloads(frames, seed=first).swapaxes(0, 1))
-        tx = build_downlink_frame(payloads, CFG, ALLOC, PILOT_SEED, _work=work)
+        tx = _downlink(payloads, CFG, ALLOC, PILOT_SEED, work)
         assert _same_bytes(tx, build_downlink_frame(payloads, CFG, ALLOC, PILOT_SEED))
         if per_frame_seeds:
             seed, t0 = [[7, 20, 1, trial, 2] for trial in range(first, first + frames)], 0.0
         else:
             seed, t0 = [10, 1, 2], (first + np.arange(frames)) * CFG.frame_duration
         args = (CFG.sample_rate, params, mobility)
-        rx, truth = apply_channel(tx, *args, seed=seed, t0=t0, _work=work)
+        rx, tap_gain, applied_cfo, noise_power = _propagate(tx, *args, seed, t0, work)
         new_rx, new_truth = apply_channel(tx, *args, seed=seed, t0=t0)
         assert _same_bytes(rx, new_rx)
-        assert _same_bytes(truth.tap_gain, new_truth.tap_gain)
-        assert _same_bytes(truth.applied_cfo_hz, new_truth.applied_cfo_hz)
-        assert _same_bytes(truth.noise_power, new_truth.noise_power)
+        assert _same_bytes(tap_gain, new_truth.tap_gain)
+        assert _same_bytes(applied_cfo, new_truth.applied_cfo_hz)
+        assert _same_bytes(noise_power, new_truth.noise_power)
         first_rx = rx if first_rx is None else first_rx
     # the tail block's samples are written over the first block's
     assert np.shares_memory(rx, first_rx)
@@ -376,3 +390,47 @@ def test_runs_in_one_process_leave_no_state_behind():
     again = sweep_ber_vs_snr(sweep_cfg, [0.0], min_bits_per_point=100_000)
     for name in ("ber", "ci_low", "ci_high", "bits", "lost_frames", "frames"):
         assert _same_bytes(getattr(again, name), getattr(first, name)), name
+
+
+def test_the_runs_call_the_kernels_not_the_public_transmit_and_channel(monkeypatch):
+    # the public functions check their arguments; the runs build their own
+    # blocks and skip those checks, as they skip receive_user's stage checks
+    replay_cfg = ScenarioConfig(
+        stationary_duration=0.05, travel_duration=0.06, total_duration=0.11
+    )
+    sweep_cfg = replace(ScenarioConfig(), seed=7)
+    expected = run_v2x_scenario(replay_cfg), sweep_ber_vs_snr(sweep_cfg, [0.0, 5.0])
+
+    def public_call(*args, **kwargs):
+        raise AssertionError("a run called a public transmit or channel function")
+
+    public = (apply_channel, build_downlink_frame)
+    bindings = [
+        (module, name)
+        for key, module in list(sys.modules.items())
+        if key == "nomalink" or key.startswith("nomalink.")
+        for name, value in vars(module).items()
+        if any(value is f for f in public)
+    ]
+    assert len(bindings) >= 4  # each module's own name and the package's
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, public_call)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return receive_user(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "receive_user", counted)
+
+    series = run_v2x_scenario(replay_cfg)
+    curve = sweep_ber_vs_snr(sweep_cfg, [0.0, 5.0])
+    replay, sweep = expected
+    for name in ("time_s", "est_snr_db", "est_cfo_hz", "ber", "outage", "detected"):
+        assert _same_bytes(getattr(series, name), getattr(replay, name)), name
+    for name in ("ber", "ci_low", "ci_high", "bits", "lost_frames", "frames"):
+        assert _same_bytes(getattr(curve, name), getattr(sweep, name)), name
+    # one receive_user call per user-frame, each user once per frame
+    user_frames = series.time_s.size // CFG.symbols_per_frame + curve.frames.sum() * 3
+    assert len(calls) == user_frames
+    assert calls.count(1) == calls.count(2) == calls.count(3)

@@ -655,6 +655,18 @@ def _argument_calls(tx):
         lambda: receive_user(tx, CFG, ALLOC, 2, PILOT_SEED, np.nan),
         "^sync_threshold must be finite, got nan$",
     )
+    for name, distances, match in [
+        ("bool", [4.0, True], r"distances\[1\] must be a number, got True"),
+        ("string", ["4", 1.0], r"distances\[0\] must be a number, got '4'"),
+        ("nan", [4.0, np.nan], r"distances\[1\] must be finite, got nan"),
+        ("inf", [4.0, np.inf], r"distances\[1\] must be finite, got inf"),
+        ("zero", [4.0, 0], r"distances\[1\] must be > 0, got 0"),
+    ]:
+        yield (
+            f"allocate_power_by_distance-{name}",
+            lambda d=distances: allocate_power_by_distance(d),
+            f"^{match}$",
+        )
     for name, args, match in [
         ("bin_width_db-bool", (True, 1.0, 2.0), "bin_width_db must be a number, got True"),
         ("bin_width_db", (0.0, 1.0, 2.0), "bin_width_db must be > 0, got 0.0"),
