@@ -61,18 +61,32 @@ def _check_fields(obj, names: dict | None = None) -> None:
         object.__setattr__(obj, name, value)
 
 
+@lru_cache(maxsize=None)
+def _parsed_hint(hint) -> tuple:
+    """``hint`` parsed once for the field rule: its base type, the base's
+    origin and arguments, its (op, limit) marks and whether it is marked ``INF``."""
+    marks = ()
+    if get_origin(hint) is Annotated:
+        hint, *marks = get_args(hint)
+    bounds = tuple(m for m in marks if m != INF)
+    return hint, get_origin(hint), get_args(hint), bounds, INF in marks
+
+
 def _field_value(name: str, hint, value, infinite: bool = False):
     """``value`` as a field annotated ``hint`` holds it: ``int`` takes an
     integer and ``float`` a finite number (±inf where marked ``INF``), neither
     a bool; ``tuple[X, ...]`` takes a tuple or list of X; ``Literal`` one of
     its choices; a value of an ``Annotated`` type meets each of its marks."""
-    if get_origin(hint) is Annotated:
-        hint, *marks = get_args(hint)
-        value = _field_value(name, hint, value, INF in marks)
-        for mark in marks:
-            if mark != INF and value is not None and not _OPS[mark[0]](value, mark[1]):
-                raise ValueError(f"{name} must be {mark[0]} {mark[1]}, got {_shown(value)}")
-        return value
+    hint, origin, args, bounds, marked_inf = _parsed_hint(hint)
+    value = _base_value(name, hint, origin, args, value, infinite or marked_inf)
+    for op, limit in bounds:
+        if value is not None and not _OPS[op](value, limit):
+            raise ValueError(f"{name} must be {op} {limit}, got {_shown(value)}")
+    return value
+
+
+def _base_value(name: str, hint, origin, args, value, infinite: bool):
+    """``value`` as a field of the unannotated type ``hint`` holds it."""
     if hint is int:
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             return int(value)
@@ -91,15 +105,14 @@ def _field_value(name: str, hint, value, infinite: bool = False):
         raise ValueError(f"{name} must be finite, got {number!r}")
     if hint == float | None:
         return None if value is None else _field_value(name, float, value, infinite)
-    if get_origin(hint) is tuple:
+    if origin is tuple:
         if not isinstance(value, (tuple, list)):
             raise ValueError(f"{name} must be a list, got {_shown(value)}")
-        item = get_args(hint)[0]
-        return tuple(_field_value(f"{name}[{i}]", item, v) for i, v in enumerate(value))
-    if get_origin(hint) is Literal:
-        if isinstance(value, str) and value in get_args(hint):
+        return tuple(_field_value(f"{name}[{i}]", args[0], v) for i, v in enumerate(value))
+    if origin is Literal:
+        if isinstance(value, str) and value in args:
             return value
-        choices = ", ".join(map(repr, get_args(hint)))
+        choices = ", ".join(map(repr, args))
         raise ValueError(f"{name} must be one of {choices}, got {_shown(value)}")
     if is_dataclass(hint):
         if isinstance(value, hint):

@@ -85,7 +85,16 @@ def allocate_power_by_distance(distances) -> PowerAllocation:
     if d.ndim != 1 or d.size == 0:
         raise ValueError("distances must be a non-empty 1-D sequence")
     d = np.array(_field_value("distances", _DISTANCES, d.tolist()), dtype=float)
-    alpha = d**2 / np.sum(d**2)
+    # squares or a sum that overflow to inf or underflow to 0 give
+    # coefficients of 0 or NaN
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        squares = d**2
+        alpha = squares / np.sum(squares)
+    if not np.all(alpha > 0):
+        raise ValueError(
+            f"distances {tuple(d.tolist())} have squares or a sum of squares that"
+            " overflow or underflow the float range"
+        )
     alpha = np.sort(alpha)[::-1]
     # renormalise away float rounding so the invariant holds exactly
     alpha = alpha / alpha.sum()

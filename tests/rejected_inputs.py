@@ -186,6 +186,13 @@ REJECTED = [_config(raw, pattern) for raw, pattern in [
             r"fft_size 256 too small .*\(data_subcarriers 300 \+ pilot_subcarriers 25\)"),
     # the sweep's own argument check, run after the config loads
     Rejection(("sweep-ber", "--snr-grid", "nan"), {}, r"^snr_grid\[0\] must be finite, got nan$"),
+    # distance-squared coefficients whose squares overflow, and whose sum underflows to 0
+    _config({"users": [[1e200, 1e199], [1e199, 1e198]], "power": {"policy": "distance-squared"},
+             "channel": {"path_loss_exponent": 0.01}},
+            r"^users with power\.policy 'distance-squared': distances \(1e\+200, 1e\+199\)"),
+    _config({"users": [[1e-170, 1e-171], [1e-171, 1e-172]],
+             "power": {"policy": "distance-squared"}, "channel": {"path_loss_exponent": 0.01}},
+            r"^users with power\.policy 'distance-squared': .* underflow the float range$"),
 ]
 
 if __name__ == "__main__":

@@ -41,7 +41,10 @@ from nomalink.scenario import (
 CFG = FrameConfig()
 ALLOC = PowerAllocation.testbed_default()
 PILOT_SEED = 295
-FRAMES = 8
+# the driver's block length, so that the tail-block cases stay partial blocks
+FRAMES = scenario._BLOCK_FRAMES
+# criterion 9's short timing: 34 frames
+SHORT_REPLAY = ScenarioConfig(stationary_duration=0.05, travel_duration=0.06, total_duration=0.11)
 
 
 def _payloads(frames, seed=0):
@@ -249,13 +252,11 @@ def _replay_frame_by_frame(cfg):
     k_users, n_sym = cfg.n_users, frame_cfg.symbols_per_frame
     n_frames = int(np.floor(cfg.total_duration / frame_cfg.frame_duration))
     symbol_period = frame_cfg.symbol_samples / frame_cfg.sample_rate
-    rng = np.random.default_rng([cfg.seed, 0])
-    # the payload stream is drawn in blocks of 8 frames
-    payloads = np.concatenate(
-        [
-            rng.integers(0, 2, (min(FRAMES, n_frames - first), k_users, frame_cfg.payload_bits))
-            for first in range(0, n_frames, FRAMES)
-        ]
+    # the replay draws its payloads a block at a time; one draw of the whole
+    # stream gives the same bits, because each bit takes one 32-bit word and
+    # PCG64 keeps the spare half of a 64-bit output in its state between draws
+    payloads = np.random.default_rng([cfg.seed, 0]).integers(
+        0, 2, (n_frames, k_users, frame_cfg.payload_bits)
     )
     names = ("time_s", "user", "est_snr_db", "est_cfo_hz", "ber", "detected")
     columns = {name: [] for name in names}
@@ -301,14 +302,9 @@ def _replay_frame_by_frame(cfg):
 
 @pytest.mark.parametrize("anchor_snr_db", [-3.0, -6.0])
 def test_replay_blocks_keep_the_lost_frame_rows(anchor_snr_db):
-    # criterion 9's short timing: 34 frames, four blocks and two frames
-    cfg = ScenarioConfig(
-        stationary_duration=0.05,
-        travel_duration=0.06,
-        total_duration=0.11,
-        anchor_snr_db=anchor_snr_db,
-    )
+    cfg = replace(SHORT_REPLAY, anchor_snr_db=anchor_snr_db)
     columns, lost = _replay_frame_by_frame(cfg)
+    assert 34 % FRAMES != 0  # the run ends on a partial block
     series = run_v2x_scenario(cfg)
     if anchor_snr_db == -3.0:
         assert all(0 < n < 34 for n in lost)
@@ -337,15 +333,15 @@ def _same_bytes(a, b):
     ids=["replay", "replay_delay", "sweep", "sweep_delay"],
 )
 def test_a_carried_buffer_set_gives_the_bytes_of_new_arrays(params, per_frame_seeds):
-    # an 8-frame block, then a 3-frame tail as the replay and the sweep
-    # end, through one buffer set
+    # a whole block, then a 3-frame tail as the replay and the sweep end,
+    # through one buffer set
     if per_frame_seeds:
         mobility = MobilityState.always_moving(1.0)
     else:
         mobility = ScenarioConfig().mobility(2)
     work = _BlockBuffers()
     first_rx = None
-    for first, frames in ((672, FRAMES), (680, 3)):
+    for first, frames in ((672, FRAMES), (672 + FRAMES, 3)):
         payloads = list(_payloads(frames, seed=first).swapaxes(0, 1))
         tx = _downlink(payloads, CFG, ALLOC, PILOT_SEED, work)
         assert _same_bytes(tx, build_downlink_frame(payloads, CFG, ALLOC, PILOT_SEED))
@@ -382,25 +378,50 @@ def test_calls_without_a_buffer_set_return_new_arrays():
 
 def test_runs_in_one_process_leave_no_state_behind():
     sweep_cfg = replace(ScenarioConfig(), seed=5)
-    replay_cfg = ScenarioConfig(
-        stationary_duration=0.05, travel_duration=0.06, total_duration=0.11
-    )
     first = sweep_ber_vs_snr(sweep_cfg, [0.0], min_bits_per_point=100_000)
-    run_v2x_scenario(replay_cfg)
+    run_v2x_scenario(SHORT_REPLAY)
     again = sweep_ber_vs_snr(sweep_cfg, [0.0], min_bits_per_point=100_000)
     for name in ("ber", "ci_low", "ci_high", "bits", "lost_frames", "frames"):
         assert _same_bytes(getattr(again, name), getattr(first, name)), name
 
 
-def test_the_runs_call_the_kernels_not_the_public_transmit_and_channel(monkeypatch):
+REPLAY_FIELDS = ("time_s", "user", "est_snr_db", "est_cfo_hz", "ber", "outage", "detected")
+SWEEP_FIELDS = ("snr_db", "ber", "ci_low", "ci_high", "bits", "lost_frames", "frames")
+
+
+def _criterion_9_runs():
+    """Criterion 9's replay and the 0/5 dB sweep at seed 7."""
+    sweep_cfg = replace(ScenarioConfig(), seed=7)
+    return run_v2x_scenario(SHORT_REPLAY), sweep_ber_vs_snr(sweep_cfg, [0.0, 5.0])
+
+
+@pytest.fixture(scope="module")
+def default_runs():
+    return _criterion_9_runs()
+
+
+def _assert_same_runs(runs, expected):
+    (series, curve), (replay, sweep) = runs, expected
+    for name in REPLAY_FIELDS:
+        assert _same_bytes(getattr(series, name), getattr(replay, name)), name
+    assert series.lost_frames == replay.lost_frames
+    for name in SWEEP_FIELDS:
+        assert _same_bytes(getattr(curve, name), getattr(sweep, name)), name
+
+
+@pytest.mark.parametrize("frames", [1, 5, 32])
+def test_the_block_length_changes_no_byte(monkeypatch, default_runs, frames):
+    # channel draws are keyed by seed and start sample, sweep trials by their
+    # index, and the payload stream is the same at any chunking
+    monkeypatch.setattr(scenario, "_BLOCK_FRAMES", frames)
+    _assert_same_runs(_criterion_9_runs(), default_runs)
+
+
+def test_the_runs_call_the_kernels_not_the_public_transmit_and_channel(
+    monkeypatch, default_runs
+):
     # the public functions check their arguments; the runs build their own
     # blocks and skip those checks, as they skip receive_user's stage checks
-    replay_cfg = ScenarioConfig(
-        stationary_duration=0.05, travel_duration=0.06, total_duration=0.11
-    )
-    sweep_cfg = replace(ScenarioConfig(), seed=7)
-    expected = run_v2x_scenario(replay_cfg), sweep_ber_vs_snr(sweep_cfg, [0.0, 5.0])
-
     def public_call(*args, **kwargs):
         raise AssertionError("a run called a public transmit or channel function")
 
@@ -423,13 +444,8 @@ def test_the_runs_call_the_kernels_not_the_public_transmit_and_channel(monkeypat
 
     monkeypatch.setattr(scenario, "receive_user", counted)
 
-    series = run_v2x_scenario(replay_cfg)
-    curve = sweep_ber_vs_snr(sweep_cfg, [0.0, 5.0])
-    replay, sweep = expected
-    for name in ("time_s", "est_snr_db", "est_cfo_hz", "ber", "outage", "detected"):
-        assert _same_bytes(getattr(series, name), getattr(replay, name)), name
-    for name in ("ber", "ci_low", "ci_high", "bits", "lost_frames", "frames"):
-        assert _same_bytes(getattr(curve, name), getattr(sweep, name)), name
+    series, curve = _criterion_9_runs()
+    _assert_same_runs((series, curve), default_runs)
     # one receive_user call per user-frame, each user once per frame
     user_frames = series.time_s.size // CFG.symbols_per_frame + curve.frames.sum() * 3
     assert len(calls) == user_frames

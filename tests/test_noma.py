@@ -73,6 +73,12 @@ class TestDistancePolicy:
         with pytest.raises(ValueError):
             allocate_power_by_distance([4.0, -1.0])
 
+    @pytest.mark.parametrize("distances", [[1e200, 1.0], [1e-170, 1e-171], [1e150, 1e-150]])
+    def test_rejects_squares_beyond_the_float_range(self, distances):
+        # an overflowing square, a sum that underflows to 0, a coefficient that underflows
+        with pytest.raises(ValueError, match=r"^distances \(.* overflow or underflow"):
+            allocate_power_by_distance(distances)
+
 
 class TestSuperpose:
     def test_single_user_identity(self):
