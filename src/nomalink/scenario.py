@@ -13,6 +13,7 @@ separately, outside the averaged statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Annotated, Literal
 
 import numpy as np
@@ -38,8 +39,6 @@ __all__ = [
     "snr_histogram",
     "run_v2x_scenario",
     "sweep_ber_vs_snr",
-    "resolve_allocation",
-    "calibrate_noise_floor",
     "MIN_BITS_PER_POINT",
 ]
 
@@ -157,30 +156,25 @@ class ScenarioConfig:
                 f" that is zero, or above {sync_limit:.3g} for cyclic-prefix sync over"
                 f" {samples} samples, at some user's start or end distance"
             )
-        if self.power_policy == "fixed":
-            if len(self.power_coefficients) != len(self.users):
-                raise ValueError("power.coefficients must hold one value per user")
-            try:
-                PowerAllocation(self.power_coefficients)
-            except ValueError as exc:
+        if self.power_policy == "fixed" and len(self.power_coefficients) != len(self.users):
+            raise ValueError("power.coefficients must hold one value per user")
+        # the quantities a run reads are worked out once, here, and kept on the
+        # instance: the runs read the values that the checks below passed
+        try:
+            self.allocation
+        except ValueError as exc:
+            if self.power_policy == "fixed":
                 raise ValueError(f"power.coefficients: {exc}") from exc
+            raise ValueError(f"users with power.policy {self.power_policy!r}: {exc}") from exc
         if self.total_duration <= self.stationary_duration:
             raise ValueError("timing.total_duration must exceed timing.stationary_duration")
-        # the replay's frame count; the run's record takes about 7 KB per frame
-        # of the default shape, so 2**18 frames stay under 2 GB
-        frames = np.floor(self.total_duration / self.frame.frame_duration)
-        if not 1 <= frames <= _MAX_FRAMES:
-            raise ValueError(
-                f"timing.total_duration ({self.total_duration} s) must hold 1 to {_MAX_FRAMES}"
-                f" frames of {self.frame.frame_duration:.4g} s (frame.sample_rate"
-                f" {self.frame.sample_rate:.4g}), got {frames:.4g}"
-            )
+        self.n_frames
         # the CP sync resolves offsets within half a subcarrier spacing;
         # beyond it the offset aliases and every frame decodes as noise.
         # Carrier wander runs while vehicles move: four of its standard
         # deviations count against the bound too
         half_spacing = self.frame.subcarrier_spacing / 2.0
-        offset = abs(self.channel.cfo_hz) + doppler_shift(self.speed, self.frame.carrier_frequency)
+        offset = abs(self.channel.cfo_hz) + self.doppler_hz
         wander = ""
         if self.speed > 0:
             offset += 4.0 * self.channel.cfo_jitter_hz
@@ -191,20 +185,8 @@ class ScenarioConfig:
                 f" frame.carrier_frequency{wander} ({offset:.1f} Hz)"
                 f" must be below half the subcarrier spacing ({half_spacing:.1f} Hz)"
             )
-        # equal power coefficients can cancel some composite pilots exactly
-        try:
-            alloc = resolve_allocation(self)
-        except ValueError as exc:
-            raise ValueError(f"users with power.policy {self.power_policy!r}: {exc}") from exc
-        pilots = composite_pilot_values(self.frame, alloc, self.pilot_seed)
-        if not pilots.all():
-            raise ValueError(
-                f"power.coefficients {alloc.coefficients} and pilot_seed {self.pilot_seed} give"
-                f" {pilots.size - np.count_nonzero(pilots)} of {pilots.size} composite pilots"
-                " of exactly 0, and the receiver's pilot regression needs every one nonzero"
-            )
         # in the log domain, where a noise power beyond the float range stays a number
-        signal, bin_ratio = _anchor_signal(self)
+        signal, bin_ratio = self._anchor_signal
         with np.errstate(divide="ignore"):
             noise_log10 = np.log10(signal * bin_ratio) - self.anchor_snr_db / 10.0
         if not noise_log10 < np.log10(sync_limit):
@@ -218,56 +200,88 @@ class ScenarioConfig:
     def n_users(self) -> int:
         return len(self.users)
 
-    @property
-    def mobile_end(self) -> float:
-        return self.stationary_duration + self.travel_duration
-
     def mobility(self, user: int) -> MobilityState:
         path = self.users[user - 1]
         return MobilityState(
             start_distance=path.start_distance,
             end_distance=path.end_distance,
             stationary_end=self.stationary_duration,
-            mobile_end=self.mobile_end,
+            mobile_end=self.stationary_duration + self.travel_duration,
             speed=self.speed,
         )
 
+    @cached_property
+    def allocation(self) -> PowerAllocation:
+        """The power coefficients of the configured policy."""
+        if self.power_policy == "distance-squared":
+            return allocate_power_by_distance([u.start_distance for u in self.users])
+        return PowerAllocation(self.power_coefficients)
 
-def resolve_allocation(cfg: ScenarioConfig) -> PowerAllocation:
-    if cfg.power_policy == "distance-squared":
-        return allocate_power_by_distance([u.start_distance for u in cfg.users])
-    return PowerAllocation(cfg.power_coefficients)
+    @cached_property
+    def doppler_hz(self) -> float:
+        """The Doppler shift at ``speed`` and the frame's carrier frequency."""
+        return doppler_shift(self.speed, self.frame.carrier_frequency)
 
+    @cached_property
+    def n_frames(self) -> int:
+        """Frames in the replay's timeline, 1 to 2**18: the run's record takes
+        about 7 KB per frame of the default shape, so they stay under 2 GB."""
+        frames = np.floor(self.total_duration / self.frame.frame_duration)
+        if not 1 <= frames <= _MAX_FRAMES:
+            raise ValueError(
+                f"timing.total_duration ({self.total_duration} s) must hold 1 to {_MAX_FRAMES}"
+                f" frames of {self.frame.frame_duration:.4g} s (frame.sample_rate"
+                f" {self.frame.sample_rate:.4g}), got {frames:.4g}"
+            )
+        return int(frames)
 
-def _anchor_signal(cfg: ScenarioConfig) -> tuple[float, float]:
-    """The anchor user's received composite pilot power at its start
-    distance, and the ratio of FFT bins to occupied subcarriers: the noise
-    power is their product over the anchor SNR."""
-    anchor_user = min(2, cfg.n_users)
-    d = cfg.users[anchor_user - 1].start_distance
-    amp2 = (cfg.channel.reference_distance / d) ** cfg.channel.path_loss_exponent
-    pilots = composite_pilot_values(cfg.frame, resolve_allocation(cfg), cfg.pilot_seed)
-    pilot_power = float(np.mean(np.abs(pilots) ** 2))
-    # per-subcarrier SNR -> time-domain variance: noise spreads over all
-    # fft bins while the signal occupies total_subcarriers of them
-    return amp2 * pilot_power, cfg.frame.fft_size / cfg.frame.total_subcarriers
+    @cached_property
+    def _anchor_signal(self) -> tuple[float, float]:
+        """The anchor user's received composite pilot power at its start
+        distance, and the ratio of FFT bins to occupied subcarriers: the noise
+        power is their product over the anchor SNR."""
+        pilots = composite_pilot_values(self.frame, self.allocation, self.pilot_seed)
+        # equal power coefficients can cancel some composite pilots exactly
+        if not pilots.all():
+            raise ValueError(
+                f"power.coefficients {self.allocation.coefficients} and pilot_seed"
+                f" {self.pilot_seed} give {pilots.size - np.count_nonzero(pilots)} of"
+                f" {pilots.size} composite pilots of exactly 0, and the receiver's pilot"
+                " regression needs every one nonzero"
+            )
+        d = self.users[min(2, self.n_users) - 1].start_distance
+        amp2 = (self.channel.reference_distance / d) ** self.channel.path_loss_exponent
+        pilot_power = float(np.mean(np.abs(pilots) ** 2))
+        # per-subcarrier SNR -> time-domain variance: noise spreads over all
+        # fft bins while the signal occupies total_subcarriers of them
+        return amp2 * pilot_power, self.frame.fft_size / self.frame.total_subcarriers
 
+    @cached_property
+    def noise_floor_dbm(self) -> float:
+        """Receiver noise floor (dBm) anchoring the second user's stationary SNR.
 
-def calibrate_noise_floor(cfg: ScenarioConfig) -> float:
-    """Receiver noise floor (dBm) anchoring the second user's stationary SNR.
+        The floor is constant over the run and set so the anchor user's
+        pilot-estimated SNR at its start distance lands on ``anchor_snr_db``;
+        every other user's SNR follows from its own distance through the
+        squared-distance path loss. Unit transmit sample power is taken as
+        30 dBm. The realized composite pilot power enters so the anchor holds
+        for any pilot seed and power allocation.
+        """
+        signal, bin_ratio = self._anchor_signal
+        noise_power = signal * 10.0 ** (-self.anchor_snr_db / 10.0) * bin_ratio
+        if noise_power == 0.0:
+            return -np.inf
+        return 10.0 * np.log10(noise_power) + 30.0
 
-    The floor is constant over the run and set so the anchor user's
-    pilot-estimated SNR at its start distance lands on ``anchor_snr_db``;
-    every other user's SNR follows from its own distance through the
-    squared-distance path loss. Unit transmit sample power is taken as
-    30 dBm. The realized composite pilot power enters so the anchor holds
-    for any pilot seed and power allocation.
-    """
-    signal, bin_ratio = _anchor_signal(cfg)
-    noise_power = signal * 10.0 ** (-cfg.anchor_snr_db / 10.0) * bin_ratio
-    if noise_power == 0.0:
-        return -np.inf
-    return 10.0 * np.log10(noise_power) + 30.0
+    def run_channel(self, target_snr_db: float | None = None) -> ChannelParams:
+        """The channel with the ``_RUN_SET`` fields a run sets: the Doppler shift at
+        speed, and noise at the anchored floor or, given ``target_snr_db``, at that SNR."""
+        return replace(
+            self.channel,
+            doppler_hz=self.doppler_hz,
+            target_snr_db=target_snr_db,
+            noise_power_dbm=self.noise_floor_dbm if target_snr_db is None else None,
+        )
 
 
 def compute_ber(tx_bits, rx_bits, detected: bool) -> float:
@@ -404,7 +418,7 @@ class MetricsTimeSeries:
 _BLOCK_FRAMES = 16
 
 
-def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, t0, work):
+def _run_block(cfg: ScenarioConfig, payloads, channels, t0, work):
     """Send one block of frames, decode every frame at every vehicle and
     count its bit errors against the payloads.
 
@@ -421,7 +435,7 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
     frame_cfg = cfg.frame
     n_frames, k_users, _ = payloads.shape
     n_sym = frame_cfg.symbols_per_frame
-    tx = _downlink(list(payloads.swapaxes(0, 1)), frame_cfg, alloc, cfg.pilot_seed, work)
+    tx = _downlink(list(payloads.swapaxes(0, 1)), frame_cfg, cfg.allocation, cfg.pilot_seed, work)
     detected = np.zeros((n_frames, k_users), dtype=bool)
     cfo = np.full((n_frames, k_users), np.nan)
     errors = np.zeros((n_frames, n_sym, k_users), dtype=np.int64)
@@ -432,7 +446,7 @@ def _run_block(cfg: ScenarioConfig, alloc: PowerAllocation, payloads, channels, 
             receive_user(
                 row,
                 frame_cfg,
-                alloc,
+                cfg.allocation,
                 k + 1,
                 cfg.pilot_seed,
                 sync_threshold=cfg.sync_threshold,
@@ -463,20 +477,12 @@ def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
     frame at a time.
     """
     frame_cfg = cfg.frame
-    alloc = resolve_allocation(cfg)
-    k_users = cfg.n_users
-    f_d = doppler_shift(cfg.speed, frame_cfg.carrier_frequency)
-    params = replace(
-        cfg.channel,
-        doppler_hz=f_d,
-        target_snr_db=None,
-        noise_power_dbm=calibrate_noise_floor(cfg),
-    )
+    k_users, n_frames = cfg.n_users, cfg.n_frames
+    params = cfg.run_channel()
     channels = [
         (params, cfg.mobility(k), [cfg.seed, 1, k]) for k in range(1, k_users + 1)
     ]
 
-    n_frames = int(np.floor(cfg.total_duration / frame_cfg.frame_duration))
     n_sym = frame_cfg.symbols_per_frame
     bits_per_ofdm_symbol = frame_cfg.data_subcarriers * frame_cfg.bits_per_symbol
     payload_rng = _keyed_rng([cfg.seed, 0])
@@ -495,7 +501,7 @@ def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
         payloads = payload_rng.integers(
             0, 2, (block.stop - first, k_users, frame_cfg.payload_bits), dtype=np.int64
         )
-        decode = _run_block(cfg, alloc, payloads, channels, frame_starts[block], work)
+        decode = _run_block(cfg, payloads, channels, frame_starts[block], work)
         detected[block], cfos[block], errors[block], snrs[block] = decode
 
     symbol_times = frame_starts[:, None] + np.arange(n_sym) * (
@@ -555,9 +561,7 @@ def sweep_ber_vs_snr(
     grid = np.sort(np.array(points, dtype=float))
 
     frame_cfg = cfg.frame
-    alloc = resolve_allocation(cfg)
     k_users, seed = cfg.n_users, cfg.seed
-    f_d = doppler_shift(cfg.speed, frame_cfg.carrier_frequency)
     mobility = MobilityState.always_moving(
         cfg.channel.reference_distance, speed=cfg.speed
     )
@@ -573,12 +577,7 @@ def sweep_ber_vs_snr(
 
     work = _BlockBuffers()
     for i, snr in enumerate(grid):
-        params = replace(
-            cfg.channel,
-            doppler_hz=f_d,
-            target_snr_db=float(snr),
-            noise_power_dbm=None,
-        )
+        params = cfg.run_channel(float(snr))
         trial = 0
         while np.min(bits[i]) < min_bits_per_point and trial < max_frames:
             # every user gains at most payload_bits a trial, so the loop
@@ -600,9 +599,7 @@ def sweep_ber_vs_snr(
                 (params, mobility, [[seed, 20, i, t, k] for t in trials])
                 for k in range(1, k_users + 1)
             ]
-            detected, _, block_errors, _ = _run_block(
-                cfg, alloc, payloads, channels, 0.0, work
-            )
+            detected, _, block_errors, _ = _run_block(cfg, payloads, channels, 0.0, work)
             hits = np.count_nonzero(detected, axis=0)
             errors[i] += block_errors.sum(axis=(0, 1))
             bits[i] += hits * frame_cfg.payload_bits

@@ -30,13 +30,7 @@ from nomalink.noma import (
     composite_pilot_values,
 )
 from nomalink.receiver import evm_snr, ls_estimate_channel, receive_user, zf_equalize
-from nomalink.scenario import (
-    ScenarioConfig,
-    calibrate_noise_floor,
-    resolve_allocation,
-    run_v2x_scenario,
-    sweep_ber_vs_snr,
-)
+from nomalink.scenario import ScenarioConfig, run_v2x_scenario, sweep_ber_vs_snr
 
 CFG = FrameConfig()
 ALLOC = PowerAllocation.testbed_default()
@@ -179,14 +173,7 @@ def test_receiver_stages_take_a_symbol_axis():
 
 def _sweep_trial_by_trial(cfg, snr_db, min_bits, seed):
     """The sweep as one frame per loop turn: the reference the blocks must match."""
-    frame_cfg = cfg.frame
-    alloc = resolve_allocation(cfg)
-    params = replace(
-        cfg.channel,
-        doppler_hz=doppler_shift(cfg.speed, frame_cfg.carrier_frequency),
-        target_snr_db=snr_db,
-        noise_power_dbm=None,
-    )
+    frame_cfg, alloc, params = cfg.frame, cfg.allocation, cfg.run_channel(snr_db)
     mobility = MobilityState.always_moving(cfg.channel.reference_distance, speed=cfg.speed)
     k_users = cfg.n_users
     errors, bits, lost = (np.zeros(k_users, dtype=np.int64) for _ in range(3))
@@ -241,16 +228,8 @@ def test_sweep_blocks_run_the_same_trials(cfg, snr_db, min_bits, expect_cap):
 
 def _replay_frame_by_frame(cfg):
     """The replay as one frame per loop turn, columns in (time, user) row order."""
-    frame_cfg = cfg.frame
-    alloc = resolve_allocation(cfg)
-    params = replace(
-        cfg.channel,
-        doppler_hz=doppler_shift(cfg.speed, frame_cfg.carrier_frequency),
-        target_snr_db=None,
-        noise_power_dbm=calibrate_noise_floor(cfg),
-    )
-    k_users, n_sym = cfg.n_users, frame_cfg.symbols_per_frame
-    n_frames = int(np.floor(cfg.total_duration / frame_cfg.frame_duration))
+    frame_cfg, alloc, params = cfg.frame, cfg.allocation, cfg.run_channel()
+    k_users, n_sym, n_frames = cfg.n_users, frame_cfg.symbols_per_frame, cfg.n_frames
     symbol_period = frame_cfg.symbol_samples / frame_cfg.sample_rate
     # the replay draws its payloads a block at a time; one draw of the whole
     # stream gives the same bits, because each bit takes one 32-bit word and

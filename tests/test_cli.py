@@ -30,7 +30,6 @@ from nomalink.scenario import (
     _CONFIG_PATHS,
     _RUN_SET,
     ScenarioConfig,
-    resolve_allocation,
     run_v2x_scenario,
 )
 from rejected_inputs import FAR_USERS, HUGE, REJECTED, config_text
@@ -323,11 +322,10 @@ def test_config_is_rejected_at_load_or_runs_to_the_end(tmp_path, raw):
         return
     # timing acquisition finds the frame start at every delay that loads
     delay = cfg.channel.delay_samples
-    assert _sync_offsets(cfg.frame, delay, resolve_allocation(cfg), cfg.pilot_seed) == {delay}
+    assert _sync_offsets(cfg.frame, delay, cfg.allocation, cfg.pilot_seed) == {delay}
     execute("run-scenario", cfg, tmp_path / "out")
     lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
-    frames = int(np.floor(cfg.total_duration / cfg.frame.frame_duration))
-    assert len(lines) - 1 == frames * cfg.frame.symbols_per_frame * cfg.n_users > 0
+    assert len(lines) - 1 == cfg.n_frames * cfg.frame.symbols_per_frame * cfg.n_users > 0
     rows = dict(zip(lines[0].split(","), np.loadtxt(lines[1:], delimiter=",", ndmin=2).T))
     for flag in ("detected", "outage"):
         assert set(np.unique(rows[flag])) <= {0.0, 1.0}

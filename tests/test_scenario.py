@@ -1,7 +1,7 @@
 """Experiment replay, metric computation, and Monte Carlo sweep checks."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Annotated, get_args, get_origin
 
 import numpy as np
@@ -13,11 +13,10 @@ from nomalink.frame_codec import _OPS, INF, FrameConfig, _field_hints, _field_va
 from nomalink.noma import PowerAllocation
 from nomalink.scenario import (
     _CONFIG_PATHS,
+    _RUN_SET,
     ScenarioConfig,
     UserPath,
-    calibrate_noise_floor,
     compute_ber,
-    resolve_allocation,
     run_v2x_scenario,
     snr_histogram,
     sweep_ber_vs_snr,
@@ -136,11 +135,11 @@ class TestScenarioConfig:
         assert cfg.users[0].start_distance == 4.27
         assert cfg.users[2].end_distance == 0.57
         assert cfg.total_duration == 5.74
-        assert resolve_allocation(cfg).coefficients == (0.761, 0.191, 0.048)
+        assert cfg.allocation.coefficients == (0.761, 0.191, 0.048)
 
     def test_distance_squared_policy(self):
         cfg = ScenarioConfig(power_policy="distance-squared")
-        assert resolve_allocation(cfg).coefficients == pytest.approx(
+        assert cfg.allocation.coefficients == pytest.approx(
             (0.368, 0.326, 0.307), abs=1e-3
         )
 
@@ -186,8 +185,8 @@ class TestScenarioConfig:
         ScenarioConfig(channel=replace(channel, cfo_hz=900.0), speed=0.0)
 
     def test_noise_floor_tracks_anchor(self):
-        quiet = calibrate_noise_floor(ScenarioConfig(anchor_snr_db=30.0))
-        loud = calibrate_noise_floor(ScenarioConfig(anchor_snr_db=20.0))
+        quiet = ScenarioConfig(anchor_snr_db=30.0).noise_floor_dbm
+        loud = ScenarioConfig(anchor_snr_db=20.0).noise_floor_dbm
         assert loud - quiet == pytest.approx(10.0)
 
 
@@ -203,6 +202,22 @@ def _short_cfg(**kwargs):
 
 
 class TestRunScenario:
+    def test_runs_set_only_the_run_fields_and_replay_n_frames(self):
+        cfg = _short_cfg()
+        for target_snr_db, floor in ((None, cfg.noise_floor_dbm), (12.0, None)):
+            channel = cfg.run_channel(target_snr_db)
+            changed = {
+                f.name
+                for f in fields(ChannelParams)
+                if getattr(channel, f.name) != getattr(cfg.channel, f.name)
+            }
+            assert changed <= set(_RUN_SET[ChannelParams])
+            run_set = (channel.doppler_hz, channel.target_snr_db, channel.noise_power_dbm)
+            assert run_set == (cfg.doppler_hz, target_snr_db, floor)
+        series = run_v2x_scenario(cfg)
+        assert cfg.n_frames == 50
+        assert series.time_s.size == cfg.n_frames * cfg.frame.symbols_per_frame * cfg.n_users
+
     def test_row_structure(self):
         cfg = _short_cfg()
         series = run_v2x_scenario(cfg)

@@ -36,7 +36,7 @@ import pytest
 
 from nomalink.channel import ChannelParams
 from nomalink.frame_codec import FrameConfig
-from nomalink.scenario import ScenarioConfig, resolve_allocation, sweep_ber_vs_snr
+from nomalink.scenario import ScenarioConfig, sweep_ber_vs_snr
 
 SNR_GRID_DB = (6.0, 10.0, 14.0)
 BITS_PER_POINT = 200_000
@@ -132,7 +132,7 @@ def test_sweep_ber_lies_between_perfect_and_ls_limited_theory(policy):
         seed=3,
     )
     curve = sweep_ber_vs_snr(cfg, SNR_GRID_DB, min_bits_per_point=BITS_PER_POINT)
-    coefficients = resolve_allocation(cfg).coefficients
+    coefficients = cfg.allocation.coefficients
     frame = cfg.frame
     # the noise spreads over every FFT bin, the signal over the occupied ones
     bin_gain_db = 10.0 * math.log10(frame.fft_size / frame.total_subcarriers)
@@ -162,7 +162,7 @@ def test_16qam_sweep_ber_lies_between_perfect_and_ls_limited_theory():
         seed=3,
     )
     curve = sweep_ber_vs_snr(cfg, SNR_GRID_DB, min_bits_per_point=BITS_PER_POINT)
-    coefficients = resolve_allocation(cfg).coefficients
+    coefficients = cfg.allocation.coefficients
     frame = cfg.frame
     bin_gain_db = 10.0 * math.log10(frame.fft_size / frame.total_subcarriers)
     ls_loss_db = 10.0 * math.log10(1.0 + 2.0 / frame.pilot_subcarriers)
