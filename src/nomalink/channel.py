@@ -16,7 +16,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .frame_codec import INF, _BlockBuffers, _check_fields, _field_value
+from .frame_codec import INF, _BlockBuffers, _check_fields, _field_value, _seed_value
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -260,6 +260,24 @@ def _seed_words(seed) -> list[int]:
     return [int(s) for s in entries]
 
 
+def _seed_rows(seed, frames: int):
+    """apply_channel's ``seed``, checked: one seed for every row, or a 2-D
+    array or list with one seed row per frame, as a tuple of rows."""
+    if isinstance(seed, np.ndarray):
+        seed = seed.tolist()
+    per_frame = isinstance(seed, (tuple, list)) and len(seed) > 0 and all(
+        isinstance(row, (tuple, list)) for row in seed
+    )
+    if not per_frame:
+        return _seed_value("seed", seed)
+    rows = tuple(_seed_value(f"seed[{i}]", row) for i, row in enumerate(seed))
+    if len(rows) != frames:
+        raise ValueError(f"seed must hold one row per frame: {len(rows)} rows for {frames} frames")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"seed rows must be of equal length, got {[len(row) for row in rows]}")
+    return rows
+
+
 def _fading_seed(seed):
     return _seed_words(seed) + [0]
 
@@ -289,7 +307,7 @@ def generate_fading(
     """
     n_samples = _field_value("n_samples", Annotated[int, (">", 0)], n_samples)
     sample_rate = _field_value("sample_rate", Annotated[float, (">", 0)], sample_rate)
-    rng = _keyed_rng(_fading_seed(seed))
+    rng = _keyed_rng(_fading_seed(_seed_value("seed", seed)))
     angles, phases = _sos_parameters(rng, params.n_sinusoids)
     tau = np.arange(n_samples) / sample_rate
     los, diff = _rician_weights(params.rician_k)
@@ -331,10 +349,11 @@ def apply_channel(
     block is propagated row by row in one call, exactly as one call per
     row would: ``t0`` then gives each row's start time, and ``seed`` is
     either one seed shared by the rows or a 2-D array with one seed row
-    per frame. The realization's fields then hold one row or value per
-    frame. An empty ``tx``, one that is not 1-D or 2-D or holds a
-    non-finite sample, a ``sample_rate`` that is not a finite number > 0,
-    another seed row count, or a ``t0`` that is neither one finite time
+    per frame. A seed is a non-negative integer or a list of them. The
+    realization's fields then hold one row or value per frame. An empty
+    ``tx``, one that is not 1-D or 2-D or holds a non-finite sample, a
+    ``sample_rate`` that is not a finite number > 0, a seed or seed row
+    of another form or count, or a ``t0`` that is neither one finite time
     nor one per frame is a ValueError before any draw. The received
     samples and the tap gain are new arrays.
     """
@@ -346,10 +365,7 @@ def apply_channel(
     sample_rate = _field_value("sample_rate", Annotated[float, (">", 0)], sample_rate)
     block = tx.reshape(-1, tx.shape[-1])
     frames = block.shape[0]
-    if np.ndim(seed) == 2 and len(seed) != frames:
-        raise ValueError(
-            f"seed must hold one row per frame: {len(seed)} rows for {frames} frames"
-        )
+    seed = _seed_rows(seed, frames)
     t0 = np.asarray(t0, dtype=float)
     if t0.ndim > 1 or t0.size not in (1, frames):
         raise ValueError(

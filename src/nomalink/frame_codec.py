@@ -85,6 +85,20 @@ def _field_value(name: str, hint, value, infinite: bool = False):
     return value
 
 
+_SEED_WORD = Annotated[int, (">=", 0)]
+
+
+def _seed_value(name: str, seed):
+    """``seed`` as a random seed argument takes it: a non-negative integer, or
+    a list or 1-D array of them as a tuple, which numpy seeds alike. Any other
+    value, a bool, a float or a string among them, is a ValueError naming it."""
+    if isinstance(seed, np.ndarray):
+        seed = seed.tolist()
+    if isinstance(seed, (tuple, list)):
+        return _field_value(name, tuple[_SEED_WORD, ...], seed)
+    return _field_value(name, _SEED_WORD, seed)
+
+
 def _base_value(name: str, hint, origin, args, value, infinite: bool):
     """``value`` as a field of the unannotated type ``hint`` holds it."""
     if hint is int:
@@ -248,10 +262,13 @@ def _axis_norm(order: int) -> float:
     return np.sqrt(2.0 * (order - 1) / 3.0)
 
 
-def _check_order(order: int, name: str = "order") -> None:
-    # square QAM: an axis holds sqrt(order) levels, from 2 up to 2**16 of them
+def _check_order(order: int, name: str = "order") -> int:
+    """``order`` as an integer, checked as a square QAM order: an axis holds
+    sqrt(order) levels, from 2 up to 2**16 of them."""
+    order = _field_value(name, int, order)
     if not _is_power_of_two(order) or int(log2(order)) % 2 != 0 or not 4 <= order <= 4**16:
         raise ValueError(f"{name} must be a power of 4 from 4 to 4**16, got {_shown(order)}")
+    return order
 
 
 @lru_cache(maxsize=8)
@@ -296,7 +313,7 @@ def qam_modulate(bits, order: int = 4) -> np.ndarray:
     selects the in-phase level, the second half the quadrature level. For
     4QAM the pair (b1, b0) maps to ((1 - 2*b1) + 1j*(1 - 2*b0)) / sqrt(2).
     """
-    _check_order(order)
+    order = _check_order(order)
     bits = np.asarray(bits, dtype=np.int64)
     if bits.ndim != 1:
         raise ValueError("bits must be one-dimensional")
@@ -314,7 +331,7 @@ def qam_modulate(bits, order: int = 4) -> np.ndarray:
 
 def qam_demodulate(symbols, order: int = 4) -> np.ndarray:
     """Hard minimum-distance decision back to bits; inverse of qam_modulate."""
-    _check_order(order)
+    order = _check_order(order)
     symbols = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(symbols.view(np.float64))):
         raise ValueError("symbols must be finite")
@@ -386,7 +403,7 @@ def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> np.ndarray:
     (frames, payload_bits) builds one frame per row, and the samples
     carry the same leading frame axis.
     """
-    return _assemble(payload, cfg, pilot_seed, _BlockBuffers())
+    return _assemble(payload, cfg, _seed_value("pilot_seed", pilot_seed), _BlockBuffers())
 
 
 def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.ndarray:
@@ -398,8 +415,9 @@ def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.n
     leading symbol axis, one symbol period per row, give one row of
     subcarriers per symbol through a single FFT.
     """
+    symbol_start = _field_value("symbol_start", Annotated[int, (">=", 0)], symbol_start)
     samples = np.asarray(samples, dtype=np.complex128)
-    if symbol_start < 0 or samples.shape[-1] - symbol_start < cfg.fft_size:
+    if samples.shape[-1] - symbol_start < cfg.fft_size:
         raise ValueError(
             f"segment too short: need {cfg.fft_size} samples at offset {symbol_start}"
         )

@@ -24,6 +24,7 @@ from .frame_codec import (
     _decide_levels,
     _field_value,
     _frozen,
+    _seed_value,
     pilot_values,
 )
 
@@ -138,13 +139,20 @@ def sic_decode(
     errors by design: imperfect cancellation is a measured phenomenon,
     not a failure mode.
     """
-    if not 1 <= user <= alloc.n_users:
-        raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
-    _check_order(order)
+    user = _check_user(user, alloc)
+    order = _check_order(order)
     residual = np.array(symbols, dtype=np.complex128, order="C")
     if not np.all(np.isfinite(residual)):
         raise ValueError("symbols must be finite")
     return _sic(residual, alloc.amplitudes, user, order)
+
+
+def _check_user(user, alloc: PowerAllocation) -> int:
+    """``user`` as an integer index into the allocation's users, 1 to n_users."""
+    user = _field_value("user", int, user)
+    if not 1 <= user <= alloc.n_users:
+        raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
+    return user
 
 
 def _sic(
@@ -163,9 +171,10 @@ def _sic(
     return residual / amps[user - 1], stage_levels
 
 
-def user_pilot_seed(pilot_seed: int, user: int) -> tuple[int, int]:
-    """Per-user pilot sequence seed; keeps composite pilot power near unity."""
-    return (int(pilot_seed), int(user))
+def user_pilot_seed(pilot_seed, user: int) -> tuple[int, ...]:
+    """Per-user pilot sequence seed, the words of a checked ``pilot_seed`` and
+    then the user; keeps composite pilot power near unity."""
+    return (*pilot_seed, user) if isinstance(pilot_seed, tuple) else (pilot_seed, user)
 
 
 @lru_cache(maxsize=256)
@@ -192,6 +201,7 @@ def build_downlink_frame(
     """
     if len(payloads) != alloc.n_users:
         raise ValueError(f"need {alloc.n_users} payloads, got {len(payloads)}")
+    pilot_seed = _seed_value("pilot_seed", pilot_seed)
     return _downlink(payloads, cfg, alloc, pilot_seed, _BlockBuffers())
 
 

@@ -29,11 +29,12 @@ from .frame_codec import (
     _demodulate,
     _field_value,
     _frozen,
+    _seed_value,
     _spectrum_scale,
     occupied_bins,
     pilot_mask,
 )
-from .noma import PowerAllocation, _sic, composite_pilot_values
+from .noma import PowerAllocation, _check_user, _sic, composite_pilot_values
 
 __all__ = [
     "SyncEstimate",
@@ -367,19 +368,24 @@ def receive_user(
     qam_demodulate; the stages from the FFT to the EVM take all of the
     frame's symbols at once. The arguments are checked once, before any
     work: a buffer under one frame, not 1-D, not finite or whose power
-    would overflow CP sync, a NaN threshold or a user outside the
-    allocation is a ValueError. The stages then run unchecked, with the
-    bytes of the public stage functions, on one plan cached per
-    (cfg, alloc, pilot_seed, row length): a single cache lookup per call
-    gives the pilot terms, the indices and the CP-sync windows. Only the
+    would overflow CP sync, a NaN threshold, a user that is not an integer
+    index into the allocation or a pilot seed that is neither a
+    non-negative integer nor a list of them is a ValueError. The stages
+    then run unchecked, with the bytes of the public stage functions, on
+    one plan cached per (cfg, alloc, pilot_seed, row length): a single
+    cache lookup per call gives the pilot terms, the indices and the
+    CP-sync windows. Only the
     symbol bodies at the chosen timing are corrected for the CFO. Sync
     never places a frame past the end of a longer buffer. A sync peak
     below ``sync_threshold`` or a symbol that zero-forcing erases on every
     subcarrier yields detected=False with empty bits; the report keeps the
     sync peak; a threshold above 1 loses every frame.
     """
-    if not 1 <= user <= alloc.n_users:
-        raise ValueError(f"user index {user} outside 1..{alloc.n_users}")
+    user = _check_user(user, alloc)
+    # the runs pass a non-negative int seed on every frame, which costs a
+    # type test here; any other seed takes the seed rule
+    if type(pilot_seed) is not int or pilot_seed < 0:
+        pilot_seed = _seed_value("pilot_seed", pilot_seed)
     sync_threshold = _field_value("sync_threshold", _THRESHOLD, sync_threshold)
     rx = np.asarray(rx, dtype=np.complex128)
     if rx.size < cfg.frame_samples:

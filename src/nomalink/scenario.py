@@ -341,7 +341,8 @@ def snr_histogram(
     """Stationary and mobile occurrence histograms of an SNR series.
 
     Bins are centred on integer multiples of the bin width, so the
-    "23 dB" bin covers [22.5, 23.5) for a 1 dB width.
+    "23 dB" bin covers [22.5, 23.5) for a 1 dB width. Non-finite SNR
+    values, those of lost frames, are not counted; every time must be finite.
     """
     bin_width_db = _field_value("bin_width_db", Annotated[float, (">", 0)], bin_width_db)
     stage_split_s = _field_value("stage_split_s", float, stage_split_s)
@@ -350,6 +351,8 @@ def snr_histogram(
     v = np.asarray(snr_db, dtype=float)
     if t.size != v.size or t.size == 0:
         raise ValueError("times and values must be equal-length, non-empty")
+    if not np.isfinite(t).all():
+        raise ValueError("times_s must be finite")
     stationary = _stage_histogram(v[t < stage_split_s], bin_width_db, stage_split_s)
     mobile = _stage_histogram(
         v[t >= stage_split_s], bin_width_db, total_duration_s - stage_split_s

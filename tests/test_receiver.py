@@ -14,6 +14,7 @@ from nomalink.cli import execute, write_outputs
 from nomalink.frame_codec import (
     FrameConfig,
     _levels_to_bits,
+    assemble_frame,
     disassemble_symbol,
     pilot_mask,
     qam_demodulate,
@@ -696,6 +697,57 @@ def _argument_calls(tx):
         lambda: sweep_ber_vs_snr(cfg, np.array([10.0, np.nan])),
         r"^snr_grid\[1\] must be finite, got nan$",
     )
+    for name, times in (("nan", [np.nan, 1.0, 0.2]), ("inf", [0.0, np.inf, 0.2])):
+        yield (
+            f"snr_histogram-times_s-{name}",
+            lambda t=times: snr_histogram(t, [1.0, 2.0, 3.0], 1.0, 0.5, 2.0),
+            "^times_s must be finite$",
+        )
+    # an integer argument takes no bool and no float, not even a whole one
+    symbols = np.ones(4, dtype=complex)
+    for name, call, whole in [
+        ("receive_user-user", lambda v: receive_user(tx, CFG, ALLOC, v, PILOT_SEED), 2.0),
+        ("sic_decode-user", lambda v: sic_decode(symbols, ALLOC, v), 2.0),
+        ("sic_decode-order", lambda v: sic_decode(symbols, ALLOC, 2, v), 16.0),
+        ("qam_modulate-order", lambda v: qam_modulate(np.zeros(8, dtype=int), v), 16.0),
+        ("qam_demodulate-order", lambda v: qam_demodulate(symbols, v), 16.0),
+        ("disassemble_symbol-symbol_start", lambda v: disassemble_symbol(tx, CFG, v), 64.0),
+    ]:
+        arg = name.split("-")[1]
+        for kind, value in (("bool", True), ("float", whole)):
+            yield (
+                f"{name}-{kind}",
+                lambda c=call, v=value: c(v),
+                f"^{arg} must be an integer, got {value!r}$",
+            )
+    # a seed is a non-negative integer or a list of them
+    bits = np.zeros((ALLOC.n_users, CFG.payload_bits), dtype=np.int64)
+    for name, call in [
+        ("generate_fading-seed", lambda v: generate_fading(params, 10, 1.0, seed=v)),
+        ("apply_channel-seed", lambda v: apply_channel(tx, CFG.sample_rate, params, static, v)),
+        ("assemble_frame-pilot_seed", lambda v: assemble_frame(bits[0], CFG, v)),
+        ("build_downlink_frame-pilot_seed", lambda v: build_downlink_frame(bits, CFG, ALLOC, v)),
+        ("receive_user-pilot_seed", lambda v: receive_user(tx, CFG, ALLOC, 2, v)),
+    ]:
+        arg = name.split("-")[1]
+        for kind, value, match in [
+            ("float", 7.9, f"{arg} must be an integer, got 7.9"),
+            ("bool", True, f"{arg} must be an integer, got True"),
+            ("string", "a", f"{arg} must be an integer, got 'a'"),
+            ("negative", -1, f"{arg} must be >= 0, got -1"),
+            ("word", [5, 1.5], rf"{arg}\[1\] must be an integer, got 1.5"),
+        ]:
+            yield f"{name}-{kind}", lambda c=call, v=value: c(v), f"^{match}$"
+    block = np.stack([tx, tx])
+    for kind, seed, match in [
+        ("row-word", [[1, 2], [3, -4]], r"seed\[1\]\[1\] must be >= 0, got -4"),
+        ("row-length", [[1, 2], [3]], r"seed rows must be of equal length, got \[2, 1\]"),
+    ]:
+        yield (
+            f"apply_channel-seed-{kind}",
+            lambda s=seed: apply_channel(block, CFG.sample_rate, params, static, s),
+            f"^{match}$",
+        )
     choices = "'run-scenario', 'sweep-ber', 'estimate-k', 'selftest'"
     yield (
         "execute-command-bool",
