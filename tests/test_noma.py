@@ -22,6 +22,7 @@ from nomalink.noma import (
     superpose,
     user_pilot_seed,
 )
+from nomalink.receiver import receive_user
 
 
 class TestPowerAllocation:
@@ -222,3 +223,15 @@ class TestDownlinkFrame:
                 PowerAllocation((0.8, 0.2)),
                 7,
             )
+
+    def test_a_list_pilot_seed_is_its_words(self):
+        # numpy seeds [21] as 21, and a longer list gives the user its own words too
+        cfg, alloc = FrameConfig(), PowerAllocation.testbed_default()
+        payloads = list(np.random.default_rng(5).integers(0, 2, (3, cfg.payload_bits)))
+        tx = build_downlink_frame(payloads, cfg, alloc, 21)
+        assert np.array_equal(build_downlink_frame(payloads, cfg, alloc, [21]), tx)
+        assert np.array_equal(build_downlink_frame(payloads, cfg, alloc, np.array([21])), tx)
+        assert user_pilot_seed((21, 4), 2) == (21, 4, 2)
+        tx = build_downlink_frame(payloads, cfg, alloc, [21, 4])
+        report = receive_user(tx, cfg, alloc, 2, [21, 4])
+        assert report.detected and np.array_equal(report.bits, payloads[1])
