@@ -260,15 +260,19 @@ def _seed_words(seed) -> list[int]:
     return [int(s) for s in entries]
 
 
+def _per_frame(seed) -> bool:
+    """Whether a seed list holds one seed row per frame: a list of lists."""
+    return isinstance(seed, (tuple, list)) and len(seed) > 0 and all(
+        isinstance(row, (tuple, list)) for row in seed
+    )
+
+
 def _seed_rows(seed, frames: int):
     """apply_channel's ``seed``, checked: one seed for every row, or a 2-D
     array or list with one seed row per frame, as a tuple of rows."""
     if isinstance(seed, np.ndarray):
         seed = seed.tolist()
-    per_frame = isinstance(seed, (tuple, list)) and len(seed) > 0 and all(
-        isinstance(row, (tuple, list)) for row in seed
-    )
-    if not per_frame:
+    if not _per_frame(seed):
         return _seed_value("seed", seed)
     rows = tuple(_seed_value(f"seed[{i}]", row) for i, row in enumerate(seed))
     if len(rows) != frames:
@@ -384,7 +388,7 @@ def _propagate(block, sample_rate, params, mobility, seed, t0, work: _BlockBuffe
     samples and the tap gain, in arrays of ``work``, then per frame the
     mean applied offset and the noise power."""
     frames = block.shape[0]
-    per_frame = np.ndim(seed) == 2
+    per_frame = _per_frame(seed)
     delay = params.delay_samples
     n = block.shape[1] + delay
     shape = (frames, n)

@@ -235,9 +235,15 @@ def pilot_mask(cfg: FrameConfig) -> np.ndarray:
     return _frozen(mask)
 
 
-@lru_cache(maxsize=256)
 def pilot_values(cfg: FrameConfig, pilot_seed: int | tuple[int, ...]) -> np.ndarray:
-    """Unit-magnitude BPSK pilot sequence, reproducible from the seed."""
+    """Unit-magnitude BPSK pilot sequence, reproducible from the seed. A pilot
+    seed that is not a non-negative integer or a list of them is a ValueError."""
+    return _pilot_values(cfg, _seed_value("pilot_seed", pilot_seed))
+
+
+@lru_cache(maxsize=256)
+def _pilot_values(cfg: FrameConfig, pilot_seed) -> np.ndarray:
+    """pilot_values of a checked pilot seed, one shared array per key."""
     rng = np.random.default_rng(pilot_seed)
     values = (2.0 * rng.integers(0, 2, cfg.pilot_subcarriers) - 1.0).astype(np.complex128)
     return _frozen(values)
@@ -385,7 +391,7 @@ def _assemble(payload, cfg: FrameConfig, pilot_seed, work: _BlockBuffers) -> np.
     # zero when made; every call writes the same occupied bins, so the
     # others stay zero
     spectra = work.get("spectra", (*rows, cfg.fft_size))
-    spectra[..., bins[mask]] = pilot_values(cfg, pilot_seed)
+    spectra[..., bins[mask]] = _pilot_values(cfg, pilot_seed)
     spectra[..., bins[~mask]] = data_syms.reshape(*rows, cfg.data_subcarriers)
     symbols = work.get("symbols", (*rows, cfg.symbol_samples))
     bodies = symbols[..., cfg.cp_length :]

@@ -24,8 +24,8 @@ from .frame_codec import (
     _decide_levels,
     _field_value,
     _frozen,
+    _pilot_values,
     _seed_value,
-    pilot_values,
 )
 
 __all__ = [
@@ -172,17 +172,31 @@ def _sic(
 
 
 def user_pilot_seed(pilot_seed, user: int) -> tuple[int, ...]:
-    """Per-user pilot sequence seed, the words of a checked ``pilot_seed`` and
-    then the user; keeps composite pilot power near unity."""
+    """Per-user pilot sequence seed, the words of ``pilot_seed`` and then the
+    user; keeps composite pilot power near unity. A pilot seed that is not
+    a non-negative integer or a list of them, or a user that is not an
+    integer >= 1, is a ValueError."""
+    user = _field_value("user", Annotated[int, (">=", 1)], user)
+    return _user_pilot_seed(_seed_value("pilot_seed", pilot_seed), user)
+
+
+def _user_pilot_seed(pilot_seed, user: int) -> tuple[int, ...]:
+    """user_pilot_seed of a checked pilot seed and user."""
     return (*pilot_seed, user) if isinstance(pilot_seed, tuple) else (pilot_seed, user)
 
 
-@lru_cache(maxsize=256)
 def composite_pilot_values(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed: int) -> np.ndarray:
-    """Superposed pilot reference as seen on the air interface."""
+    """Superposed pilot reference as seen on the air interface. A pilot seed
+    that is not a non-negative integer or a list of them is a ValueError."""
+    return _composite_pilots(cfg, alloc, _seed_value("pilot_seed", pilot_seed))
+
+
+@lru_cache(maxsize=256)
+def _composite_pilots(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed) -> np.ndarray:
+    """composite_pilot_values of a checked pilot seed, one shared array per key."""
     out = np.zeros(cfg.pilot_subcarriers, dtype=np.complex128)
     for k, amp in enumerate(alloc.amplitudes, start=1):
-        out += amp * pilot_values(cfg, user_pilot_seed(pilot_seed, k))
+        out += amp * _pilot_values(cfg, _user_pilot_seed(pilot_seed, k))
     return _frozen(out)
 
 
@@ -209,7 +223,7 @@ def _downlink(payloads, cfg: FrameConfig, alloc: PowerAllocation, pilot_seed, wo
     """build_downlink_frame's samples, unchecked, written to the ``tx`` array of ``work``."""
     out = None
     for k, (amp, payload) in enumerate(zip(alloc.amplitudes, payloads), start=1):
-        wave = _assemble(payload, cfg, user_pilot_seed(pilot_seed, k), work)
+        wave = _assemble(payload, cfg, _user_pilot_seed(pilot_seed, k), work)
         if out is None:
             out = work.get("tx", wave.shape)
             out[...] = 0.0

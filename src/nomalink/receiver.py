@@ -34,7 +34,7 @@ from .frame_codec import (
     occupied_bins,
     pilot_mask,
 )
-from .noma import PowerAllocation, _check_user, _sic, composite_pilot_values
+from .noma import PowerAllocation, _check_user, _composite_pilots, _sic
 
 __all__ = [
     "SyncEstimate",
@@ -335,7 +335,7 @@ class _RxPlan(NamedTuple):
 @lru_cache(maxsize=64)
 def _rx_plan(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed, length: int) -> _RxPlan:
     mask = pilot_mask(cfg)
-    reference = composite_pilot_values(cfg, alloc, pilot_seed)
+    reference = _composite_pilots(cfg, alloc, pilot_seed)
     # sample index of each symbol body within a frame, one row per symbol
     starts = np.arange(cfg.symbols_per_frame)[:, None] * cfg.symbol_samples + cfg.cp_length
     # flat index of each data subcarrier in the (symbols, occupied) rows
@@ -382,10 +382,7 @@ def receive_user(
     sync peak; a threshold above 1 loses every frame.
     """
     user = _check_user(user, alloc)
-    # the runs pass a non-negative int seed on every frame, which costs a
-    # type test here; any other seed takes the seed rule
-    if type(pilot_seed) is not int or pilot_seed < 0:
-        pilot_seed = _seed_value("pilot_seed", pilot_seed)
+    pilot_seed = _seed_value("pilot_seed", pilot_seed)
     sync_threshold = _field_value("sync_threshold", _THRESHOLD, sync_threshold)
     rx = np.asarray(rx, dtype=np.complex128)
     if rx.size < cfg.frame_samples:

@@ -23,9 +23,9 @@ from .frame_codec import INF, FrameConfig, _BlockBuffers, _check_fields, _field_
 from .noma import (
     DEFAULT_POWER_COEFFICIENTS,
     PowerAllocation,
+    _composite_pilots,
     _downlink,
     allocate_power_by_distance,
-    composite_pilot_values,
 )
 from .receiver import SYNC_DETECTION_THRESHOLD, receive_user
 
@@ -240,7 +240,7 @@ class ScenarioConfig:
         """The anchor user's received composite pilot power at its start
         distance, and the ratio of FFT bins to occupied subcarriers: the noise
         power is their product over the anchor SNR."""
-        pilots = composite_pilot_values(self.frame, self.allocation, self.pilot_seed)
+        pilots = _composite_pilots(self.frame, self.allocation, self.pilot_seed)
         # equal power coefficients can cancel some composite pilots exactly
         if not pilots.all():
             raise ValueError(

@@ -10,6 +10,7 @@ from nomalink.frame_codec import (
     _levels_to_bits,
     disassemble_symbol,
     pilot_mask,
+    pilot_values,
     qam_demodulate,
     qam_modulate,
 )
@@ -213,6 +214,15 @@ class TestDownlinkFrame:
         a = np.asarray(user_pilot_seed(21, 1))
         b = np.asarray(user_pilot_seed(21, 2))
         assert not np.array_equal(a, b)
+
+    def test_a_whole_float_pilot_seed_fails_even_once_its_int_is_cached(self):
+        cfg, alloc = FrameConfig(), PowerAllocation.testbed_default()
+        composite_pilot_values(cfg, alloc, 7)
+        pilot_values(cfg, 7)
+        with pytest.raises(ValueError, match="^pilot_seed must be an integer, got 7.0$"):
+            composite_pilot_values(cfg, alloc, 7.0)
+        with pytest.raises(ValueError, match="^pilot_seed must be an integer, got 7.0$"):
+            pilot_values(cfg, 7.0)
 
     def test_rejects_payload_count_mismatch(self):
         cfg = FrameConfig()

@@ -17,6 +17,7 @@ from nomalink.frame_codec import (
     assemble_frame,
     disassemble_symbol,
     pilot_mask,
+    pilot_values,
     qam_demodulate,
     qam_modulate,
 )
@@ -27,6 +28,7 @@ from nomalink.noma import (
     build_downlink_frame,
     composite_pilot_values,
     sic_decode,
+    user_pilot_seed,
 )
 from nomalink.scenario import (
     BerCurve,
@@ -712,6 +714,7 @@ def _argument_calls(tx):
         ("qam_modulate-order", lambda v: qam_modulate(np.zeros(8, dtype=int), v), 16.0),
         ("qam_demodulate-order", lambda v: qam_demodulate(symbols, v), 16.0),
         ("disassemble_symbol-symbol_start", lambda v: disassemble_symbol(tx, CFG, v), 64.0),
+        ("user_pilot_seed-user", lambda v: user_pilot_seed(PILOT_SEED, v), 1.0),
     ]:
         arg = name.split("-")[1]
         for kind, value in (("bool", True), ("float", whole)):
@@ -728,6 +731,9 @@ def _argument_calls(tx):
         ("assemble_frame-pilot_seed", lambda v: assemble_frame(bits[0], CFG, v)),
         ("build_downlink_frame-pilot_seed", lambda v: build_downlink_frame(bits, CFG, ALLOC, v)),
         ("receive_user-pilot_seed", lambda v: receive_user(tx, CFG, ALLOC, 2, v)),
+        ("pilot_values-pilot_seed", lambda v: pilot_values(CFG, v)),
+        ("composite_pilot_values-pilot_seed", lambda v: composite_pilot_values(CFG, ALLOC, v)),
+        ("user_pilot_seed-pilot_seed", lambda v: user_pilot_seed(v, 1)),
     ]:
         arg = name.split("-")[1]
         for kind, value, match in [
