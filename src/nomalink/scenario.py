@@ -12,9 +12,12 @@ separately, outside the averaged statistics.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Annotated, Literal
+from typing import Annotated, Literal, NamedTuple
 
 import numpy as np
 
@@ -421,30 +424,44 @@ class MetricsTimeSeries:
 _BLOCK_FRAMES = 16
 
 
-def _run_block(cfg: ScenarioConfig, payloads, channels, t0, work):
-    """Send one block of frames, decode every frame at every vehicle and
-    count its bit errors against the payloads.
+def _send_block(cfg: ScenarioConfig, payloads, channels, t0, work, slot) -> None:
+    """The send half of a block: transmit the frames and propagate them to
+    every vehicle, into ``slot``.
 
     ``payloads`` is (frames, users, payload_bits) and ``t0`` gives each
     frame's start time. ``channels`` holds one (params, mobility, seed)
     triple per user; the seed is shared by the block's frames or holds
     one seed row per frame. ``work`` is the run's buffer set: the
-    transmit and channel arrays of every block reuse its arrays. Returns
-    the block's decode record:
-    ``detected`` and ``cfo`` per (frame, user), then bit ``errors`` and
-    ``snr`` per (frame, OFDM symbol, user). Undetected frames hold 0
-    errors and NaN estimates.
+    transmit and channel arrays of every block reuse its arrays. The slot
+    gets the payload bits and each user's received rows.
+    """
+    n_frames = len(payloads)
+    slot.payloads[:n_frames] = payloads
+    frame_cfg = cfg.frame
+    tx = _downlink(list(payloads.swapaxes(0, 1)), frame_cfg, cfg.allocation, cfg.pilot_seed, work)
+    for k, (params, mobility, seed) in enumerate(channels):
+        rx, *_ = _propagate(tx, frame_cfg.sample_rate, params, mobility, seed, t0, work)
+        slot.rx[k, :n_frames] = rx
+
+
+def _decode_block(cfg: ScenarioConfig, payloads, rx):
+    """The decode half of a block: decode every frame at every vehicle and
+    count its bit errors against the payloads.
+
+    ``payloads`` is (frames, users, payload_bits) and ``rx`` holds each
+    user's (frames, samples) received rows. Returns the block's decode
+    record: ``detected`` and ``cfo`` per (frame, user), then bit
+    ``errors`` and ``snr`` per (frame, OFDM symbol, user). Undetected
+    frames hold 0 errors and NaN estimates.
     """
     frame_cfg = cfg.frame
     n_frames, k_users, _ = payloads.shape
     n_sym = frame_cfg.symbols_per_frame
-    tx = _downlink(list(payloads.swapaxes(0, 1)), frame_cfg, cfg.allocation, cfg.pilot_seed, work)
     detected = np.zeros((n_frames, k_users), dtype=bool)
     cfo = np.full((n_frames, k_users), np.nan)
     errors = np.zeros((n_frames, n_sym, k_users), dtype=np.int64)
     snr = np.full((n_frames, n_sym, k_users), np.nan)
-    for k, (params, mobility, seed) in enumerate(channels):
-        rx, *_ = _propagate(tx, frame_cfg.sample_rate, params, mobility, seed, t0, work)
+    for k, rows in enumerate(rx):
         reports = [
             receive_user(
                 row,
@@ -454,7 +471,7 @@ def _run_block(cfg: ScenarioConfig, payloads, channels, t0, work):
                 cfg.pilot_seed,
                 sync_threshold=cfg.sync_threshold,
             )
-            for row in rx
+            for row in rows
         ]
         got = [r for r in reports if r.detected]
         if not got:
@@ -466,6 +483,205 @@ def _run_block(cfg: ScenarioConfig, payloads, channels, t0, work):
         wrong = np.stack([r.bits for r in got]) != payloads[hit, k]
         errors[hit, :, k] = np.count_nonzero(wrong.reshape(len(got), n_sym, -1), axis=2)
     return detected, cfo, errors, snr
+
+
+class _Slot(NamedTuple):
+    """One block in flight between the send and decode halves."""
+
+    head: np.ndarray  # point, first row, rows
+    payloads: np.ndarray  # (frames, users, payload_bits) bits as uint8
+    rx: np.ndarray  # (users, frames, samples) received rows
+
+
+def _can_fork() -> bool:
+    """Whether a run may fork its send half: forking needs os.fork, a
+    second usable CPU to run on, and no other Python thread, whose locks
+    the child could inherit held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+class _BlockFeed:
+    """The send half of a run, one block ahead of its decode half.
+
+    A run is a list of points with a number of rows each: the replay is
+    one point whose rows are its frames, the sweep one point per SNR whose
+    rows are its trials. ``send(point, first, rows, slot)`` fills a slot
+    with rows ``first`` to ``first + rows - 1`` of a point, and ``take``
+    returns the rows that the decode half asks for.
+
+    Entered where ``_can_fork()`` holds, the feed forks a child that runs
+    ``send`` on chunks of ``_BLOCK_FRAMES`` rows, in order, up to each
+    point's row count. The chunks pass through two slots in one anonymous
+    shared mapping, with one token byte per chunk on a pipe; the parent
+    hands a slot back with one byte on a second pipe once it has decoded
+    it. A child that runs ahead of a point's end sends chunks the parent
+    drops unread. Otherwise ``send`` runs in the calling process, on
+    exactly the rows asked for. An exception in the child is raised again
+    in the parent. The child leaves by ``os._exit`` once it has sent the
+    last point; on leaving the feed, the parent ends a child that still
+    runs, reaps it and closes both pipes.
+    """
+
+    _SLOTS = 2
+
+    def __init__(self, cfg: ScenarioConfig, send, rows_per_point) -> None:
+        import mmap
+
+        self._send = send
+        self._points = tuple(rows_per_point)
+        frames, k_users = _BLOCK_FRAMES, cfg.n_users
+        samples = cfg.frame.frame_samples + cfg.channel.delay_samples
+        shapes = (
+            (np.int64, (3,)),
+            (np.uint8, (frames, k_users, cfg.frame.payload_bits)),
+            (np.complex128, (k_users, frames, samples)),
+        )
+        # each array starts on a 64-byte boundary
+        sizes = [-(-np.dtype(t).itemsize * int(np.prod(s)) // 64) * 64 for t, s in shapes]
+        # the first 64 bytes hold the point the parent decodes
+        self._memory = mmap.mmap(-1, 64 + self._SLOTS * sum(sizes))
+        self._point = np.ndarray((), np.int64, self._memory)
+        self._slots = []
+        offset = 64
+        for _ in range(self._SLOTS):
+            arrays = []
+            for (dtype, shape), size in zip(shapes, sizes):
+                arrays.append(np.ndarray(shape, dtype, self._memory, offset))
+                offset += size
+            self._slots.append(_Slot(*arrays))
+        self._pid = None
+        self._fds = ()
+        self._held = None
+        self._taken = 0
+
+    def __enter__(self) -> _BlockFeed:
+        if _can_fork():
+            self._fork()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _fork(self) -> None:
+        cmd_r, cmd_w = os.pipe()
+        ready_r, ready_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (cmd_r, cmd_w, ready_r, ready_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(cmd_w)
+                os.close(ready_r)
+                self._produce(cmd_r, ready_w)
+                status = 0
+            # whatever ends the child goes to the parent, and the child
+            # leaves by os._exit even if the report fails
+            except BaseException as exc:
+                _report(ready_w, exc)
+            finally:
+                os._exit(status)
+        os.close(cmd_r)
+        os.close(ready_w)
+        self._pid, self._fds = pid, (cmd_w, ready_r)
+
+    def _produce(self, cmd, ready) -> None:
+        """The child's loop: fill the free slots in turn with the next chunk
+        of the parent's point, and wait for a slot or a new point, until the
+        last point is sent."""
+        free, sent = self._SLOTS, 0
+        point, first = 0, 0
+        last = len(self._points) - 1
+        while True:
+            if self._point > point:
+                point, first = int(self._point), 0
+            sent_all = first >= self._points[point]
+            if sent_all and point == last:
+                return
+            if not free or sent_all:
+                handed_back = os.read(cmd, 64)
+                if not handed_back:  # the parent is gone
+                    return
+                free += len(handed_back)
+                continue
+            rows = min(_BLOCK_FRAMES, self._points[point] - first)
+            slot = self._slots[sent % self._SLOTS]
+            slot.head[:] = point, first, rows
+            self._send(point, first, rows, slot)
+            os.write(ready, b"+")
+            free, sent, first = free - 1, sent + 1, first + rows
+
+    def take(self, point: int, first: int, rows: int):
+        """The payloads and received rows of rows ``first`` to ``first + rows
+        - 1`` of ``point``, as views of a slot valid until the next call;
+        from a forked child, only those up to the end of the chunk that
+        holds ``first``."""
+        if not self._fds:
+            slot = self._slots[0]
+            self._send(point, first, rows, slot)
+            return slot.payloads[:rows], slot.rx[:, :rows]
+        # set before a slot goes back, so the child reads it when it wakes
+        self._point[...] = point
+        slot = self._held
+        while slot is None or slot.head[0] < point or first >= slot.head[1] + slot.head[2]:
+            if slot is not None:
+                try:
+                    os.write(self._fds[0], b"+")
+                # a child that sent its last chunk has left; one that died
+                # sends no token, which _next reports
+                except BrokenPipeError:
+                    pass
+            slot = self._held = self._next()
+        start = first - int(slot.head[1])
+        stop = min(start + rows, int(slot.head[2]))
+        return slot.payloads[start:stop], slot.rx[:, start:stop]
+
+    def _next(self) -> _Slot:
+        ready = self._fds[1]
+        token = os.read(ready, 1)
+        if token == b"+":
+            self._taken += 1
+            return self._slots[(self._taken - 1) % self._SLOTS]
+        report = b"".join(iter(lambda: os.read(ready, 1 << 16), b""))
+        pid, self._pid = self._pid, None
+        _, status = os.waitpid(pid, 0)
+        if token == b"!":
+            raise pickle.loads(report)
+        raise RuntimeError(f"the send process ended with wait status {status}")
+
+    def close(self) -> None:
+        """End and reap the child, if one runs, and close both pipes."""
+        import signal
+
+        pid, self._pid = self._pid, None
+        fds, self._fds = self._fds, ()
+        try:
+            if pid is not None:
+                # a chunk it still sends is one the decode half does not need
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        finally:
+            for fd in fds:
+                os.close(fd)
+
+
+def _report(fd: int, exc: BaseException) -> None:
+    """Write ``exc`` to the parent: an error token, then the exception
+    pickled, with the child's traceback as a note."""
+    import traceback
+
+    if hasattr(exc, "add_note"):
+        exc.add_note("raised in the send process:\n" + "".join(traceback.format_exception(exc)))
+    view = memoryview(b"!" + pickle.dumps(exc))
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
@@ -499,13 +715,18 @@ def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
     frame_starts = np.arange(n_frames) * frame_cfg.frame_duration
 
     work = _BlockBuffers()
-    for first in range(0, n_frames, _BLOCK_FRAMES):
-        block = slice(first, min(first + _BLOCK_FRAMES, n_frames))
+
+    def send(point, first, rows, slot):
         payloads = payload_rng.integers(
-            0, 2, (block.stop - first, k_users, frame_cfg.payload_bits), dtype=np.int64
+            0, 2, (rows, k_users, frame_cfg.payload_bits), dtype=np.int64
         )
-        decode = _run_block(cfg, payloads, channels, frame_starts[block], work)
-        detected[block], cfos[block], errors[block], snrs[block] = decode
+        _send_block(cfg, payloads, channels, frame_starts[first : first + rows], work, slot)
+
+    with _BlockFeed(cfg, send, [n_frames]) as feed:
+        for first in range(0, n_frames, _BLOCK_FRAMES):
+            block = slice(first, min(first + _BLOCK_FRAMES, n_frames))
+            decode = _decode_block(cfg, *feed.take(0, first, block.stop - first))
+            detected[block], cfos[block], errors[block], snrs[block] = decode
 
     symbol_times = frame_starts[:, None] + np.arange(n_sym) * (
         frame_cfg.symbol_samples / frame_cfg.sample_rate
@@ -551,9 +772,10 @@ def sweep_ber_vs_snr(
     noise per trial) with the Doppler shift and carrier wander active, at
     the target per-frame receive SNR, until every user has accumulated
     the bit budget. Undetected frames carry BER 1, are excluded from the
-    averaged curve, and are reported through ``lost_frames``. Trials run
-    in blocks no longer than the trials still certain to be needed, so
-    the blocks run exactly the trials that one trial at a time would.
+    averaged curve, and are reported through ``lost_frames``. Trials are
+    decoded in blocks no longer than the trials still certain to be
+    needed, so the blocks decode exactly the trials that one trial at a
+    time would; a forked send half may send a few more, which are dropped.
     """
     min_bits_per_point = _field_value("min_bits_per_point", _BIT_BUDGET, min_bits_per_point)
     # bounded as ChannelParams.target_snr_db: +inf dB is noiseless, a NaN would draw no noise
@@ -579,36 +801,43 @@ def sweep_ber_vs_snr(
     max_frames = 20 * needed_frames
 
     work = _BlockBuffers()
-    for i, snr in enumerate(grid):
-        params = cfg.run_channel(float(snr))
-        trial = 0
-        while np.min(bits[i]) < min_bits_per_point and trial < max_frames:
-            # every user gains at most payload_bits a trial, so the loop
-            # runs at least this many more trials: none is computed in vain
-            shortfall = min_bits_per_point - int(np.min(bits[i]))
-            count = min(
-                _BLOCK_FRAMES, -(-shortfall // frame_cfg.payload_bits), max_frames - trial
-            )
-            trials = range(trial, trial + count)
-            payloads = np.stack(
-                [
-                    _keyed_rng([seed, 10, i, t]).integers(
-                        0, 2, (k_users, frame_cfg.payload_bits), dtype=np.int64
-                    )
-                    for t in trials
-                ]
-            )
-            channels = [
-                (params, mobility, [[seed, 20, i, t, k] for t in trials])
-                for k in range(1, k_users + 1)
+    point_params = [cfg.run_channel(float(snr)) for snr in grid]
+
+    def send(i, first, rows, slot):
+        trials = range(first, first + rows)
+        payloads = np.stack(
+            [
+                _keyed_rng([seed, 10, i, t]).integers(
+                    0, 2, (k_users, frame_cfg.payload_bits), dtype=np.int64
+                )
+                for t in trials
             ]
-            detected, _, block_errors, _ = _run_block(cfg, payloads, channels, 0.0, work)
-            hits = np.count_nonzero(detected, axis=0)
-            errors[i] += block_errors.sum(axis=(0, 1))
-            bits[i] += hits * frame_cfg.payload_bits
-            lost[i] += count - hits
-            trial += count
-        frames[i] = trial
+        )
+        channels = [
+            (point_params[i], mobility, [[seed, 20, i, t, k] for t in trials])
+            for k in range(1, k_users + 1)
+        ]
+        _send_block(cfg, payloads, channels, 0.0, work, slot)
+
+    with _BlockFeed(cfg, send, [max_frames] * grid.size) as feed:
+        for i in range(grid.size):
+            trial = 0
+            while np.min(bits[i]) < min_bits_per_point and trial < max_frames:
+                # every user gains at most payload_bits a trial, so the loop
+                # runs at least this many more trials: none is decoded in vain
+                shortfall = min_bits_per_point - int(np.min(bits[i]))
+                count = min(
+                    _BLOCK_FRAMES, -(-shortfall // frame_cfg.payload_bits), max_frames - trial
+                )
+                payloads, rx = feed.take(i, trial, count)
+                count = len(payloads)
+                detected, _, block_errors, _ = _decode_block(cfg, payloads, rx)
+                hits = np.count_nonzero(detected, axis=0)
+                errors[i] += block_errors.sum(axis=(0, 1))
+                bits[i] += hits * frame_cfg.payload_bits
+                lost[i] += count - hits
+                trial += count
+            frames[i] = trial
 
     with np.errstate(invalid="ignore", divide="ignore"):
         ber = np.where(bits > 0, errors / np.maximum(bits, 1), np.nan)

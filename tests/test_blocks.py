@@ -5,16 +5,22 @@ block must give exactly the bytes that one call per frame gives, so
 these tests compare with ``np.array_equal`` and no tolerance. The
 driver calls the transmit and channel kernels with one buffer set per
 run; a block written there must give the bytes of the public functions,
-which make new arrays.
+which make new arrays. A run sends its blocks from a forked child or, where
+it cannot fork, from the calling process; both give the same bytes.
 """
 
+import gc
+import os
 import sys
+import threading
+import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nomalink import scenario
+from nomalink import cli, scenario
 from nomalink.channel import (
     ChannelParams,
     MobilityState,
@@ -429,3 +435,151 @@ def test_the_runs_call_the_kernels_not_the_public_transmit_and_channel(
     user_frames = series.time_s.size // CFG.symbols_per_frame + curve.frames.sum() * 3
     assert len(calls) == user_frames
     assert calls.count(1) == calls.count(2) == calls.count(3)
+
+
+def _on_both_transports(monkeypatch, run):
+    """``run()`` with its send half in a forked child, then in the calling
+    process; each time the run forks, or does not."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    results = []
+    for forked in (True, False):
+        monkeypatch.setattr(scenario, "_can_fork", lambda: forked)
+        forks.clear()
+        results.append(run())
+        assert bool(forks) is forked
+    return results
+
+
+NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no os.fork")
+
+
+@NEEDS_FORK
+@pytest.mark.parametrize("frames", [FRAMES, 1, 5, 32])
+def test_the_forked_and_the_inline_send_half_give_the_same_bytes(monkeypatch, frames):
+    # criterion 9's replay and sweep
+    monkeypatch.setattr(scenario, "_BLOCK_FRAMES", frames)
+    forked, inline = _on_both_transports(monkeypatch, _criterion_9_runs)
+    _assert_same_runs(forked, inline)
+
+
+@NEEDS_FORK
+@pytest.mark.parametrize(
+    "cfg, grid, min_bits",
+    [
+        # 0 dB loses frames
+        (replace(ScenarioConfig(), seed=5), [0.0, 30.0], 100_001),
+        # a peak never reaches 1.5, so every frame is lost up to each point's
+        # cap: 200 trials of 10,000-bit frames, 12.5 chunks
+        (
+            ScenarioConfig(frame=FrameConfig(symbols_per_frame=40), sync_threshold=1.5, seed=5),
+            [10.0, 20.0],
+            100_000,
+        ),
+    ],
+    ids=["lost_frames", "frame_cap"],
+)
+def test_the_forked_and_the_inline_sweep_run_the_same_trials(monkeypatch, cfg, grid, min_bits):
+    forked, inline = _on_both_transports(
+        monkeypatch, lambda: sweep_ber_vs_snr(cfg, grid, min_bits_per_point=min_bits)
+    )
+    for name in SWEEP_FIELDS:
+        assert _same_bytes(getattr(forked, name), getattr(inline, name)), name
+    # every point ends inside a chunk, so the child sends chunks that the
+    # decode half drops
+    assert np.all(forked.frames % FRAMES != 0)
+    assert forked.lost_frames.sum() > 0
+    cap = 20 * -(-min_bits // cfg.frame.payload_bits)
+    assert np.all(forked.frames == cap) == (cfg.sync_threshold > 1)
+
+
+@NEEDS_FORK
+def test_a_run_forks_with_fork_a_second_cpu_and_no_other_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert scenario._can_fork()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(10.0,))
+    thread.start()
+    try:
+        assert not scenario._can_fork()
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert scenario._can_fork()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not scenario._can_fork()
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert not scenario._can_fork()
+
+
+def _raising_on_call(n, function, exc):
+    """``function``, but its ``n``-th call in this process raises ``exc``."""
+    calls = []
+
+    def raising(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise exc
+        return function(*args, **kwargs)
+
+    return raising
+
+
+@contextmanager
+def _nothing_left_behind():
+    """No child process to reap and no unclosed resource after the block."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+TRANSPORTS = pytest.mark.parametrize(
+    "forked", [pytest.param(True, marks=NEEDS_FORK), False], ids=["forked", "inline"]
+)
+
+
+@TRANSPORTS
+def test_a_send_half_error_is_raised_in_the_run(monkeypatch, tmp_path, capsys, forked):
+    monkeypatch.setattr(scenario, "_can_fork", lambda: forked)
+    propagate = scenario._propagate
+    error = ValueError("the channel failed on its third call")
+    config = tmp_path / "short.json"
+    config.write_text(
+        '{"timing": {"stationary_duration": 0.05, "travel_duration": 0.06,'
+        ' "total_duration": 0.11}}'
+    )
+    with _nothing_left_behind():
+        monkeypatch.setattr(scenario, "_propagate", _raising_on_call(3, propagate, error))
+        with pytest.raises(ValueError) as raised:
+            run_v2x_scenario(SHORT_REPLAY)
+        assert str(raised.value) == str(error)
+        monkeypatch.setattr(scenario, "_propagate", _raising_on_call(3, propagate, error))
+        argv = ["run-scenario", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: the channel failed on its third call\n"
+
+
+@TRANSPORTS
+@pytest.mark.parametrize("run", ["replay", "sweep"])
+def test_a_decode_half_error_ends_the_send_half(monkeypatch, forked, run):
+    monkeypatch.setattr(scenario, "_can_fork", lambda: forked)
+    error = RuntimeError("the receiver failed on its 40th call")
+    monkeypatch.setattr(scenario, "receive_user", _raising_on_call(40, receive_user, error))
+    with _nothing_left_behind():
+        with pytest.raises(RuntimeError, match="^the receiver failed on its 40th call$"):
+            if run == "replay":
+                run_v2x_scenario(SHORT_REPLAY)
+            else:
+                sweep_ber_vs_snr(replace(ScenarioConfig(), seed=7), [0.0, 5.0])

@@ -492,15 +492,17 @@ class TestReceiveUser:
 
 @pytest.fixture
 def no_work(monkeypatch, no_decode_work):
-    """Fail the test if a channel draws its fading, a sweep runs a block, a
-    histogram counts or a command runs, as no_decode_work does for decoding."""
+    """Fail the test if a channel draws its fading, a run sends or decodes a
+    block, a histogram counts or a command runs, as no_decode_work does for
+    decoding. A block sent in a forked child raises its error in the run."""
 
     def work(*args, **kwargs):
         raise AssertionError("work ran before the argument check")
 
     for name in (
         "channel._sos_parameters",
-        "scenario._run_block",
+        "scenario._send_block",
+        "scenario._decode_block",
         "scenario._stage_histogram",
         "cli.run_v2x_scenario",
         "cli.sweep_ber_vs_snr",
