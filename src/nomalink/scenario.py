@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -488,7 +489,6 @@ def _decode_block(cfg: ScenarioConfig, payloads, rx):
 class _Slot(NamedTuple):
     """One block in flight between the send and decode halves."""
 
-    head: np.ndarray  # point, first row, rows
     payloads: np.ndarray  # (frames, users, payload_bits) bits as uint8
     rx: np.ndarray  # (users, frames, samples) received rows
 
@@ -504,6 +504,11 @@ def _can_fork() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
+# An ask for a block: point, first row and rows, as three int64. It is
+# shorter than PIPE_BUF, so each write reaches the pipe whole
+_ASK = struct.Struct("3q")
+
+
 class _BlockFeed:
     """The send half of a run, one block ahead of its decode half.
 
@@ -511,19 +516,22 @@ class _BlockFeed:
     one point whose rows are its frames, the sweep one point per SNR whose
     rows are its trials. ``send(point, first, rows, slot)`` fills a slot
     with rows ``first`` to ``first + rows - 1`` of a point, and ``take``
-    returns the rows that the decode half asks for.
+    returns the rows that the decode half asks for. ``take`` alone decides
+    which rows each block holds: it asks for a block, and it keeps the
+    blocks asked for in order.
 
-    Entered where ``_can_fork()`` holds, the feed forks a child that runs
-    ``send`` on chunks of ``_BLOCK_FRAMES`` rows, in order, up to each
-    point's row count. The chunks pass through two slots in one anonymous
-    shared mapping, with one token byte per chunk on a pipe; the parent
-    hands a slot back with one byte on a second pipe once it has decoded
-    it. A child that runs ahead of a point's end sends chunks the parent
-    drops unread. Otherwise ``send`` runs in the calling process, on
+    Entered where ``_can_fork()`` holds, the feed forks a child that
+    serves the asks in turn: it reads an ask from a pipe, sends the block
+    into the next of two slots in one anonymous shared mapping, and
+    writes one token byte on a second pipe. Once ``take`` holds a block,
+    it asks for the next ``_BLOCK_FRAMES`` rows of the point, or the rows
+    it has left, so that the child sends while the decode half decodes; a
+    block of a point that the decode half has left is dropped unread.
+    Otherwise ``send`` runs in the calling process, into one slot, on
     exactly the rows asked for. An exception in the child is raised again
-    in the parent. The child leaves by ``os._exit`` once it has sent the
-    last point; on leaving the feed, the parent ends a child that still
-    runs, reaps it and closes both pipes.
+    in the parent. The child leaves by ``os._exit`` when the ask pipe is
+    closed; on leaving the feed, the parent ends a child that still runs,
+    reaps it and closes both pipes.
     """
 
     _SLOTS = 2
@@ -535,28 +543,24 @@ class _BlockFeed:
         self._points = tuple(rows_per_point)
         frames, k_users = _BLOCK_FRAMES, cfg.n_users
         samples = cfg.frame.frame_samples + cfg.channel.delay_samples
-        shapes = (
-            (np.int64, (3,)),
-            (np.uint8, (frames, k_users, cfg.frame.payload_bits)),
-            (np.complex128, (k_users, frames, samples)),
-        )
-        # each array starts on a 64-byte boundary
-        sizes = [-(-np.dtype(t).itemsize * int(np.prod(s)) // 64) * 64 for t, s in shapes]
-        # the first 64 bytes hold the point the parent decodes
-        self._memory = mmap.mmap(-1, 64 + self._SLOTS * sum(sizes))
-        self._point = np.ndarray((), np.int64, self._memory)
+        payload_shape = (frames, k_users, cfg.frame.payload_bits)
+        rx_shape = (k_users, frames, samples)
+        # the received rows start on a 64-byte boundary
+        rx_offset = -(-int(np.prod(payload_shape)) // 64) * 64
+        slot_bytes = rx_offset + np.dtype(np.complex128).itemsize * int(np.prod(rx_shape))
+        self._memory = mmap.mmap(-1, self._SLOTS * slot_bytes)
         self._slots = []
-        offset = 64
-        for _ in range(self._SLOTS):
-            arrays = []
-            for (dtype, shape), size in zip(shapes, sizes):
-                arrays.append(np.ndarray(shape, dtype, self._memory, offset))
-                offset += size
-            self._slots.append(_Slot(*arrays))
+        for offset in range(0, self._SLOTS * slot_bytes, slot_bytes):
+            payloads = np.ndarray(payload_shape, np.uint8, self._memory, offset)
+            rx = np.ndarray(rx_shape, np.complex128, self._memory, offset + rx_offset)
+            self._slots.append(_Slot(payloads, rx))
         self._pid = None
         self._fds = ()
+        # the blocks asked for and not yet taken, oldest first, and the
+        # block taken last: (point, first row, rows, slot)
+        self._asked = []
         self._held = None
-        self._taken = 0
+        self._asks = 0
 
     def __enter__(self) -> _BlockFeed:
         if _can_fork():
@@ -567,20 +571,20 @@ class _BlockFeed:
         self.close()
 
     def _fork(self) -> None:
-        cmd_r, cmd_w = os.pipe()
+        ask_r, ask_w = os.pipe()
         ready_r, ready_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (cmd_r, cmd_w, ready_r, ready_w):
+            for fd in (ask_r, ask_w, ready_r, ready_w):
                 os.close(fd)
             raise
         if pid == 0:
             status = 1
             try:
-                os.close(cmd_w)
+                os.close(ask_w)
                 os.close(ready_r)
-                self._produce(cmd_r, ready_w)
+                self._serve(ask_r, ready_w)
                 status = 0
             # whatever ends the child goes to the parent, and the child
             # leaves by os._exit even if the report fails
@@ -588,67 +592,57 @@ class _BlockFeed:
                 _report(ready_w, exc)
             finally:
                 os._exit(status)
-        os.close(cmd_r)
+        os.close(ask_r)
         os.close(ready_w)
-        self._pid, self._fds = pid, (cmd_w, ready_r)
+        self._pid, self._fds = pid, (ask_w, ready_r)
 
-    def _produce(self, cmd, ready) -> None:
-        """The child's loop: fill the free slots in turn with the next chunk
-        of the parent's point, and wait for a slot or a new point, until the
-        last point is sent."""
-        free, sent = self._SLOTS, 0
-        point, first = 0, 0
-        last = len(self._points) - 1
-        while True:
-            if self._point > point:
-                point, first = int(self._point), 0
-            sent_all = first >= self._points[point]
-            if sent_all and point == last:
-                return
-            if not free or sent_all:
-                handed_back = os.read(cmd, 64)
-                if not handed_back:  # the parent is gone
-                    return
-                free += len(handed_back)
-                continue
-            rows = min(_BLOCK_FRAMES, self._points[point] - first)
-            slot = self._slots[sent % self._SLOTS]
-            slot.head[:] = point, first, rows
-            self._send(point, first, rows, slot)
+    def _serve(self, asks, ready) -> None:
+        """The child's loop: send each asked block into the next slot, in
+        turn, and write a token, until the parent closes the ask pipe."""
+        sent = 0
+        while ask := os.read(asks, _ASK.size):
+            self._send(*_ASK.unpack(ask), self._slots[sent % self._SLOTS])
             os.write(ready, b"+")
-            free, sent, first = free - 1, sent + 1, first + rows
+            sent += 1
 
     def take(self, point: int, first: int, rows: int):
         """The payloads and received rows of rows ``first`` to ``first + rows
         - 1`` of ``point``, as views of a slot valid until the next call;
-        from a forked child, only those up to the end of the chunk that
+        from a forked child, only those up to the end of the block that
         holds ``first``."""
-        if not self._fds:
-            slot = self._slots[0]
-            self._send(point, first, rows, slot)
-            return slot.payloads[:rows], slot.rx[:, :rows]
-        # set before a slot goes back, so the child reads it when it wakes
-        self._point[...] = point
-        slot = self._held
-        while slot is None or slot.head[0] < point or first >= slot.head[1] + slot.head[2]:
-            if slot is not None:
-                try:
-                    os.write(self._fds[0], b"+")
-                # a child that sent its last chunk has left; one that died
-                # sends no token, which _next reports
-                except BrokenPipeError:
-                    pass
-            slot = self._held = self._next()
-        start = first - int(slot.head[1])
-        stop = min(start + rows, int(slot.head[2]))
-        return slot.payloads[start:stop], slot.rx[:, start:stop]
+        held = self._held
+        while held is None or held[0] != point or not held[1] <= first < held[1] + held[2]:
+            if not self._asked:
+                self._ask(point, first, rows)
+            held = self._held = self._pop()
+        _, start, count, slot = held
+        end = start + count
+        if self._fds and not self._asked and end < self._points[point]:
+            self._ask(point, end, min(_BLOCK_FRAMES, self._points[point] - end))
+        offset = first - start
+        stop = min(offset + rows, count)
+        return slot.payloads[offset:stop], slot.rx[:, offset:stop]
 
-    def _next(self) -> _Slot:
+    def _ask(self, point: int, first: int, rows: int) -> None:
+        """Ask for a block. Only an empty queue gets an ask, so every block
+        asked before has come back and the child waits for this one."""
+        slot = 0
+        if self._fds:
+            slot = self._asks % self._SLOTS
+            self._asks += 1
+            os.write(self._fds[0], _ASK.pack(point, first, rows))
+        self._asked.append((point, first, rows, self._slots[slot]))
+
+    def _pop(self):
+        """The oldest block asked for, once it is in its slot."""
+        block = self._asked.pop(0)
+        if not self._fds:
+            self._send(*block)
+            return block
         ready = self._fds[1]
         token = os.read(ready, 1)
         if token == b"+":
-            self._taken += 1
-            return self._slots[(self._taken - 1) % self._SLOTS]
+            return block
         report = b"".join(iter(lambda: os.read(ready, 1 << 16), b""))
         pid, self._pid = self._pid, None
         _, status = os.waitpid(pid, 0)
@@ -664,7 +658,7 @@ class _BlockFeed:
         fds, self._fds = self._fds, ()
         try:
             if pid is not None:
-                # a chunk it still sends is one the decode half does not need
+                # a block it still sends is one the decode half does not need
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         finally:
@@ -775,7 +769,8 @@ def sweep_ber_vs_snr(
     averaged curve, and are reported through ``lost_frames``. Trials are
     decoded in blocks no longer than the trials still certain to be
     needed, so the blocks decode exactly the trials that one trial at a
-    time would; a forked send half may send a few more, which are dropped.
+    time would; a forked send half may send one more block a point, which
+    is dropped.
     """
     min_bits_per_point = _field_value("min_bits_per_point", _BIT_BUDGET, min_bits_per_point)
     # bounded as ChannelParams.target_snr_db: +inf dB is noiseless, a NaN would draw no noise

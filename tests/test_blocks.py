@@ -437,9 +437,22 @@ def test_the_runs_call_the_kernels_not_the_public_transmit_and_channel(
     assert calls.count(1) == calls.count(2) == calls.count(3)
 
 
+@contextmanager
+def _nothing_left_behind():
+    """No child process to reap and no unclosed resource after the block."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _on_both_transports(monkeypatch, run):
     """``run()`` with its send half in a forked child, then in the calling
-    process; each time the run forks, or does not."""
+    process; each time the run forks, or does not, and leaves nothing
+    behind."""
     forks = []
     fork = os.fork
 
@@ -452,7 +465,8 @@ def _on_both_transports(monkeypatch, run):
     for forked in (True, False):
         monkeypatch.setattr(scenario, "_can_fork", lambda: forked)
         forks.clear()
-        results.append(run())
+        with _nothing_left_behind():
+            results.append(run())
         assert bool(forks) is forked
     return results
 
@@ -476,7 +490,7 @@ def test_the_forked_and_the_inline_send_half_give_the_same_bytes(monkeypatch, fr
         # 0 dB loses frames
         (replace(ScenarioConfig(), seed=5), [0.0, 30.0], 100_001),
         # a peak never reaches 1.5, so every frame is lost up to each point's
-        # cap: 200 trials of 10,000-bit frames, 12.5 chunks
+        # cap: 200 trials of 10,000-bit frames, 12.5 blocks
         (
             ScenarioConfig(frame=FrameConfig(symbols_per_frame=40), sync_threshold=1.5, seed=5),
             [10.0, 20.0],
@@ -491,12 +505,88 @@ def test_the_forked_and_the_inline_sweep_run_the_same_trials(monkeypatch, cfg, g
     )
     for name in SWEEP_FIELDS:
         assert _same_bytes(getattr(forked, name), getattr(inline, name)), name
-    # every point ends inside a chunk, so the child sends chunks that the
-    # decode half drops
+    # no point ends on a block's edge: the last block of a point at its cap
+    # is short, and a point that meets its budget leaves a block it asked for
     assert np.all(forked.frames % FRAMES != 0)
     assert forked.lost_frames.sum() > 0
     cap = 20 * -(-min_bits // cfg.frame.payload_bits)
     assert np.all(forked.frames == cap) == (cfg.sync_threshold > 1)
+
+
+# Per point of a feed: its rows, the rows the decode half takes, and the
+# take lengths it asks for, in turn, the last one repeated
+_FEED_POINTS = [
+    # whole, partial, and cut at a block's end; the point ends at its cap
+    (10, 10, [4, 2, 3]),
+    # the point ends inside a block
+    (12, 5, [4]),
+    # the point ends after its first take, and the next one starts at row 0
+    (20, 3, [4]),
+    # takes of 3 rows, which the blocks of 4 after the first do not line up with
+    (9, 9, [3]),
+]
+
+
+def _marking_send(log):
+    """A send half that calls no kernel: it writes each row's point and row
+    index into the slot's payloads, and appends one line per call to ``log``."""
+
+    def send(point, first, rows, slot):
+        slot.payloads[:rows, 0, 0] = point
+        slot.payloads[:rows, 0, 1] = np.arange(first, first + rows)
+        with open(log, "a") as f:
+            f.write(f"{point} {first} {rows}\n")
+
+    return send
+
+
+@NEEDS_FORK
+def test_the_feed_sends_the_blocks_that_the_decode_half_takes(monkeypatch, tmp_path):
+    monkeypatch.setattr(scenario, "_BLOCK_FRAMES", 4)
+    log = tmp_path / "sends.log"
+
+    def run():
+        """Each take (point, first, rows asked, rows got), and each send call."""
+        log.unlink(missing_ok=True)
+        takes = []
+        caps = [cap for cap, _, _ in _FEED_POINTS]
+        with scenario._BlockFeed(ScenarioConfig(), _marking_send(log), caps) as feed:
+            for point, (_, end, lengths) in enumerate(_FEED_POINTS):
+                first, n = 0, 0
+                while first < end:
+                    rows = min(lengths[min(n, len(lengths) - 1)], end - first)
+                    payloads, rx = feed.take(point, first, rows)
+                    got = len(payloads)
+                    assert rx.shape[1] == got
+                    assert np.all(payloads[:, 0, 0] == point)
+                    assert np.array_equal(payloads[:, 0, 1], np.arange(first, first + got))
+                    takes.append((point, first, rows, got))
+                    first, n = first + got, n + 1
+        sends = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        return takes, sends
+
+    forked, inline = _on_both_transports(monkeypatch, run)
+    wanted = {(p, row) for p, (_, end, _) in enumerate(_FEED_POINTS) for row in range(end)}
+    for (takes, sends), transport in ((forked, "forked"), (inline, "inline")):
+        assert all(1 <= got <= rows for _, _, rows, got in takes)
+        # the decode half gets every row it takes, once
+        taken = {(p, row) for p, first, _, got in takes for row in range(first, first + got)}
+        assert len(taken) == sum(got for *_, got in takes)
+        assert taken == wanted
+        sent = [(p, row) for p, first, rows in sends for row in range(first, first + rows)]
+        assert len(set(sent)) == len(sent), f"{transport}: a row was sent twice"
+        assert all(row < _FEED_POINTS[p][0] for p, row in sent), f"{transport}: past a cap"
+        unused = [(p, f, r) for p, f, r in sends if not taken & {(p, f + i) for i in range(r)}]
+        per_point = [p for p, _, _ in unused]
+        assert all(per_point.count(p) <= 1 for p in per_point), (transport, unused)
+    # the inline path sends exactly the rows asked for; the forked one cut a
+    # take at a block's end, and sent a block that the decode half dropped
+    takes, sends = inline
+    assert all(got == rows for *_, rows, got in takes)
+    assert sends == [(point, first, rows) for point, first, rows, _ in takes]
+    takes, sends = forked
+    assert any(got < rows for *_, rows, got in takes)
+    assert (1, 8, 4) in sends
 
 
 @NEEDS_FORK
@@ -531,18 +621,6 @@ def _raising_on_call(n, function, exc):
         return function(*args, **kwargs)
 
     return raising
-
-
-@contextmanager
-def _nothing_left_behind():
-    """No child process to reap and no unclosed resource after the block."""
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        yield
-        gc.collect()
-    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 TRANSPORTS = pytest.mark.parametrize(
