@@ -233,9 +233,13 @@ def _diffuse_gain_sampled(angles, phases, doppler_hz: float, tau, out=None) -> n
     if flat.any():
         out[flat] = _diffuse_gain(angles[flat], phases[flat], doppler_hz, tau[flat, :1])
     sample = np.arange(n, dtype=float)
-    for count in np.unique(n_knots[~flat]):
+    # np.unique would import numpy.ma, about 13 ms in each fresh process;
+    # the rounded knot positions never decrease, so dropping a repeat of
+    # the previous one keeps each once
+    for count in sorted(set(n_knots[~flat].tolist())):
         sel = np.flatnonzero(~flat & (n_knots == count))
-        idx = np.unique(np.linspace(0, n - 1, count).round().astype(int))
+        idx = np.linspace(0, n - 1, count).round().astype(int)
+        idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
         at_knots = np.ascontiguousarray(tau[sel][:, idx])
         knots = _diffuse_gain(angles[sel], phases[sel], doppler_hz, at_knots)
         for r, row in zip(sel, knots):

@@ -219,15 +219,17 @@ def build_downlink_frame(
     return _downlink(payloads, cfg, alloc, pilot_seed, _BlockBuffers())
 
 
-def _downlink(payloads, cfg: FrameConfig, alloc: PowerAllocation, pilot_seed, work: _BlockBuffers):
-    """build_downlink_frame's samples, unchecked, written to the ``tx`` array of ``work``."""
-    out = None
+def _downlink(
+    payloads, cfg: FrameConfig, alloc: PowerAllocation, pilot_seed, work: _BlockBuffers, out=None
+):
+    """build_downlink_frame's samples, unchecked, written to ``out`` if given,
+    else to the ``tx`` array of ``work``."""
     for k, (amp, payload) in enumerate(zip(alloc.amplitudes, payloads), start=1):
         wave = _assemble(payload, cfg, _user_pilot_seed(pilot_seed, k), work)
-        if out is None:
-            out = work.get("tx", wave.shape)
+        if k == 1:
+            out = work.get("tx", wave.shape) if out is None else out
             out[...] = 0.0
-        elif wave.shape != out.shape:
+        if wave.shape != out.shape:
             raise ValueError("user waveforms must have equal length")
         # superpose's sum, with the frame's buffer as the scaled term
         wave *= amp

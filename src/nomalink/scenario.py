@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import struct
 import threading
 from dataclasses import dataclass, field, replace
@@ -425,24 +426,19 @@ class MetricsTimeSeries:
 _BLOCK_FRAMES = 16
 
 
-def _send_block(cfg: ScenarioConfig, payloads, channels, t0, work, slot) -> None:
-    """The send half of a block: transmit the frames and propagate them to
-    every vehicle, into ``slot``.
+def _propagate_block(cfg: ScenarioConfig, channels, t0, rows, slot, work) -> None:
+    """The propagate step of a block: the first ``rows`` transmitted frames
+    of ``slot`` through every vehicle's channel, into its received rows.
 
-    ``payloads`` is (frames, users, payload_bits) and ``t0`` gives each
-    frame's start time. ``channels`` holds one (params, mobility, seed)
-    triple per user; the seed is shared by the block's frames or holds
-    one seed row per frame. ``work`` is the run's buffer set: the
-    transmit and channel arrays of every block reuse its arrays. The slot
-    gets the payload bits and each user's received rows.
+    ``channels`` holds one (params, mobility, seed) triple per user; the
+    seed is shared by the block's frames or holds one seed row per frame,
+    and ``t0`` gives each frame's start time. ``work`` is the run's buffer
+    set: the channel arrays of every block reuse its arrays.
     """
-    n_frames = len(payloads)
-    slot.payloads[:n_frames] = payloads
-    frame_cfg = cfg.frame
-    tx = _downlink(list(payloads.swapaxes(0, 1)), frame_cfg, cfg.allocation, cfg.pilot_seed, work)
+    tx = slot.tx[:rows]
     for k, (params, mobility, seed) in enumerate(channels):
-        rx, *_ = _propagate(tx, frame_cfg.sample_rate, params, mobility, seed, t0, work)
-        slot.rx[k, :n_frames] = rx
+        rx, *_ = _propagate(tx, cfg.frame.sample_rate, params, mobility, seed, t0, work)
+        slot.rx[k, :rows] = rx
 
 
 def _decode_block(cfg: ScenarioConfig, payloads, rx):
@@ -490,6 +486,7 @@ class _Slot(NamedTuple):
     """One block in flight between the send and decode halves."""
 
     payloads: np.ndarray  # (frames, users, payload_bits) bits as uint8
+    tx: np.ndarray  # (frames, samples) transmitted frames
     rx: np.ndarray  # (users, frames, samples) received rows
 
 
@@ -504,9 +501,15 @@ def _can_fork() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-# An ask for a block: point, first row and rows, as three int64. It is
-# shorter than PIPE_BUF, so each write reaches the pipe whole
-_ASK = struct.Struct("3q")
+# An ask for a block: point, first row, rows, and whether the block is
+# transmitted already, as four int64. It is shorter than PIPE_BUF, so each
+# write reaches the pipe whole
+_ASK = struct.Struct("4q")
+
+
+def _holds(block, point: int, first: int) -> bool:
+    """Whether ``block`` (point, first row, rows, ...) holds row ``first`` of ``point``."""
+    return block[0] == point and block[1] <= first < block[1] + block[2]
 
 
 class _BlockFeed:
@@ -514,46 +517,65 @@ class _BlockFeed:
 
     A run is a list of points with a number of rows each: the replay is
     one point whose rows are its frames, the sweep one point per SNR whose
-    rows are its trials. ``send(point, first, rows, slot)`` fills a slot
-    with rows ``first`` to ``first + rows - 1`` of a point, and ``take``
+    rows are its trials. A block of rows ``first`` to ``first + rows - 1``
+    of a point goes through three steps, each writing its part of a slot:
+    ``draw(point, first, payloads)`` draws the payload bits, the
+    feed's transmit step builds the frames (``_downlink``), and
+    ``propagate(point, first, rows, slot)`` the received rows. ``take``
     returns the rows that the decode half asks for. ``take`` alone decides
     which rows each block holds: it asks for a block, and it keeps the
-    blocks asked for in order.
+    blocks asked for in order. It draws each block's payloads as it asks,
+    so the draws run in the calling process, in the order of the asks.
 
     Entered where ``_can_fork()`` holds, the feed forks a child that
-    serves the asks in turn: it reads an ask from a pipe, sends the block
-    into the next of two slots in one anonymous shared mapping, and
-    writes one token byte on a second pipe. Once ``take`` holds a block,
-    it asks for the next ``_BLOCK_FRAMES`` rows of the point, or the rows
-    it has left, so that the child sends while the decode half decodes; a
-    block of a point that the decode half has left is dropped unread.
-    Otherwise ``send`` runs in the calling process, into one slot, on
-    exactly the rows asked for. An exception in the child is raised again
-    in the parent. The child leaves by ``os._exit`` when the ask pipe is
-    closed; on leaving the feed, the parent ends a child that still runs,
-    reaps it and closes both pipes.
+    serves the asks in turn: it reads an ask from a pipe, transmits and
+    propagates the block into the next of two slots in one anonymous
+    shared mapping, and writes one token byte on a second pipe. Once
+    ``take`` holds a block, it asks for the next ``_BLOCK_FRAMES`` rows of
+    the point, or the rows it has left, so that the child sends while the
+    decode half decodes; a block of a point that the decode half has left
+    is dropped unread. Before ``take`` waits for a token, it polls for it.
+    If the token has not come, the queue holds that block alone, so the
+    block ``take`` needs next is not asked yet and its slot is free: it
+    transmits that block itself and asks for it with the flag set, and
+    the child only propagates it. So when the child is the slower half,
+    the decode half takes over transmit steps. Where
+    ``_can_fork()`` does not hold, all three steps run in the calling
+    process, into one slot, on exactly the rows asked for. An exception in
+    the child is raised again in the parent. The child leaves by
+    ``os._exit`` when the ask pipe is closed; on leaving the feed, the
+    parent ends a child that still runs, reaps it and closes both pipes.
     """
 
     _SLOTS = 2
 
-    def __init__(self, cfg: ScenarioConfig, send, rows_per_point) -> None:
+    def __init__(self, cfg: ScenarioConfig, draw, propagate, rows_per_point) -> None:
         import mmap
 
-        self._send = send
+        self._cfg = cfg
+        self._draw = draw
+        self._propagate = propagate
         self._points = tuple(rows_per_point)
+        # the transmit step's arrays, in whichever process transmits
+        self._work = _BlockBuffers()
         frames, k_users = _BLOCK_FRAMES, cfg.n_users
-        samples = cfg.frame.frame_samples + cfg.channel.delay_samples
-        payload_shape = (frames, k_users, cfg.frame.payload_bits)
-        rx_shape = (k_users, frames, samples)
-        # the received rows start on a 64-byte boundary
-        rx_offset = -(-int(np.prod(payload_shape)) // 64) * 64
-        slot_bytes = rx_offset + np.dtype(np.complex128).itemsize * int(np.prod(rx_shape))
-        self._memory = mmap.mmap(-1, self._SLOTS * slot_bytes)
+        layout = (
+            ((frames, k_users, cfg.frame.payload_bits), np.uint8),
+            ((frames, cfg.frame.frame_samples), np.complex128),
+            ((k_users, frames, cfg.frame.frame_samples + cfg.channel.delay_samples), np.complex128),
+        )
+        # each array starts on a 64-byte boundary
+        sizes = [np.dtype(dtype).itemsize * int(np.prod(shape)) for shape, dtype in layout]
+        sizes = [-(-size // 64) * 64 for size in sizes]
+        self._memory = mmap.mmap(-1, self._SLOTS * sum(sizes))
         self._slots = []
-        for offset in range(0, self._SLOTS * slot_bytes, slot_bytes):
-            payloads = np.ndarray(payload_shape, np.uint8, self._memory, offset)
-            rx = np.ndarray(rx_shape, np.complex128, self._memory, offset + rx_offset)
-            self._slots.append(_Slot(payloads, rx))
+        offset = 0
+        for _ in range(self._SLOTS):
+            arrays = []
+            for (shape, dtype), size in zip(layout, sizes):
+                arrays.append(np.ndarray(shape, dtype, self._memory, offset))
+                offset += size
+            self._slots.append(_Slot(*arrays))
         self._pid = None
         self._fds = ()
         # the blocks asked for and not yet taken, oldest first, and the
@@ -597,13 +619,24 @@ class _BlockFeed:
         self._pid, self._fds = pid, (ask_w, ready_r)
 
     def _serve(self, asks, ready) -> None:
-        """The child's loop: send each asked block into the next slot, in
-        turn, and write a token, until the parent closes the ask pipe."""
+        """The child's loop: transmit, unless the parent has, and propagate
+        each asked block into the next slot, in turn, and write a token,
+        until the parent closes the ask pipe."""
         sent = 0
         while ask := os.read(asks, _ASK.size):
-            self._send(*_ASK.unpack(ask), self._slots[sent % self._SLOTS])
+            point, first, rows, transmitted = _ASK.unpack(ask)
+            slot = self._slots[sent % self._SLOTS]
+            if not transmitted:
+                self._transmit(rows, slot)
+            self._propagate(point, first, rows, slot)
             os.write(ready, b"+")
             sent += 1
+
+    def _transmit(self, rows: int, slot: _Slot) -> None:
+        """The transmit step: the frames of the slot's first ``rows`` payload rows."""
+        payloads = list(slot.payloads[:rows].swapaxes(0, 1))
+        cfg = self._cfg
+        _downlink(payloads, cfg.frame, cfg.allocation, cfg.pilot_seed, self._work, slot.tx[:rows])
 
     def take(self, point: int, first: int, rows: int):
         """The payloads and received rows of rows ``first`` to ``first + rows
@@ -611,35 +644,54 @@ class _BlockFeed:
         from a forked child, only those up to the end of the block that
         holds ``first``."""
         held = self._held
-        while held is None or held[0] != point or not held[1] <= first < held[1] + held[2]:
+        while held is None or not _holds(held, point, first):
             if not self._asked:
                 self._ask(point, first, rows)
-            held = self._held = self._pop()
+            held = self._held = self._pop(point, first, rows)
         _, start, count, slot = held
-        end = start + count
-        if self._fds and not self._asked and end < self._points[point]:
-            self._ask(point, end, min(_BLOCK_FRAMES, self._points[point] - end))
+        if self._fds and not self._asked and (block := self._next(held, point, first, rows)):
+            self._ask(*block)
         offset = first - start
         stop = min(offset + rows, count)
         return slot.payloads[offset:stop], slot.rx[:, offset:stop]
 
-    def _ask(self, point: int, first: int, rows: int) -> None:
-        """Ask for a block. Only an empty queue gets an ask, so every block
-        asked before has come back and the child waits for this one."""
-        slot = 0
-        if self._fds:
-            slot = self._asks % self._SLOTS
-            self._asks += 1
-            os.write(self._fds[0], _ASK.pack(point, first, rows))
-        self._asked.append((point, first, rows, self._slots[slot]))
+    def _next(self, block, point: int, first: int, rows: int):
+        """The block that ``take(point, first, rows)`` asks for once it has
+        ``block``, or None at the point's end."""
+        if not _holds(block, point, first):
+            return point, first, rows
+        end = block[1] + block[2]
+        left = self._points[point] - end
+        return (point, end, min(_BLOCK_FRAMES, left)) if left > 0 else None
 
-    def _pop(self):
-        """The oldest block asked for, once it is in its slot."""
+    def _ask(self, point: int, first: int, rows: int, transmit: bool = False) -> None:
+        """Ask for a block, with its payloads drawn into the next slot and,
+        inline or when ``transmit`` is set, its frames transmitted there.
+        The slot is free: it held the block taken last, or none."""
+        slot = self._slots[self._asks % self._SLOTS]
+        self._draw(point, first, slot.payloads[:rows])
+        transmit = transmit or not self._fds
+        if transmit:
+            self._transmit(rows, slot)
+        if self._fds:
+            self._asks += 1
+            os.write(self._fds[0], _ASK.pack(point, first, rows, transmit))
+        self._asked.append((point, first, rows, slot))
+
+    def _pop(self, point: int, first: int, rows: int):
+        """The oldest block asked for, once it is in its slot. If the child
+        is still sending it, the block that ``take`` asks for next is
+        transmitted here first: the queue holds this block alone, so the
+        next ask's slot is free."""
         block = self._asked.pop(0)
         if not self._fds:
-            self._send(*block)
+            self._propagate(*block)
             return block
         ready = self._fds[1]
+        if not select.select([ready], [], [], 0)[0] and (
+            after := self._next(block, point, first, rows)
+        ):
+            self._ask(*after, transmit=True)
         token = os.read(ready, 1)
         if token == b"+":
             return block
@@ -710,13 +762,13 @@ def run_v2x_scenario(cfg: ScenarioConfig) -> MetricsTimeSeries:
 
     work = _BlockBuffers()
 
-    def send(point, first, rows, slot):
-        payloads = payload_rng.integers(
-            0, 2, (rows, k_users, frame_cfg.payload_bits), dtype=np.int64
-        )
-        _send_block(cfg, payloads, channels, frame_starts[first : first + rows], work, slot)
+    def draw(point, first, out):
+        out[...] = payload_rng.integers(0, 2, out.shape, dtype=np.int64)
 
-    with _BlockFeed(cfg, send, [n_frames]) as feed:
+    def propagate(point, first, rows, slot):
+        _propagate_block(cfg, channels, frame_starts[first : first + rows], rows, slot, work)
+
+    with _BlockFeed(cfg, draw, propagate, [n_frames]) as feed:
         for first in range(0, n_frames, _BLOCK_FRAMES):
             block = slice(first, min(first + _BLOCK_FRAMES, n_frames))
             decode = _decode_block(cfg, *feed.take(0, first, block.stop - first))
@@ -798,23 +850,19 @@ def sweep_ber_vs_snr(
     work = _BlockBuffers()
     point_params = [cfg.run_channel(float(snr)) for snr in grid]
 
-    def send(i, first, rows, slot):
+    def draw(i, first, out):
+        for t, row in enumerate(out, start=first):
+            row[...] = _keyed_rng([seed, 10, i, t]).integers(0, 2, row.shape, dtype=np.int64)
+
+    def propagate(i, first, rows, slot):
         trials = range(first, first + rows)
-        payloads = np.stack(
-            [
-                _keyed_rng([seed, 10, i, t]).integers(
-                    0, 2, (k_users, frame_cfg.payload_bits), dtype=np.int64
-                )
-                for t in trials
-            ]
-        )
         channels = [
             (point_params[i], mobility, [[seed, 20, i, t, k] for t in trials])
             for k in range(1, k_users + 1)
         ]
-        _send_block(cfg, payloads, channels, 0.0, work, slot)
+        _propagate_block(cfg, channels, 0.0, rows, slot, work)
 
-    with _BlockFeed(cfg, send, [max_frames] * grid.size) as feed:
+    with _BlockFeed(cfg, draw, propagate, [max_frames] * grid.size) as feed:
         for i in range(grid.size):
             trial = 0
             while np.min(bits[i]) < min_bits_per_point and trial < max_frames:

@@ -13,6 +13,7 @@ import gc
 import os
 import sys
 import threading
+import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
@@ -527,66 +528,113 @@ _FEED_POINTS = [
 ]
 
 
-def _marking_send(log):
-    """A send half that calls no kernel: it writes each row's point and row
-    index into the slot's payloads, and appends one line per call to ``log``."""
+def _marking_steps(monkeypatch, log, pause):
+    """A draw, transmit and propagate step that call no kernel. Each marks
+    its rows' point and row index in its part of the slot, from the part
+    the step before wrote, and appends a line (step, pid, point, first,
+    rows) to ``log``; propagate sleeps ``pause`` seconds first."""
 
-    def send(point, first, rows, slot):
-        slot.payloads[:rows, 0, 0] = point
-        slot.payloads[:rows, 0, 1] = np.arange(first, first + rows)
+    def note(step, point, first, rows):
         with open(log, "a") as f:
-            f.write(f"{point} {first} {rows}\n")
+            f.write(f"{step} {os.getpid()} {point} {first} {rows}\n")
 
-    return send
+    def draw(point, first, out):
+        out[:, 0, 0] = point
+        out[:, 0, 1] = np.arange(first, first + len(out))
+        note("draw", point, first, len(out))
+
+    def transmit(payloads, cfg, alloc, pilot_seed, work, out):
+        out[:, :2] = payloads[0][:, :2]
+        note("transmit", int(out[0, 0].real), int(out[0, 1].real), len(out))
+
+    def propagate(point, first, rows, slot):
+        time.sleep(pause)
+        tx = slot.tx[:rows, :2].real
+        if not np.array_equal(tx, np.c_[np.full(rows, point), np.arange(first, first + rows)]):
+            raise AssertionError(f"the slot does not hold the frames of {point, first, rows}")
+        slot.rx[:, :rows, :2] = tx
+        note("propagate", point, first, rows)
+
+    monkeypatch.setattr(scenario, "_downlink", transmit)
+    return draw, propagate
 
 
 @NEEDS_FORK
 def test_the_feed_sends_the_blocks_that_the_decode_half_takes(monkeypatch, tmp_path):
     monkeypatch.setattr(scenario, "_BLOCK_FRAMES", 4)
-    log = tmp_path / "sends.log"
+    log = tmp_path / "steps.log"
 
-    def run():
-        """Each take (point, first, rows asked, rows got), and each send call."""
+    def run(decode_s, send_s):
+        """Each take (point, first, rows asked, rows got), and each step's
+        calls as (pid, point, first, rows), for a decode half and a send
+        half that take ``decode_s`` and ``send_s`` seconds a block."""
         log.unlink(missing_ok=True)
         takes = []
         caps = [cap for cap, _, _ in _FEED_POINTS]
-        with scenario._BlockFeed(ScenarioConfig(), _marking_send(log), caps) as feed:
+        steps = _marking_steps(monkeypatch, log, send_s)
+        with scenario._BlockFeed(ScenarioConfig(), *steps, caps) as feed:
             for point, (_, end, lengths) in enumerate(_FEED_POINTS):
                 first, n = 0, 0
                 while first < end:
                     rows = min(lengths[min(n, len(lengths) - 1)], end - first)
                     payloads, rx = feed.take(point, first, rows)
                     got = len(payloads)
-                    assert rx.shape[1] == got
-                    assert np.all(payloads[:, 0, 0] == point)
-                    assert np.array_equal(payloads[:, 0, 1], np.arange(first, first + got))
+                    rows_got = np.arange(first, first + got)
+                    assert np.all(payloads[:, 0, 0] == point) and np.all(rx[:, :, 0] == point)
+                    assert np.array_equal(payloads[:, 0, 1], rows_got)
+                    assert np.all(rx[:, :, 1].real == rows_got)
                     takes.append((point, first, rows, got))
                     first, n = first + got, n + 1
-        sends = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        return takes, sends
+                    time.sleep(decode_s)
+        calls = {"draw": [], "transmit": [], "propagate": []}
+        for line in log.read_text().splitlines():
+            step, *numbers = line.split()
+            calls[step].append(tuple(map(int, numbers)))
+        return takes, calls
 
-    forked, inline = _on_both_transports(monkeypatch, run)
     wanted = {(p, row) for p, (_, end, _) in enumerate(_FEED_POINTS) for row in range(end)}
-    for (takes, sends), transport in ((forked, "forked"), (inline, "inline")):
-        assert all(1 <= got <= rows for _, _, rows, got in takes)
-        # the decode half gets every row it takes, once
-        taken = {(p, row) for p, first, _, got in takes for row in range(first, first + got)}
-        assert len(taken) == sum(got for *_, got in takes)
-        assert taken == wanted
-        sent = [(p, row) for p, first, rows in sends for row in range(first, first + rows)]
-        assert len(set(sent)) == len(sent), f"{transport}: a row was sent twice"
-        assert all(row < _FEED_POINTS[p][0] for p, row in sent), f"{transport}: past a cap"
-        unused = [(p, f, r) for p, f, r in sends if not taken & {(p, f + i) for i in range(r)}]
-        per_point = [p for p, _, _ in unused]
-        assert all(per_point.count(p) <= 1 for p in per_point), (transport, unused)
-    # the inline path sends exactly the rows asked for; the forked one cut a
-    # take at a block's end, and sent a block that the decode half dropped
-    takes, sends = inline
-    assert all(got == rows for *_, rows, got in takes)
-    assert sends == [(point, first, rows) for point, first, rows, _ in takes]
-    takes, sends = forked
-    assert any(got < rows for *_, rows, got in takes)
-    assert (1, 8, 4) in sends
+    here = os.getpid()
+    steals = []
+    # the decode half is the slower one, then the send half
+    for decode_s, send_s in ((0.01, 0.0), (0.0, 0.02)):
+        forked, inline = _on_both_transports(monkeypatch, lambda: run(decode_s, send_s))
+        for (takes, calls), transport in ((forked, "forked"), (inline, "inline")):
+            assert all(1 <= got <= rows for _, _, rows, got in takes)
+            # the decode half gets every row it takes, once
+            taken = {(p, row) for p, first, _, got in takes for row in range(first, first + got)}
+            assert len(taken) == sum(got for *_, got in takes)
+            assert taken == wanted
+            # the calling process draws each block it asks for, once, in row
+            # order within a point; every block is transmitted once, by one of
+            # the two processes, and propagated once
+            draws = [block for pid, *block in calls["draw"]]
+            assert {pid for pid, *_ in calls["draw"]} == {here}, transport
+            for p in range(len(_FEED_POINTS)):
+                blocks = [(first, rows) for q, first, rows in draws if q == p]
+                assert [first for first, _ in blocks] == [0] + [f + r for f, r in blocks[:-1]]
+            for step in ("transmit", "propagate"):
+                blocks = [block for pid, *block in calls[step]]
+                assert sorted(blocks) == sorted(draws), (transport, step)
+            sent = [(p, row) for p, first, rows in draws for row in range(first, first + rows)]
+            assert len(set(sent)) == len(sent), f"{transport}: a row was sent twice"
+            assert all(row < _FEED_POINTS[p][0] for p, row in sent), f"{transport}: past a cap"
+            unused = [(p, f, r) for p, f, r in draws if not taken & {(p, f + i) for i in range(r)}]
+            per_point = [p for p, _, _ in unused]
+            assert all(per_point.count(p) <= 1 for p in per_point), (transport, unused)
+        # inline, every step runs in the calling process on exactly the rows
+        # asked for; forked, the child propagates, a take was cut at a
+        # block's end, and a block that the decode half dropped was sent
+        takes, calls = inline
+        assert all(got == rows for *_, rows, got in takes)
+        for step in ("draw", "transmit", "propagate"):
+            assert calls[step] == [(here, p, first, rows) for p, first, rows, _ in takes]
+        takes, calls = forked
+        assert any(got < rows for *_, rows, got in takes)
+        assert (here, 1, 8, 4) in calls["draw"]
+        assert here not in {pid for pid, *_ in calls["propagate"]}
+        steals.append(sum(pid == here for pid, *_ in calls["transmit"]))
+    # a slower send half leaves the transmit step of a block to the decode half
+    assert steals[1] > 0
 
 
 @NEEDS_FORK
@@ -628,25 +676,97 @@ TRANSPORTS = pytest.mark.parametrize(
 )
 
 
-@TRANSPORTS
-def test_a_send_half_error_is_raised_in_the_run(monkeypatch, tmp_path, capsys, forked):
-    monkeypatch.setattr(scenario, "_can_fork", lambda: forked)
-    propagate = scenario._propagate
-    error = ValueError("the channel failed on its third call")
+def _assert_the_run_raises(monkeypatch, tmp_path, capsys, name, n, error):
+    """Criterion 9's replay, and its CLI command, with ``scenario.<name>``
+    raising ``error`` on its ``n``-th call in each process: the run raises
+    it, the command returns 1 with one error line, and nothing is left."""
+    function = getattr(scenario, name)
     config = tmp_path / "short.json"
     config.write_text(
         '{"timing": {"stationary_duration": 0.05, "travel_duration": 0.06,'
         ' "total_duration": 0.11}}'
     )
     with _nothing_left_behind():
-        monkeypatch.setattr(scenario, "_propagate", _raising_on_call(3, propagate, error))
-        with pytest.raises(ValueError) as raised:
+        monkeypatch.setattr(scenario, name, _raising_on_call(n, function, error))
+        with pytest.raises(type(error)) as raised:
             run_v2x_scenario(SHORT_REPLAY)
         assert str(raised.value) == str(error)
-        monkeypatch.setattr(scenario, "_propagate", _raising_on_call(3, propagate, error))
+        monkeypatch.setattr(scenario, name, _raising_on_call(n, function, error))
         argv = ["run-scenario", "--config", str(config), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
-    assert capsys.readouterr().err == "error: the channel failed on its third call\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@TRANSPORTS
+def test_a_send_half_error_is_raised_in_the_run(monkeypatch, tmp_path, capsys, forked):
+    monkeypatch.setattr(scenario, "_can_fork", lambda: forked)
+    error = ValueError("the channel failed on its third call")
+    _assert_the_run_raises(monkeypatch, tmp_path, capsys, "_propagate", 3, error)
+
+
+def _slow_propagate(monkeypatch, pause=0.02):
+    """Each channel call sleeps ``pause`` seconds first, so that the send
+    half is the slower one and the decode half transmits blocks itself."""
+    propagate = scenario._propagate
+
+    def slow(*args, **kwargs):
+        time.sleep(pause)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "_propagate", slow)
+
+
+@pytest.mark.parametrize(
+    "forked, slow_send",
+    [
+        pytest.param(True, False, marks=NEEDS_FORK),
+        pytest.param(True, True, marks=NEEDS_FORK),
+        (False, False),
+    ],
+    ids=["forked", "forked_slow_send", "inline"],
+)
+def test_a_transmit_error_is_raised_in_the_run(monkeypatch, tmp_path, capsys, forked, slow_send):
+    # with a slow send half, the decode half's own transmit calls raise too
+    monkeypatch.setattr(scenario, "_can_fork", lambda: forked)
+    if slow_send:
+        _slow_propagate(monkeypatch)
+    error = ValueError("the transmitter failed on its second call")
+    _assert_the_run_raises(monkeypatch, tmp_path, capsys, "_downlink", 2, error)
+
+
+@NEEDS_FORK
+def test_a_slow_send_half_leaves_blocks_to_transmit_to_the_decode_half(monkeypatch):
+    _slow_propagate(monkeypatch)
+    here = os.getpid()
+    transmits, receives = [], []
+    downlink = scenario._downlink
+
+    # a forked child appends to its own copy of the lists, out of sight
+    def counted_downlink(*args, **kwargs):
+        transmits.append(None)
+        return downlink(*args, **kwargs)
+
+    def counted_receive(*args, **kwargs):
+        receives.append(os.getpid())
+        return receive_user(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "_downlink", counted_downlink)
+    monkeypatch.setattr(scenario, "receive_user", counted_receive)
+
+    def runs():
+        transmits.clear()
+        receives.clear()
+        series = run_v2x_scenario(SHORT_REPLAY)
+        # the 0 dB point ends inside a block, before the 30 dB one starts
+        curve = sweep_ber_vs_snr(replace(ScenarioConfig(), seed=5), [0.0, 30.0], 100_001)
+        return (series, curve), len(transmits), list(receives)
+
+    (forked, transmitted, received), (inline, _, _) = _on_both_transports(monkeypatch, runs)
+    _assert_same_runs(forked, inline)
+    assert transmitted > 0
+    series, curve = forked
+    user_frames = series.time_s.size // CFG.symbols_per_frame + curve.frames.sum() * 3
+    assert received == [here] * user_frames
 
 
 @TRANSPORTS

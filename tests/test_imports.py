@@ -62,3 +62,28 @@ def test_estimate_k_loads_scipy_on_demand(tmp_path):
     result = json.loads((tmp_path / "fit" / "k_estimate.json").read_text())
     assert np.isfinite(result["k_factor"])
     assert result["samples"] == 2_000
+
+
+# criterion 9's replay and the 0/5 dB sweep, with the send half forked and
+# then inline
+_MA_FREE_RUN = """
+import sys
+from dataclasses import replace
+from nomalink import scenario
+
+short = dict(stationary_duration=0.05, travel_duration=0.06, total_duration=0.11)
+for forked in (True, False):
+    scenario._can_fork = lambda: forked
+    scenario.run_v2x_scenario(scenario.ScenarioConfig(**short))
+    scenario.sweep_ber_vs_snr(replace(scenario.ScenarioConfig(), seed=7), [0.0, 5.0])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_runs_never_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, 12-14 ms that a forked
+    # send half would pay again in each fresh child. A child's modules are
+    # out of sight here; the inline run calls the child's code in this process
+    done = _fresh_python(["-c", _MA_FREE_RUN], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -501,7 +501,8 @@ def no_work(monkeypatch, no_decode_work):
 
     for name in (
         "channel._sos_parameters",
-        "scenario._send_block",
+        "scenario._downlink",
+        "scenario._propagate_block",
         "scenario._decode_block",
         "scenario._stage_histogram",
         "cli.run_v2x_scenario",
