@@ -12,36 +12,15 @@ from .channel import (
     estimate_k_factor,
     generate_fading,
 )
-from .frame_codec import (
-    FrameConfig,
-    assemble_frame,
-    disassemble_symbol,
-    qam_demodulate,
-    qam_modulate,
-)
-from .noma import (
-    PowerAllocation,
-    allocate_power_by_distance,
-    build_downlink_frame,
-    sic_decode,
-    superpose,
-)
-from .receiver import (
-    SyncEstimate,
-    UserRxReport,
-    cp_ml_sync,
-    correct_cfo,
-    evm_snr,
-    ls_estimate_channel,
-    receive_user,
-    zf_equalize,
-)
+from .frame_codec import FrameConfig
+from .noma import PowerAllocation, allocate_power_by_distance, build_downlink_frame
+from .receiver import UserRxReport, receive_user
 from .scenario import (
     BerCurve,
     MetricsTimeSeries,
     ScenarioConfig,
+    StageHistogram,
     UserPath,
-    compute_ber,
     run_v2x_scenario,
     snr_histogram,
     sweep_ber_vs_snr,
@@ -57,28 +36,16 @@ __all__ = [
     "estimate_k_factor",
     "generate_fading",
     "FrameConfig",
-    "assemble_frame",
-    "disassemble_symbol",
-    "qam_demodulate",
-    "qam_modulate",
     "PowerAllocation",
     "allocate_power_by_distance",
     "build_downlink_frame",
-    "sic_decode",
-    "superpose",
-    "SyncEstimate",
     "UserRxReport",
-    "cp_ml_sync",
-    "correct_cfo",
-    "evm_snr",
-    "ls_estimate_channel",
     "receive_user",
-    "zf_equalize",
     "BerCurve",
     "MetricsTimeSeries",
     "ScenarioConfig",
+    "StageHistogram",
     "UserPath",
-    "compute_ber",
     "run_v2x_scenario",
     "snr_histogram",
     "sweep_ber_vs_snr",

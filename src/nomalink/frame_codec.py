@@ -18,16 +18,11 @@ from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = [
-    "FrameConfig",
-    "qam_modulate",
-    "qam_demodulate",
-    "assemble_frame",
-    "disassemble_symbol",
-    "occupied_bins",
-    "pilot_mask",
-    "pilot_values",
-]
+__all__ = ["FrameConfig"]
+
+# assemble_frame, disassemble_symbol and qam_demodulate are stage functions
+# that no run calls. The traced benchmark wraps them by name, so they stay
+# defined, outside __all__, until ROADMAP item 5 retires its stage spans
 
 # A field's bounds ride on its annotation, Annotated[type, *marks]: a mark
 # (op, limit) asks for value op limit, and INF lets a float field hold +-inf
@@ -235,15 +230,9 @@ def pilot_mask(cfg: FrameConfig) -> np.ndarray:
     return _frozen(mask)
 
 
-def pilot_values(cfg: FrameConfig, pilot_seed: int | tuple[int, ...]) -> np.ndarray:
-    """Unit-magnitude BPSK pilot sequence, reproducible from the seed. A pilot
-    seed that is not a non-negative integer or a list of them is a ValueError."""
-    return _pilot_values(cfg, _seed_value("pilot_seed", pilot_seed))
-
-
 @lru_cache(maxsize=256)
 def _pilot_values(cfg: FrameConfig, pilot_seed) -> np.ndarray:
-    """pilot_values of a checked pilot seed, one shared array per key."""
+    """BPSK pilots of a checked pilot seed, one shared array per key."""
     rng = np.random.default_rng(pilot_seed)
     values = (2.0 * rng.integers(0, 2, cfg.pilot_subcarriers) - 1.0).astype(np.complex128)
     return _frozen(values)
@@ -251,15 +240,6 @@ def _pilot_values(cfg: FrameConfig, pilot_seed) -> np.ndarray:
 
 def _axis_bits(order: int) -> int:
     return int(log2(order)) // 2
-
-
-def _gray_decode(g: np.ndarray, width: int) -> np.ndarray:
-    b = g.copy()
-    shift = 1
-    while shift < width:
-        b ^= b >> shift
-        shift *= 2
-    return b
 
 
 @lru_cache(maxsize=8)
@@ -312,31 +292,8 @@ def _levels_to_bits(idx: np.ndarray, order: int) -> np.ndarray:
     return ((gray[..., None] >> _bit_shifts(order)) & 1).astype(np.uint8).reshape(-1)
 
 
-def qam_modulate(bits, order: int = 4) -> np.ndarray:
-    """Gray-map a bit sequence onto the unit-energy square QAM constellation.
-
-    Bits are consumed log2(order) at a time; the first half of each group
-    selects the in-phase level, the second half the quadrature level. For
-    4QAM the pair (b1, b0) maps to ((1 - 2*b1) + 1j*(1 - 2*b0)) / sqrt(2).
-    """
-    order = _check_order(order)
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must contain only 0 and 1")
-    k = 2 * _axis_bits(order)
-    if bits.size % k != 0:
-        raise ValueError(f"bit count {bits.size} not divisible by {k} bits/symbol")
-
-    p = _axis_bits(order)
-    weights = 1 << np.arange(p - 1, -1, -1)
-    idx = _gray_decode(bits.reshape(-1, 2, p) @ weights, p)
-    return _axis_levels(order)[idx].view(np.complex128).reshape(-1)
-
-
 def qam_demodulate(symbols, order: int = 4) -> np.ndarray:
-    """Hard minimum-distance decision back to bits; inverse of qam_modulate."""
+    """Hard minimum-distance decision back to bits; inverse of _modulate."""
     order = _check_order(order)
     symbols = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(symbols.view(np.float64))):
@@ -347,6 +304,24 @@ def qam_demodulate(symbols, order: int = 4) -> np.ndarray:
 def _demodulate(symbols: np.ndarray, order: int) -> np.ndarray:
     """qam_demodulate's decisions on contiguous finite symbols, unchecked."""
     return _levels_to_bits(_decide_levels(symbols, order), order)
+
+
+def _modulate(bits: np.ndarray, order: int) -> np.ndarray:
+    """Gray-map rows of bits onto the unit-energy square QAM constellation,
+    unchecked: one flat array of symbols, in row order.
+
+    Bits are consumed log2(order) at a time; the first half of each group
+    selects the in-phase level, the second half the quadrature level. For
+    4QAM the pair (b1, b0) maps to ((1 - 2*b1) + 1j*(1 - 2*b0)) / sqrt(2).
+    """
+    p = _axis_bits(order)
+    groups = bits.reshape(*bits.shape[:-1], -1, 2, p)
+    # Gray to binary: each binary bit is the XOR of the Gray bits down to it
+    level = binary = groups[..., 0].astype(np.intp)
+    for i in range(1, p):
+        binary = binary ^ groups[..., i]
+        level = (level << 1) | binary
+    return _axis_levels(order)[level].view(np.complex128).reshape(-1)
 
 
 def _spectrum_scale(cfg: FrameConfig) -> float:
@@ -375,18 +350,27 @@ class _BlockBuffers:
         return arr[: shape[0]]
 
 
-def _assemble(payload, cfg: FrameConfig, pilot_seed, work: _BlockBuffers) -> np.ndarray:
-    """assemble_frame's samples, written to the ``symbols`` array of ``work``."""
-    payload = np.asarray(payload, dtype=np.int64)
-    if payload.ndim not in (1, 2) or payload.shape[-1] != cfg.payload_bits:
+def _payload_bits(payload, cfg: FrameConfig) -> np.ndarray:
+    """``payload`` as uint8 bits, one row of ``cfg.payload_bits`` per frame,
+    or a ValueError: each value must be exactly 0 or 1, checked before any cast."""
+    bits = np.asarray(payload)
+    if bits.ndim not in (1, 2) or bits.shape[-1] != cfg.payload_bits:
         raise ValueError(
-            f"payload must be {cfg.payload_bits} bits per frame, got shape {payload.shape}"
+            f"payload must be {cfg.payload_bits} bits per frame, got shape {bits.shape}"
         )
+    if bits.dtype.kind not in "biuf" or ((bits != 0) & (bits != 1)).any():
+        raise ValueError("bits must contain only 0 and 1")
+    return bits.astype(np.uint8, copy=False)
+
+
+def _assemble(payload: np.ndarray, cfg: FrameConfig, pilot_seed, work: _BlockBuffers):
+    """assemble_frame's samples of checked payload bits, unchecked, written to
+    the ``symbols`` array of ``work``."""
     frames = payload.shape[:-1]
     rows = (len(payload) if payload.ndim == 2 else 1, cfg.symbols_per_frame)
     bins = occupied_bins(cfg)
     mask = pilot_mask(cfg)
-    data_syms = qam_modulate(payload.reshape(-1), cfg.modulation_order)
+    data_syms = _modulate(payload, cfg.modulation_order)
 
     # zero when made; every call writes the same occupied bins, so the
     # others stay zero
@@ -407,9 +391,11 @@ def assemble_frame(payload, cfg: FrameConfig, pilot_seed) -> np.ndarray:
     Returns the time-domain samples at ``cfg.sample_rate``
     (symbols_per_frame * (fft + cp) of them). A payload block of shape
     (frames, payload_bits) builds one frame per row, and the samples
-    carry the same leading frame axis.
+    carry the same leading frame axis. A payload of another shape, or
+    holding a value other than 0 and 1, is a ValueError.
     """
-    return _assemble(payload, cfg, _seed_value("pilot_seed", pilot_seed), _BlockBuffers())
+    pilot_seed = _seed_value("pilot_seed", pilot_seed)
+    return _assemble(_payload_bits(payload, cfg), cfg, pilot_seed, _BlockBuffers())
 
 
 def disassemble_symbol(samples, cfg: FrameConfig, symbol_start: int = 0) -> np.ndarray:

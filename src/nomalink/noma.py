@@ -24,6 +24,7 @@ from .frame_codec import (
     _decide_levels,
     _field_value,
     _frozen,
+    _payload_bits,
     _pilot_values,
     _seed_value,
 )
@@ -32,12 +33,12 @@ __all__ = [
     "PowerAllocation",
     "DEFAULT_POWER_COEFFICIENTS",
     "allocate_power_by_distance",
-    "superpose",
-    "sic_decode",
     "build_downlink_frame",
-    "composite_pilot_values",
-    "user_pilot_seed",
 ]
+
+# superpose and sic_decode are stage functions that no run calls. The traced
+# benchmark wraps them by name, so they stay defined, outside __all__, until
+# ROADMAP item 5 retires its stage spans
 
 # Measured testbed preset (far to near). Distinct from the distance-squared
 # policy, which yields near-equal coefficients for the testbed geometry.
@@ -171,29 +172,14 @@ def _sic(
     return residual / amps[user - 1], stage_levels
 
 
-def user_pilot_seed(pilot_seed, user: int) -> tuple[int, ...]:
-    """Per-user pilot sequence seed, the words of ``pilot_seed`` and then the
-    user; keeps composite pilot power near unity. A pilot seed that is not
-    a non-negative integer or a list of them, or a user that is not an
-    integer >= 1, is a ValueError."""
-    user = _field_value("user", Annotated[int, (">=", 1)], user)
-    return _user_pilot_seed(_seed_value("pilot_seed", pilot_seed), user)
-
-
 def _user_pilot_seed(pilot_seed, user: int) -> tuple[int, ...]:
-    """user_pilot_seed of a checked pilot seed and user."""
+    """User ``user``'s pilot seed: the checked seed's words, then the user."""
     return (*pilot_seed, user) if isinstance(pilot_seed, tuple) else (pilot_seed, user)
-
-
-def composite_pilot_values(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed: int) -> np.ndarray:
-    """Superposed pilot reference as seen on the air interface. A pilot seed
-    that is not a non-negative integer or a list of them is a ValueError."""
-    return _composite_pilots(cfg, alloc, _seed_value("pilot_seed", pilot_seed))
 
 
 @lru_cache(maxsize=256)
 def _composite_pilots(cfg: FrameConfig, alloc: PowerAllocation, pilot_seed) -> np.ndarray:
-    """composite_pilot_values of a checked pilot seed, one shared array per key."""
+    """Superposed pilots of a checked pilot seed, one shared array per key."""
     out = np.zeros(cfg.pilot_subcarriers, dtype=np.complex128)
     for k, amp in enumerate(alloc.amplitudes, start=1):
         out += amp * _pilot_values(cfg, _user_pilot_seed(pilot_seed, k))
@@ -211,26 +197,28 @@ def build_downlink_frame(
     Returns the samples at ``cfg.sample_rate``, a new array. Each payload
     may be a block of shape (frames, payload_bits); the samples then carry
     that leading frame axis. The samples are those of ``superpose`` over
-    ``assemble_frame``'s frames.
+    ``assemble_frame``'s frames. A payload that ``assemble_frame`` rejects,
+    or payload blocks of unequal frame counts, are a ValueError.
     """
     if len(payloads) != alloc.n_users:
         raise ValueError(f"need {alloc.n_users} payloads, got {len(payloads)}")
     pilot_seed = _seed_value("pilot_seed", pilot_seed)
+    payloads = [_payload_bits(payload, cfg) for payload in payloads]
+    if len({payload.shape for payload in payloads}) != 1:
+        raise ValueError("user waveforms must have equal length")
     return _downlink(payloads, cfg, alloc, pilot_seed, _BlockBuffers())
 
 
 def _downlink(
     payloads, cfg: FrameConfig, alloc: PowerAllocation, pilot_seed, work: _BlockBuffers, out=None
 ):
-    """build_downlink_frame's samples, unchecked, written to ``out`` if given,
-    else to the ``tx`` array of ``work``."""
+    """build_downlink_frame's samples of checked payload bits of one shape,
+    unchecked, written to ``out`` if given, else to the ``tx`` array of ``work``."""
     for k, (amp, payload) in enumerate(zip(alloc.amplitudes, payloads), start=1):
         wave = _assemble(payload, cfg, _user_pilot_seed(pilot_seed, k), work)
         if k == 1:
             out = work.get("tx", wave.shape) if out is None else out
             out[...] = 0.0
-        if wave.shape != out.shape:
-            raise ValueError("user waveforms must have equal length")
         # superpose's sum, with the frame's buffer as the scaled term
         wave *= amp
         out += wave

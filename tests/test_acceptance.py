@@ -20,10 +20,10 @@ from nomalink.channel import (
 from nomalink.cli import execute, load_config
 from nomalink.frame_codec import (
     FrameConfig,
+    _modulate,
     assemble_frame,
     disassemble_symbol,
     qam_demodulate,
-    qam_modulate,
 )
 from nomalink.noma import PowerAllocation, build_downlink_frame, superpose
 from nomalink.receiver import cp_ml_sync, receive_user
@@ -163,7 +163,7 @@ def test_criterion_7_perfect_sic_identity():
             assert np.array_equal(rep.bits, payloads[k - 1]), f"user {k} of {coeffs}"
 
     bits = rng.integers(0, 2, CFG.payload_bits)
-    assert np.array_equal(qam_demodulate(qam_modulate(bits, 4), 4), bits)
+    assert np.array_equal(qam_demodulate(_modulate(bits, 4), 4), bits)
     wave = assemble_frame(bits, CFG, 21)
     symbols = wave.reshape(CFG.symbols_per_frame, CFG.symbol_samples)
     subcarriers = disassemble_symbol(symbols, CFG, CFG.cp_length)
@@ -171,7 +171,7 @@ def test_criterion_7_perfect_sic_identity():
 
     n = 10_000
     alloc = PowerAllocation.testbed_default()
-    waves = [qam_modulate(rng.integers(0, 2, 2 * n), 4) for _ in range(3)]
+    waves = [_modulate(rng.integers(0, 2, 2 * n), 4) for _ in range(3)]
     power = float(np.mean(np.abs(superpose(waves, alloc)) ** 2))
     assert power == pytest.approx(1.0, rel=0.01)
     report(7, f"identity suite clean; superposed power {power:.4f}")

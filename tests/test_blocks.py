@@ -10,6 +10,7 @@ it cannot fork, from the calling process; both give the same bytes.
 """
 
 import gc
+import inspect
 import os
 import sys
 import threading
@@ -21,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nomalink
 from nomalink import cli, scenario
 from nomalink.channel import (
     ChannelParams,
@@ -32,12 +34,13 @@ from nomalink.channel import (
 from nomalink.frame_codec import FrameConfig, _BlockBuffers, disassemble_symbol, pilot_mask
 from nomalink.noma import (
     PowerAllocation,
+    _composite_pilots,
     _downlink,
     build_downlink_frame,
-    composite_pilot_values,
 )
 from nomalink.receiver import evm_snr, ls_estimate_channel, receive_user, zf_equalize
 from nomalink.scenario import ScenarioConfig, run_v2x_scenario, sweep_ber_vs_snr
+from test_layer_names import _layer_functions
 
 CFG = FrameConfig()
 ALLOC = PowerAllocation.testbed_default()
@@ -162,7 +165,7 @@ def test_receiver_stages_take_a_symbol_axis():
         seed=3,
     )
     mask = pilot_mask(CFG)
-    reference = composite_pilot_values(CFG, ALLOC, PILOT_SEED)
+    reference = _composite_pilots(CFG, ALLOC, PILOT_SEED)
     periods = rx.reshape(CFG.symbols_per_frame, CFG.symbol_samples)
     rows = disassemble_symbol(periods, CFG, CFG.cp_length)
     estimates = ls_estimate_channel(rows, mask, reference)
@@ -375,10 +378,13 @@ REPLAY_FIELDS = ("time_s", "user", "est_snr_db", "est_cfo_hz", "ber", "outage", 
 SWEEP_FIELDS = ("snr_db", "ber", "ci_low", "ci_high", "bits", "lost_frames", "frames")
 
 
+# criterion 9's sweep config
+SWEEP_7 = replace(ScenarioConfig(), seed=7)
+
+
 def _criterion_9_runs():
     """Criterion 9's replay and the 0/5 dB sweep at seed 7."""
-    sweep_cfg = replace(ScenarioConfig(), seed=7)
-    return run_v2x_scenario(SHORT_REPLAY), sweep_ber_vs_snr(sweep_cfg, [0.0, 5.0])
+    return run_v2x_scenario(SHORT_REPLAY), sweep_ber_vs_snr(SWEEP_7, [0.0, 5.0])
 
 
 @pytest.fixture(scope="module")
@@ -407,21 +413,29 @@ def test_the_runs_call_the_kernels_not_the_public_transmit_and_channel(
     monkeypatch, default_runs
 ):
     # the public functions check their arguments; the runs build their own
-    # blocks and skip those checks, as they skip receive_user's stage checks
-    def public_call(*args, **kwargs):
-        raise AssertionError("a run called a public transmit or channel function")
+    # blocks and skip those checks, so no run calls a public function but
+    # receive_user. The runs' configs are module constants, built before the
+    # patch: their validator calls doppler_shift
+    named = {f"nomalink.{name}" for name in nomalink.__all__}
+    named |= {f"nomalink.{m}.{f}" for m, f in _layer_functions()}
+    allowed = {receive_user, run_v2x_scenario, sweep_ber_vs_snr}
+    public = set()
+    for name in named:
+        module, _, attr = name.rpartition(".")
+        value = getattr(sys.modules[module], attr)
+        # the cli functions are the front end that starts the runs
+        if inspect.isfunction(value) and value not in allowed and module != "nomalink.cli":
+            public.add(value)
+    assert len(public) == 18
 
-    public = (apply_channel, build_downlink_frame)
-    bindings = [
-        (module, name)
-        for key, module in list(sys.modules.items())
-        if key == "nomalink" or key.startswith("nomalink.")
-        for name, value in vars(module).items()
-        if any(value is f for f in public)
-    ]
-    assert len(bindings) >= 4  # each module's own name and the package's
-    for module, name in bindings:
-        monkeypatch.setattr(module, name, public_call)
+    def public_call(*args, **kwargs):
+        raise AssertionError("a run called a public function")
+
+    for key, module in list(sys.modules.items()):
+        if key == "nomalink" or key.startswith("nomalink."):
+            for name, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in public:
+                    monkeypatch.setattr(module, name, public_call)
     calls = []
 
     def counted(*args, **kwargs):
@@ -430,12 +444,18 @@ def test_the_runs_call_the_kernels_not_the_public_transmit_and_channel(
 
     monkeypatch.setattr(scenario, "receive_user", counted)
 
-    series, curve = _criterion_9_runs()
-    _assert_same_runs((series, curve), default_runs)
-    # one receive_user call per user-frame, each user once per frame
-    user_frames = series.time_s.size // CFG.symbols_per_frame + curve.frames.sum() * 3
-    assert len(calls) == user_frames
-    assert calls.count(1) == calls.count(2) == calls.count(3)
+    def runs():
+        calls.clear()
+        result = _criterion_9_runs()
+        series, curve = result
+        # one receive_user call per user-frame, each user once per frame
+        user_frames = series.time_s.size // CFG.symbols_per_frame + curve.frames.sum() * 3
+        assert len(calls) == user_frames
+        assert calls.count(1) == calls.count(2) == calls.count(3)
+        return result
+
+    for result in _on_both_transports(monkeypatch, runs):
+        _assert_same_runs(result, default_runs)
 
 
 @contextmanager

@@ -10,7 +10,7 @@ generators (seeded from uint32 words), the carrier wander (a block
 longer than its row cut to the row) and the transmit chain's subcarrier
 mapping were rewritten to do less work per frame.
 ``receive_user`` checks its row once and then runs unchecked stage
-kernels; it is compared with the composition of the public stage
+kernels; it is compared with the composition of the checked stage
 functions it once called. Each test keeps the replaced code here as the
 reference and compares raw bytes, so even a changed sign of zero fails.
 """
@@ -39,18 +39,18 @@ from nomalink.frame_codec import (
     FrameConfig,
     _decide_levels,
     _levels_to_bits,
+    _modulate,
+    _pilot_values,
     assemble_frame,
     disassemble_symbol,
     occupied_bins,
     pilot_mask,
-    pilot_values,
     qam_demodulate,
-    qam_modulate,
 )
 from nomalink.noma import (
     PowerAllocation,
+    _composite_pilots,
     build_downlink_frame,
-    composite_pilot_values,
     sic_decode,
 )
 from nomalink.receiver import (
@@ -151,9 +151,9 @@ def test_qam_decisions_and_sic_match_the_bit_round_trip(order):
     assert _same_bytes(qam_demodulate(symbols, order), _reference_qam_demodulate(symbols, order))
 
     bits = rng.integers(0, 2, 600 * int(np.log2(order)))
-    assert _same_bytes(qam_modulate(bits, order), _reference_qam_modulate(bits, order))
+    assert _same_bytes(_modulate(bits, order), _reference_qam_modulate(bits, order))
 
-    sent = [qam_modulate(rng.integers(0, 2, 2000 * int(np.log2(order))), order) for _ in range(3)]
+    sent = [_modulate(rng.integers(0, 2, 2000 * int(np.log2(order))), order) for _ in range(3)]
     composite = sum(a * s for a, s in zip(ALLOC.amplitudes, sent))
     noisy = composite + 0.05 * (rng.normal(size=2000) + 1j * rng.normal(size=2000))
     for received in (noisy, symbols):
@@ -198,9 +198,9 @@ def _reference_assemble_frame(payload, cfg, pilot_seed):
     payload = np.asarray(payload, dtype=np.int64)
     frames = payload.shape[:-1]
     mask = pilot_mask(cfg)
-    data = qam_modulate(payload.reshape(-1), cfg.modulation_order)
+    data = _modulate(payload.reshape(-1), cfg.modulation_order)
     grid = np.empty((*frames, cfg.symbols_per_frame, cfg.total_subcarriers), dtype=np.complex128)
-    grid[..., mask] = pilot_values(cfg, pilot_seed)
+    grid[..., mask] = _pilot_values(cfg, pilot_seed)
     grid[..., ~mask] = data.reshape(*frames, cfg.symbols_per_frame, cfg.data_subcarriers)
     spectra = np.zeros((*frames, cfg.symbols_per_frame, cfg.fft_size), dtype=np.complex128)
     spectra[..., occupied_bins(cfg)] = grid
@@ -401,7 +401,7 @@ def test_evm_snr_matches_the_errstate_formula():
     assert evm_snr(y, x)[2] == 60.0
 
     rng = np.random.default_rng(12)
-    pilots = composite_pilot_values(CFG, ALLOC, 295)
+    pilots = _composite_pilots(CFG, ALLOC, 295)
     for scale in (1e-4, 1e-2, 1.0):
         noisy = pilots + scale * (rng.normal(size=(5, 25)) + 1j * rng.normal(size=(5, 25)))
         assert _same_bytes(evm_snr(noisy, pilots), _reference_evm_snr(noisy, pilots))
@@ -607,7 +607,7 @@ def test_channel_products_in_place_equal_the_named_products(shape):
 
 
 def _staged_receive(rx, cfg, alloc, user, pilot_seed, sync_threshold):
-    """receive_user as the composition of the public stage functions: the
+    """receive_user as the composition of the checked stage functions: the
     whole buffer corrected for the CFO, every check run at every stage."""
     sync = cp_ml_sync(rx, cfg)
     if sync.metric_peak < sync_threshold:
@@ -615,7 +615,7 @@ def _staged_receive(rx, cfg, alloc, user, pilot_seed, sync_threshold):
     corrected = correct_cfo(rx, sync.fractional_cfo_hz, cfg.sample_rate)
     frame = corrected[sync.timing_offset : sync.timing_offset + cfg.frame_samples]
     mask = pilot_mask(cfg)
-    reference = composite_pilot_values(cfg, alloc, pilot_seed)
+    reference = _composite_pilots(cfg, alloc, pilot_seed)
     rows = disassemble_symbol(
         frame.reshape(cfg.symbols_per_frame, cfg.symbol_samples), cfg, cfg.cp_length
     )

@@ -9,19 +9,19 @@ from nomalink.frame_codec import (
     FrameConfig,
     _levels_to_bits,
     disassemble_symbol,
+    _modulate,
+    assemble_frame,
     pilot_mask,
-    pilot_values,
     qam_demodulate,
-    qam_modulate,
 )
 from nomalink.noma import (
     PowerAllocation,
+    _composite_pilots,
+    _user_pilot_seed,
     allocate_power_by_distance,
     build_downlink_frame,
-    composite_pilot_values,
     sic_decode,
     superpose,
-    user_pilot_seed,
 )
 from nomalink.receiver import receive_user
 
@@ -126,7 +126,7 @@ class TestSuperpose:
         rng = np.random.default_rng(2)
         alloc = PowerAllocation.testbed_default()
         n = 10_000
-        waves = [qam_modulate(rng.integers(0, 2, 2 * n), 4) for _ in range(3)]
+        waves = [_modulate(rng.integers(0, 2, 2 * n), 4) for _ in range(3)]
         power = np.mean(np.abs(superpose(waves, alloc)) ** 2)
         assert power == pytest.approx(1.0, rel=1e-2)
 
@@ -137,7 +137,7 @@ class TestSicDecode:
 
     def _composite(self, alloc, n_symbols=500):
         bits = [self.rng.integers(0, 2, 2 * n_symbols) for _ in alloc.coefficients]
-        syms = [qam_modulate(b, 4) for b in bits]
+        syms = [_modulate(b, 4) for b in bits]
         composite = sum(a * s for a, s in zip(alloc.amplitudes, syms))
         return bits, syms, composite
 
@@ -180,7 +180,7 @@ class TestSicDecode:
         alloc = PowerAllocation.testbed_default()
         n = 40_000
         bits = [self.rng.integers(0, 2, 2 * n) for _ in range(3)]
-        syms = [qam_modulate(b, 4) for b in bits]
+        syms = [_modulate(b, 4) for b in bits]
         composite = sum(a * s for a, s in zip(alloc.amplitudes, syms))
         noise = self.rng.normal(size=(n, 2)) @ np.array([1, 1j])
         bers = []
@@ -205,24 +205,31 @@ class TestDownlinkFrame:
         tx = build_downlink_frame(payloads, cfg, alloc, pilot_seed=21)
         symbols = tx.reshape(cfg.symbols_per_frame, cfg.symbol_samples)
         composite_grid = disassemble_symbol(symbols, cfg, cfg.cp_length)
-        reference = composite_pilot_values(cfg, alloc, 21)
+        reference = _composite_pilots(cfg, alloc, 21)
         assert np.allclose(composite_grid[:, pilot_mask(cfg)], reference)
         assert len(tx) == cfg.frame_samples
 
     def test_per_user_pilot_sequences_differ(self):
         cfg = FrameConfig()
-        a = np.asarray(user_pilot_seed(21, 1))
-        b = np.asarray(user_pilot_seed(21, 2))
+        a = np.asarray(_user_pilot_seed(21, 1))
+        b = np.asarray(_user_pilot_seed(21, 2))
         assert not np.array_equal(a, b)
 
     def test_a_whole_float_pilot_seed_fails_even_once_its_int_is_cached(self):
+        # seed 7 fills the pilot, composite pilot and receive plan caches
         cfg, alloc = FrameConfig(), PowerAllocation.testbed_default()
-        composite_pilot_values(cfg, alloc, 7)
-        pilot_values(cfg, 7)
-        with pytest.raises(ValueError, match="^pilot_seed must be an integer, got 7.0$"):
-            composite_pilot_values(cfg, alloc, 7.0)
-        with pytest.raises(ValueError, match="^pilot_seed must be an integer, got 7.0$"):
-            pilot_values(cfg, 7.0)
+        payloads = list(np.random.default_rng(6).integers(0, 2, (3, cfg.payload_bits)))
+        tx = build_downlink_frame(payloads, cfg, alloc, 7)
+        layers = [
+            lambda seed: assemble_frame(payloads[0], cfg, seed),
+            lambda seed: build_downlink_frame(payloads, cfg, alloc, seed),
+            lambda seed: receive_user(tx, cfg, alloc, 2, seed),
+        ]
+        for layer in layers:
+            layer(7)
+        for layer in layers:
+            with pytest.raises(ValueError, match="^pilot_seed must be an integer, got 7.0$"):
+                layer(7.0)
 
     def test_rejects_payload_count_mismatch(self):
         cfg = FrameConfig()
@@ -241,7 +248,7 @@ class TestDownlinkFrame:
         tx = build_downlink_frame(payloads, cfg, alloc, 21)
         assert np.array_equal(build_downlink_frame(payloads, cfg, alloc, [21]), tx)
         assert np.array_equal(build_downlink_frame(payloads, cfg, alloc, np.array([21])), tx)
-        assert user_pilot_seed((21, 4), 2) == (21, 4, 2)
+        assert _user_pilot_seed((21, 4), 2) == (21, 4, 2)
         tx = build_downlink_frame(payloads, cfg, alloc, [21, 4])
         report = receive_user(tx, cfg, alloc, 2, [21, 4])
         assert report.detected and np.array_equal(report.bits, payloads[1])
